@@ -131,4 +131,34 @@ void BM_SynthesiseBbwAllTopEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesiseBbwAllTopEvents);
 
+// The top-derivation probe of `ftsynth analyse` with no --top: every
+// (boundary output x failure class) candidate is synthesised under
+// UnannotatedPolicy::kPrune to decide which are derivable, exactly as
+// resolve_tops (src/service/runner.cpp) does, serially.
+void BM_ProbeBbwAllCandidates(benchmark::State& state) {
+  Model model = setta::build_bbw();
+  SynthesisOptions prune;
+  prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
+  std::vector<Deviation> candidates;
+  for (const Port* port : model.root().outputs()) {
+    for (FailureClass cls : model.registry().all())
+      candidates.push_back(Deviation{cls, port->name()});
+  }
+  std::size_t derivable = 0;
+  std::size_t resolutions = 0;
+  for (auto _ : state) {
+    derivable = 0;
+    resolutions = 0;
+    for (const Deviation& candidate : candidates) {
+      Synthesiser probe(model, prune);
+      if (probe.synthesise(candidate).top() != nullptr) ++derivable;
+      resolutions += probe.stats().resolutions;
+    }
+  }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["derivable"] = static_cast<double>(derivable);
+  state.counters["resolutions"] = static_cast<double>(resolutions);
+}
+BENCHMARK(BM_ProbeBbwAllCandidates)->Unit(benchmark::kMillisecond);
+
 }  // namespace

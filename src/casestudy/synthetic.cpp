@@ -221,12 +221,16 @@ Model build_random(const RandomModelConfig& config) {
     b.malfunction(block, "fail", rate, "random malfunction");
 
     // A random monotone cause per class: OR of 1..3 terms, each a single
-    // atom or (with and_probability) an AND of two atoms.
+    // atom or (with and_probability) an AND of two atoms. The draws are
+    // sequenced explicitly (operands of one `+` chain are not), so a seed
+    // builds the same model under every compiler. They run last operand
+    // first: tests/golden/synthesis_digests.txt was built in that order.
     auto atom = [&]() -> std::string {
       if (uniform(rng) < 0.35) return "fail";
-      return classes[static_cast<std::size_t>(pick(2))] + "-" +
-             input_names[static_cast<std::size_t>(
-                 pick(static_cast<int>(input_names.size())))];
+      const int input = pick(static_cast<int>(input_names.size()));
+      const int cls = pick(2);
+      return classes[static_cast<std::size_t>(cls)] + "-" +
+             input_names[static_cast<std::size_t>(input)];
     };
     for (const std::string& cls : classes) {
       const int terms = 1 + pick(3);
@@ -234,9 +238,14 @@ Model build_random(const RandomModelConfig& config) {
       for (int t = 0; t < terms; ++t) {
         std::string term;
         if (uniform(rng) < config.vote_chance) {
-          term = "VOTE(2: " + atom() + ", " + atom() + ", " + atom() + ")";
+          const std::string third = atom();
+          const std::string second = atom();
+          const std::string first = atom();
+          term = "VOTE(2: " + first + ", " + second + ", " + third + ")";
         } else if (uniform(rng) < config.and_probability) {
-          term = "(" + atom() + " AND " + atom() + ")";
+          const std::string right = atom();
+          const std::string left = atom();
+          term = "(" + left + " AND " + right + ")";
         } else {
           term = atom();
         }

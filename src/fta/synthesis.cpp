@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -154,6 +157,7 @@ class Run {
   FtNode* degraded(const Deviation& deviation, const std::string& where,
                    const std::string& why) {
     ++stats_.degraded;
+    ++unreplayable_;  // its warning must be re-raised by every expansion
     options_.sink->warning(ErrorKind::kAnalysis,
                            deviation.to_string() + " left undeveloped: " + why,
                            {}, where);
@@ -169,6 +173,7 @@ class Run {
   /// visible in the tree; the (first) violation is reported once.
   FtNode* budget_cut(const Port& port, FailureClass cls, const char* why,
                      bool& flag) {
+    ++unreplayable_;
     if (!flag) {
       flag = true;
       if (options_.sink != nullptr) {
@@ -354,7 +359,7 @@ class Run {
   }
 
   /// Resolves a deviation at output port `port` against the block producing
-  /// it. Memoised; cycles are cut here.
+  /// it. Memoised; cycles are cut here; loop-tainted results are replayed.
   FtNode* resolve_output(const Port& port, ChannelRange range,
                          FailureClass cls) {
     // Resource guards: a deadline or depth violation cuts the traversal
@@ -376,6 +381,7 @@ class Run {
 
     Key key{&port, range.concrete(port.width()), cls};
     ++stats_.resolutions;
+    deepest_ = std::max(deepest_, stack_.size());
 
     if (options_.memoise) {
       if (auto it = memo_.find(key); it != memo_.end()) {
@@ -387,6 +393,7 @@ class Run {
       // Feedback loop: cut at the repeated target.
       ++stats_.loops_cut;
       taint_floor_ = std::min(taint_floor_, it->second);
+      if (options_.memoise) log_.push_back({key, it->second, nullptr});
       if (options_.loops == SynthesisOptions::LoopPolicy::kPrune)
         return nullptr;
       Deviation d{cls, port.name()};
@@ -395,10 +402,22 @@ class Run {
           d.to_string() + " feeds back to itself through a control loop",
           port.owner().path());
     }
+    if (options_.memoise) {
+      if (auto it = replay_.find(key); it != replay_.end() &&
+                                       replayable(*it->second)) {
+        ++stats_.cache_hits;
+        return replay(*it->second);
+      }
+    }
 
     const std::size_t index = stack_.size();
     stack_.push_back(key);
     on_stack_.emplace(key, index);
+    const std::size_t log_start = log_.size();
+    const std::size_t deepest_before = std::exchange(deepest_, index);
+    const std::size_t loops_before = stats_.loops_cut;
+    const std::size_t unreplayable_before = unreplayable_;
+    const bool entry_tainted = taint_floor_ != SIZE_MAX;
 
     FtNode* result = resolve_output_uncached(port, key.range, cls);
 
@@ -406,8 +425,150 @@ class Run {
     on_stack_.erase(key);
     const bool tainted = index >= taint_floor_;
     if (stack_.size() <= taint_floor_) taint_floor_ = SIZE_MAX;
-    if (options_.memoise && !tainted) memo_.emplace(key, result);
+    const Replay* entry = nullptr;
+    if (options_.memoise && !tainted) {
+      memo_.emplace(key, result);
+      if (result != nullptr) memoised_nodes_.insert(result);
+    } else if (options_.memoise && unreplayable_ == unreplayable_before) {
+      Replay* recorded = record(key, result, log_start, index);
+      recorded->entry_tainted = entry_tainted;
+      recorded->depth = deepest_ - index;
+      recorded->loops_cut = stats_.loops_cut - loops_before;
+      replay_.insert_or_assign(key, recorded);
+      entry = recorded;
+    }
+    deepest_ = std::max(deepest_before, deepest_);
+    // The frame's facts collapse into its record. A memoised result has no
+    // outside dependency, and an unrecorded one leaves every enclosing
+    // frame unrecordable too.
+    log_.resize(log_start);
+    if (entry != nullptr) summarise(*entry);
     return result;
+  }
+
+  // -- Exact replay of loop-tainted resolutions --------------------------------
+  //
+  // A tainted result depends on where it was computed, so it is never
+  // memoised. It is, however, a deterministic function of what the
+  // traversal met below its frame: the targets it cut at on the stack
+  // outside the frame, the targets it expanded without memoising, whether
+  // it was entered with a taint already pending, and how deep it went.
+  // When all of those read the same again, re-expansion would retrace the
+  // same path and build an isomorphic subgraph over the same leaves and
+  // memoised nodes, so the recorded result stands in for it and its effects
+  // (taint floor, loop count, dependencies) are replayed into the enclosing
+  // frames. A result re-expansion would build afresh comes back as a fresh
+  // gate over the recorded children; one it would merely pass through (a
+  // leaf, a memoised node) comes back as the same pointer. Callers'
+  // duplicate elimination and in-place extension then see what they saw
+  // before, and the deduplicated tree is byte-identical.
+
+  /// One recorded tainted resolution. The targets it expanded without
+  /// memoising are `key` plus those of the `nested` records, transitively:
+  /// records form a DAG, so the dependencies of a loop region are stored
+  /// once however many frames enclose it.
+  struct Replay {
+    Key key;
+    FtNode* shared = nullptr;  ///< result re-expansion returns as is
+    GateKind gate = GateKind::kOr;  ///< else a fresh gate, as it completed
+    std::string description;
+    std::vector<FtNode*> children;  ///< empty: the result is `shared`
+    std::vector<Key> cuts;  ///< cut at below the frame: must be on the stack
+    std::vector<const Replay*> nested;  ///< tainted resolutions directly inside
+    bool entry_tainted = false;
+    std::size_t depth = 0;      ///< deepest stack slot reached, frame-relative
+    std::size_t loops_cut = 0;  ///< stats_.loops_cut delta
+    mutable std::size_t visited = 0;  ///< replayable() walk stamp
+  };
+
+  /// Dependency log of the open frames: a loop cut at the target on stack
+  /// slot `cut_index`, or a tainted resolution `nested` that completed or
+  /// was replayed. Each frame owns the slice appended while it was open;
+  /// on return the slice is replaced by the frame's own summary, so a
+  /// slice holds only direct facts and the log empties with the stack.
+  struct Fact {
+    Key key;
+    std::size_t cut_index;
+    const Replay* nested;
+  };
+
+  Replay* record(const Key& key, FtNode* result, std::size_t log_start,
+                 std::size_t index) {
+    records_.push_back(std::make_unique<Replay>());
+    Replay& entry = *records_.back();
+    entry.key = key;
+    if (result != nullptr && result->kind() == NodeKind::kGate &&
+        !memoised_nodes_.contains(result)) {
+      // A gate this expansion built. Snapshot it now: a consumer may still
+      // extend or relabel it.
+      entry.gate = result->gate();
+      entry.description = result->description();
+      entry.children = result->children();
+    } else {
+      // Null, a leaf (interned by name) or a memoised node passed through:
+      // every expansion returns this very pointer.
+      entry.shared = result;
+    }
+    for (std::size_t i = log_start; i < log_.size(); ++i) {
+      const Fact& fact = log_[i];
+      if (fact.nested != nullptr) {
+        entry.nested.push_back(fact.nested);
+      } else if (fact.cut_index < index &&
+                 std::find(entry.cuts.begin(), entry.cuts.end(), fact.key) ==
+                     entry.cuts.end()) {
+        entry.cuts.push_back(fact.key);
+      }
+    }
+    std::sort(entry.nested.begin(), entry.nested.end());
+    entry.nested.erase(std::unique(entry.nested.begin(), entry.nested.end()),
+                       entry.nested.end());
+    return &entry;
+  }
+
+  /// Appends what an enclosing frame must know of `entry`, which just
+  /// completed or was replayed: its cuts below (all on the stack) and
+  /// itself.
+  void summarise(const Replay& entry) {
+    if (stack_.empty()) return;  // no enclosing frame
+    for (const Key& cut : entry.cuts)
+      log_.push_back({cut, on_stack_.at(cut), nullptr});
+    log_.push_back({entry.key, 0, &entry});
+  }
+
+  /// True when expanding the entry's target here would take the recorded
+  /// path (the target itself is known to be neither memoised nor on the
+  /// stack).
+  bool replayable(const Replay& entry) {
+    if (entry.entry_tainted != (taint_floor_ != SIZE_MAX)) return false;
+    if (stack_.size() + entry.depth >= budget_.max_depth) return false;
+    for (const Key& key : entry.cuts) {
+      if (!on_stack_.contains(key)) return false;
+    }
+    // Every tainted resolution inside must be expanded again: its target
+    // neither on the stack (it would be cut) nor memoised (it would hit).
+    ++walk_;
+    std::vector<const Replay*> pending(entry.nested);
+    while (!pending.empty()) {
+      const Replay* nested = pending.back();
+      pending.pop_back();
+      if (nested->visited == walk_) continue;
+      nested->visited = walk_;
+      if (on_stack_.contains(nested->key) || memo_.contains(nested->key))
+        return false;
+      pending.insert(pending.end(), nested->nested.begin(),
+                     nested->nested.end());
+    }
+    return true;
+  }
+
+  FtNode* replay(const Replay& entry) {
+    for (const Key& cut : entry.cuts)
+      taint_floor_ = std::min(taint_floor_, on_stack_.at(cut));
+    stats_.loops_cut += entry.loops_cut;
+    deepest_ = std::max(deepest_, stack_.size() + entry.depth);
+    summarise(entry);
+    if (entry.children.empty()) return entry.shared;
+    return tree_.add_gate(entry.gate, entry.description, entry.children);
   }
 
   FtNode* resolve_output_uncached(const Port& port, ChannelRange range,
@@ -446,14 +607,21 @@ class Run {
   FtNode* resolve_basic(const Block& block, const Port& port,
                         FailureClass cls) {
     const Deviation deviation{cls, port.name()};
+    const int first_id = static_cast<int>(tree_.nodes().size());
     bool explained = false;
     FtNode* node = convert_rows(block, deviation, explained);
 
-    // Gates built by convert()/convert_rows() for this call are fresh
-    // (never memoised), so they are ours to relabel and extend in place.
+    // Only a gate this frame built and nothing else references is ours to
+    // relabel and extend in place: one created before the frame, or a
+    // memoised result (even one computed inside it), is shared with other
+    // parents. A replayed result is a fresh gate, so it stays ours exactly
+    // when re-expansion would have built it here.
+    const bool owned_gate = node != nullptr &&
+                            node->kind() == NodeKind::kGate &&
+                            node->id() >= first_id &&
+                            !memoised_nodes_.contains(node);
     const bool owned_or_gate =
-        node != nullptr && node->kind() == NodeKind::kGate &&
-        node->gate() == GateKind::kOr &&
+        owned_gate && node->gate() == GateKind::kOr &&
         (node->description().rfind("causes at", 0) == 0 ||
          node->description() == describe(cls, port.name(), block.path()));
 
@@ -473,8 +641,7 @@ class Run {
       }
     }
     if (explained) {
-      if (node != nullptr && node->kind() == NodeKind::kGate &&
-          node->description().rfind("causes at", 0) == 0) {
+      if (owned_gate && node->description().rfind("causes at", 0) == 0) {
         node->set_description(describe(cls, port.name(), block.path()));
       }
       return node;
@@ -597,9 +764,16 @@ class Run {
   FailureClass omission_;
 
   std::unordered_map<Key, FtNode*, KeyHash> memo_;
+  std::unordered_set<const FtNode*> memoised_nodes_;  ///< memo_'s values
+  std::vector<std::unique_ptr<Replay>> records_;  ///< replay_ may drop them
+  std::unordered_map<Key, const Replay*, KeyHash> replay_;
   std::vector<Key> stack_;
   std::unordered_map<Key, std::size_t, KeyHash> on_stack_;
   std::size_t taint_floor_ = SIZE_MAX;
+  std::vector<Fact> log_;
+  std::size_t deepest_ = 0;       ///< deepest stack slot a resolution reached
+  std::size_t unreplayable_ = 0;  ///< degraded()/budget_cut() calls so far
+  std::size_t walk_ = 0;          ///< replayable() walks so far
   std::unordered_map<const Port*, const Connection*> feed_;
   std::unordered_map<Symbol, std::vector<const Block*>> writers_;
 };

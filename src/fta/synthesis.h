@@ -21,8 +21,13 @@
 //     the first repeated (port, channels, class) on the traversal stack.
 //
 // Results are memoised on (port, channels, class), so the output is a DAG in
-// which shared causes appear once -- this both keeps synthesis near-linear
-// in model size and makes common-cause dependencies explicit.
+// which shared causes appear once -- this makes common-cause dependencies
+// explicit and keeps synthesis linear in the number of distinct targets on
+// loop-free models. Results computed while a loop is open are context-
+// dependent and never memoised; they are replayed exactly when a later
+// request would retrace them (docs/ALGORITHM.md section 3). The cost is not
+// linear in general: a loop region re-entered under a different stack is
+// still re-expanded.
 
 #pragma once
 
@@ -73,13 +78,14 @@ struct SynthesisOptions {
   bool subsystem_common_cause = true;
 
   /// Memoise (port, channels, class) resolutions, producing a shared DAG.
-  /// Disabling re-expands shared subtrees into a plain tree -- exponentially
-  /// larger on replicated architectures (ablation: bench_synthesis).
+  /// Disabling (which also disables the replay of loop-tainted results)
+  /// re-expands shared subtrees into a plain tree -- exponentially larger
+  /// on replicated architectures (ablation: bench_synthesis).
   bool memoise = true;
 
   /// Run a structural hash-consing pass (fta/simplify.h deduplicate) over
   /// the result, collapsing identical subtrees that escaped memoisation
-  /// (loop-cut regions are deliberately not memoised). Semantics-neutral.
+  /// (loop-cut regions are not memoised, only replayed). Semantics-neutral.
   bool deduplicate = true;
 
   /// Degraded-mode synthesis: when a sink is given, an unresolvable
@@ -91,7 +97,8 @@ struct SynthesisOptions {
   DiagnosticSink* sink = nullptr;
 
   /// Resource guard for the backward traversal: recursion depth ceiling,
-  /// optional fault-tree node ceiling, optional wall-clock deadline.
+  /// optional fault-tree node ceiling (over the nodes actually allocated,
+  /// before deduplication), optional wall-clock deadline.
   /// Violations cut the traversal with marked undeveloped leaves and are
   /// summarised in stats().budget (plus warnings on `sink` when set).
   Budget budget{};
@@ -100,7 +107,7 @@ struct SynthesisOptions {
 /// Counters from the most recent synthesise() call.
 struct SynthesisStats {
   std::size_t resolutions = 0;  ///< (port, channels, class) targets resolved
-  std::size_t cache_hits = 0;
+  std::size_t cache_hits = 0;   ///< memo hits plus exact replays
   std::size_t loops_cut = 0;
   std::size_t degraded = 0;     ///< unresolvable propagations made undeveloped
   BudgetReport budget;          ///< which resource limits fired, if any

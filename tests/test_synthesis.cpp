@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/cutsets.h"
+#include "casestudy/setta.h"
+#include "core/diagnostics.h"
 #include "core/error.h"
 #include "fta/synthesis.h"
 #include "model/builder.h"
@@ -270,6 +272,184 @@ TEST(Synthesis, MemoisationSharesSubtreesAndCountsHits) {
   FaultTree recompacted =
       Synthesiser(model, options).synthesise("Omission-out");
   EXPECT_EQ(recompacted.stats().node_count, tree.stats().node_count);
+}
+
+/// Two nested feedback loops (a <-> c, and c -> d -> a) observed through a
+/// join that reads the loop region three times, so it is resolved in
+/// several stack contexts. `c` names a port it does not have when `broken`.
+Model nested_loops(bool broken) {
+  ModelBuilder b("m");
+  b.inport(b.root(), "in");
+  Block& a = b.basic(b.root(), "a");
+  for (const char* input : {"x", "v", "u", "z", "w"}) b.in(a, input);
+  b.out(a, "y");
+  b.malfunction(a, "dead", 1e-6);
+  b.annotate(a, "Omission-y", "dead OR Omission-x OR Omission-z OR Omission-w");
+  b.annotate(a, "Value-y",
+             "Value-x OR Value-v OR Value-u OR (dead AND Omission-z)");
+  Block& c = b.basic(b.root(), "c");
+  b.in(c, "x");
+  b.out(c, "y");
+  b.malfunction(c, "dead", 1e-6);
+  b.annotate(c, "Omission-y", "dead OR Omission-x");
+  b.annotate(c, "Value-y", broken ? "Value-x OR Omission-x OR Value-ghost"
+                                  : "Value-x OR Omission-x");
+  Block& d = b.basic(b.root(), "d");
+  b.in(d, "x");
+  b.out(d, "y");
+  b.malfunction(d, "dead", 1e-6);
+  b.annotate(d, "Omission-y", "dead OR Omission-x");
+  Block& join = b.basic(b.root(), "join");
+  for (const char* input : {"l", "r", "s"}) b.in(join, input);
+  b.out(join, "y");
+  b.annotate(join, "Omission-y", "Omission-l AND Omission-r AND Omission-s");
+  b.annotate(join, "Value-y", "Value-l OR Value-r OR Value-s OR Omission-l");
+  b.outport(b.root(), "out");
+  b.connect(b.root(), "in", "a.w");
+  b.connect(b.root(), "a.y", "c.x");
+  b.connect(b.root(), "c.y", "a.x");
+  b.connect(b.root(), "c.y", "a.v");
+  b.connect(b.root(), "c.y", "a.u");
+  b.connect(b.root(), "c.y", "d.x");
+  b.connect(b.root(), "d.y", "a.z");
+  b.connect(b.root(), "a.y", "join.l");
+  b.connect(b.root(), "d.y", "join.r");
+  b.connect(b.root(), "c.y", "join.s");
+  b.connect(b.root(), "join.y", "out");
+  return b.take_unchecked();
+}
+
+TEST(Synthesis, LoopRegionsAreNotReExpandedOnBbw) {
+  // Loop-tainted resolutions are replayed instead of re-expanded: across
+  // BBW's 70 (output x class) candidates full re-expansion made 386,329
+  // resolutions, replay about 6,300. The 4,068 loop cuts are replayed too.
+  Model model = setta::build_bbw();
+  std::size_t candidates = 0;
+  std::size_t resolutions = 0;
+  std::size_t loops_cut = 0;
+  for (const Port* port : model.root().outputs()) {
+    for (FailureClass cls : model.registry().all()) {
+      Synthesiser synthesiser(model);
+      synthesiser.synthesise(Deviation{cls, port->name()});
+      ++candidates;
+      resolutions += synthesiser.stats().resolutions;
+      loops_cut += synthesiser.stats().loops_cut;
+    }
+  }
+  EXPECT_EQ(candidates, 70u);
+  EXPECT_LE(resolutions, 20000u);
+  EXPECT_EQ(loops_cut, 4068u);
+}
+
+TEST(Synthesis, ReplayNeverSwallowsDegradedWarnings) {
+  // Every expansion that reaches the broken cause warns again. A replayed
+  // resolution would skip that warning, so such results are never stored:
+  // the diagnostics are exactly those of full re-expansion.
+  Model model = nested_loops(/*broken=*/true);
+  DiagnosticSink sink;
+  SynthesisOptions options;
+  options.sink = &sink;
+  Synthesiser synthesiser(model, options);
+  FaultTree tree = synthesiser.synthesise("Value-out");
+  ASSERT_NE(tree.top(), nullptr);
+  EXPECT_EQ(synthesiser.stats().degraded, 4u);
+  ASSERT_EQ(sink.diagnostics().size(), 4u);
+  for (const Diagnostic& diagnostic : sink.diagnostics()) {
+    EXPECT_EQ(diagnostic.message,
+              "Value-ghost left undeveloped: cause expression references "
+              "unknown port 'ghost'");
+  }
+}
+
+TEST(Synthesis, UnmemoisedAblationExpandsAPlainTree) {
+  // memoise = false turns every cache off, replay included: the raw tree
+  // is the full expansion (26 nodes; replay would share down to 22).
+  Model model = nested_loops(/*broken=*/false);
+  SynthesisOptions options;
+  options.memoise = false;
+  options.deduplicate = false;
+  Synthesiser synthesiser(model, options);
+  FaultTree tree = synthesiser.synthesise("Value-out");
+  EXPECT_EQ(synthesiser.stats().cache_hits, 0u);
+  EXPECT_EQ(synthesiser.stats().resolutions, 61u);
+  EXPECT_EQ(tree.nodes().size(), 26u);
+}
+
+TEST(Synthesis, SharedGatesAreNeverExtendedInPlace) {
+  // Subsystem s fails by its own hardware only (hw1 OR hw2); two triggered
+  // blocks pass its omission on, each also losing its own trigger clock.
+  // Extending s's shared OR gate with x1's trigger used to leak clk1 into
+  // x2's causes, so {clk1} alone became a cut set of x1 AND x2.
+  for (bool s_resolved_first : {false, true}) {
+    ModelBuilder b("m");
+    Block& root = b.root();
+    b.inport(root, "clk1");
+    b.inport(root, "clk2");
+    Block& s = b.subsystem(root, "s");
+    b.ground(s, "g");
+    b.outport(s, "out");
+    b.connect(s, "g", "out");
+    b.malfunction(s, "hw1", 1e-6);
+    b.malfunction(s, "hw2", 1e-6);
+    b.annotate(s, "Omission-out", "hw1 OR hw2");
+    for (const char* name : {"x1", "x2"}) {
+      Block& x = b.basic(root, name);
+      b.in(x, "x");
+      b.trigger(x);
+      b.out(x, "y");
+      b.annotate(x, "Omission-y", "Omission-x");
+      b.connect(root, "s.out", std::string(name) + ".x");
+    }
+    b.connect(root, "clk1", "x1.trigger");
+    b.connect(root, "clk2", "x2.trigger");
+    Block& join = b.basic(root, "join");
+    for (const char* input : {"c", "a", "b"}) b.in(join, input);
+    b.out(join, "y");
+    b.annotate(join, "Omission-y",
+               s_resolved_first ? "(Omission-c OR Omission-a) AND Omission-b"
+                                : "Omission-a AND Omission-b");
+    b.connect(root, "s.out", "join.c");
+    b.connect(root, "x1.y", "join.a");
+    b.connect(root, "x2.y", "join.b");
+    b.outport(root, "out");
+    b.connect(root, "join.y", "out");
+    Model model = b.take();
+
+    FaultTree tree = Synthesiser(model).synthesise("Omission-out");
+    EXPECT_EQ(cut_set_names(tree),
+              (std::vector<std::string>{"m/s.hw1", "m/s.hw2",
+                                        "env:Omission-clk1+env:Omission-clk2"}))
+        << "s resolved first: " << s_resolved_first;
+  }
+}
+
+TEST(Synthesis, SharedGateFeedingItsOwnTriggerMakesNoCycle) {
+  // s's memoised OR gate reaches x twice, as data and as trigger. Extending
+  // it in place with its own trigger loss used to make it its own child,
+  // and deduplication then threw on the cyclic tree.
+  ModelBuilder b("m");
+  Block& root = b.root();
+  Block& s = b.subsystem(root, "s");
+  b.ground(s, "g");
+  b.outport(s, "out");
+  b.connect(s, "g", "out");
+  b.malfunction(s, "hw1", 1e-6);
+  b.malfunction(s, "hw2", 1e-6);
+  b.annotate(s, "Omission-out", "hw1 OR hw2");
+  Block& x = b.basic(root, "x");
+  b.in(x, "x");
+  b.trigger(x);
+  b.out(x, "y");
+  b.annotate(x, "Omission-y", "Omission-x");
+  b.connect(root, "s.out", "x.x");
+  b.connect(root, "s.out", "x.trigger");
+  b.outport(root, "out");
+  b.connect(root, "x.y", "out");
+  Model model = b.take();
+
+  FaultTree tree = Synthesiser(model).synthesise("Omission-out");
+  EXPECT_EQ(cut_set_names(tree),
+            (std::vector<std::string>{"m/s.hw1", "m/s.hw2"}));
 }
 
 TEST(Synthesis, ConstantTrueCauseBecomesHouseEvent) {

@@ -7,12 +7,18 @@
 # arguments only the named benches run (e.g. `tools/run_benchmarks.sh
 # bench_parallel`). Each run writes bench_results/BENCH_<name>.json in
 # google-benchmark's JSON format (machine-readable: context block with CPU
-# info + build type, one record per benchmark repetition).
+# info + build type). Every benchmark runs 5 repetitions and the JSON keeps
+# only their mean/median/stddev/cv aggregates (compare_benchmarks.py
+# compares means), so every baseline has the same length and shape.
 #
 # Environment:
 #   BUILD_DIR   Release build tree (default: build-release)
 #   MIN_TIME    --benchmark_min_time value in seconds (default: benchmark's
 #               own heuristic; set e.g. MIN_TIME=0.01 for a smoke run)
+#
+# Each JSON's context block is stamped with git_sha (suffixed -dirty when
+# the tree has uncommitted changes), cmake_build_type and nproc, so a
+# baseline records what it measured and on how many cores.
 #
 # Results are only comparable when produced by this script: a DEBUG-build
 # number is meaningless (google-benchmark itself warns), which is why the
@@ -53,6 +59,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${benches[@]}"
 
 mkdir -p "$RESULTS_DIR"
 
+git_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if ! git diff --quiet HEAD 2>/dev/null; then git_sha="$git_sha-dirty"; fi
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")"
+context="git_sha=$git_sha,cmake_build_type=$build_type,nproc=$(nproc)"
+
 extra_args=()
 if [ -n "${MIN_TIME:-}" ]; then
   extra_args+=("--benchmark_min_time=$MIN_TIME")
@@ -65,6 +76,9 @@ for name in "${benches[@]}"; do
     --benchmark_format=json \
     --benchmark_out="$out" \
     --benchmark_out_format=json \
+    --benchmark_context="$context" \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     "${extra_args[@]}" >/dev/null
 done
 
