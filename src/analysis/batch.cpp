@@ -66,6 +66,8 @@ BatchResult analyse_trees(std::vector<FaultTree> trees,
     result.items.push_back(std::move(item));
   }
 
+  if (!options.analyse) return result;
+
   std::optional<ConeCache> batch_cones;
   ConeCache* cones = options.analysis.cut_sets.cone_cache;
   if (cones == nullptr && options.share_cones) {

@@ -45,7 +45,8 @@ struct BatchOptions {
   /// Cut sets + probabilities + importance per tree. The cut-set pool is
   /// overridden with the batch pool so minimisation shares the workers.
   AnalysisOptions analysis;
-  /// false: synthesise only (e.g. the CLI `synthesise` command).
+  /// false: synthesise only (e.g. the CLI `synthesise` command); for
+  /// analyse_trees, just label the trees.
   bool analyse = true;
   /// Share one content-addressed cone cache (analysis/cache.h) across the
   /// top events of this run: synthesised trees of one model overlap
@@ -105,8 +106,9 @@ BatchResult analyse_batch(const Model& model,
 /// pipeline -- same per-item sinks, shared cone cache, pool semantics and
 /// ordering guarantees, minus the synthesis stage. Trees are moved into
 /// the items; `labels[i]` becomes items[i].label (labels may be shorter
-/// than `trees`; missing entries use the tree name). options.synthesis
-/// and options.analyse are ignored (trees exist; they are analysed).
+/// than `trees`; missing entries use the tree name). options.synthesis is
+/// ignored (trees exist); with options.analyse false the items only carry
+/// the labelled trees.
 BatchResult analyse_trees(std::vector<FaultTree> trees,
                           const std::vector<std::string>& labels,
                           const BatchOptions& options = {},

@@ -5,7 +5,6 @@
 #include "analysis/completeness.h"
 #include "analysis/fmea.h"
 #include "core/strings.h"
-#include "fta/synthesis.h"
 
 namespace ftsynth {
 
@@ -88,7 +87,7 @@ void render_annotations(const Model& model, std::string& out) {
   });
 }
 
-void render_top_event(const FaultTree& tree, const TreeAnalysis& analysis,
+void render_top_event(const TreeAnalysis& analysis,
                       const MarkdownReportOptions& options,
                       std::string& out) {
   heading(out, 2, "Top event: " + analysis.top_event);
@@ -157,13 +156,13 @@ void render_top_event(const FaultTree& tree, const TreeAnalysis& analysis,
                      format_double(entry.rrw)});
     }
   }
-  (void)tree;
 }
 
 }  // namespace
 
 std::string markdown_report(const Model& model,
-                            const std::vector<std::string>& top_events,
+                            const std::vector<const FaultTree*>& trees,
+                            const std::vector<const TreeAnalysis*>& analyses,
                             const MarkdownReportOptions& options) {
   std::string out = "# Safety analysis report: `" + model.name() + "`\n";
   out += "\n_Mechanically synthesised fault trees (ftsynth); mission time " +
@@ -172,20 +171,8 @@ std::string markdown_report(const Model& model,
 
   render_inventory(model, out);
   if (options.include_annotations) render_annotations(model, out);
-
-  Synthesiser synthesiser(model);
-  std::vector<FaultTree> trees;
-  trees.reserve(top_events.size());
-  for (const std::string& top : top_events)
-    trees.push_back(synthesiser.synthesise(top));
-
-  std::vector<CutSetAnalysis> cut_set_store;
-  cut_set_store.reserve(trees.size());
-  for (const FaultTree& tree : trees) {
-    TreeAnalysis analysis = analyse_tree(tree, options.analysis);
-    cut_set_store.push_back(analysis.cut_sets);  // keep for the FMEA
-    render_top_event(tree, analysis, options, out);
-  }
+  for (const TreeAnalysis* analysis : analyses)
+    render_top_event(*analysis, options, out);
 
   if (trees.size() > 1) {
     heading(out, 2, "Dependencies between top events");
@@ -193,10 +180,10 @@ std::string markdown_report(const Model& model,
     out += md_header({"pair", "shared events"});
     for (std::size_t i = 0; i < trees.size(); ++i) {
       for (std::size_t j = i + 1; j < trees.size(); ++j) {
-        std::vector<Symbol> shared = shared_between(trees[i], trees[j]);
+        std::vector<Symbol> shared = shared_between(*trees[i], *trees[j]);
         if (shared.empty()) continue;
-        out += md_row({trees[i].top_description() + " / " +
-                           trees[j].top_description(),
+        out += md_row({trees[i]->top_description() + " / " +
+                           trees[j]->top_description(),
                        std::to_string(shared.size())});
       }
     }
@@ -204,14 +191,11 @@ std::string markdown_report(const Model& model,
 
   if (options.include_fmea && !trees.empty()) {
     heading(out, 2, "System-level FMEA");
-    std::vector<const FaultTree*> tree_ptrs;
-    std::vector<const CutSetAnalysis*> analysis_ptrs;
-    for (std::size_t i = 0; i < trees.size(); ++i) {
-      tree_ptrs.push_back(&trees[i]);
-      analysis_ptrs.push_back(&cut_set_store[i]);
-    }
-    std::vector<FmeaRow> fmea = synthesise_fmea(
-        tree_ptrs, analysis_ptrs, options.analysis.probability);
+    std::vector<const CutSetAnalysis*> cut_sets;
+    for (const TreeAnalysis* analysis : analyses)
+      cut_sets.push_back(&analysis->cut_sets);
+    std::vector<FmeaRow> fmea =
+        synthesise_fmea(trees, cut_sets, options.analysis.probability);
     out += md_header({"Component", "Failure mode", "lambda", "Effect",
                       "Direct", "Min order"});
     for (const FmeaRow& row : fmea) {

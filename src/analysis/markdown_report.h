@@ -31,10 +31,13 @@ struct MarkdownReportOptions {
   bool include_audit = true;
 };
 
-/// Synthesises and analyses `top_events` ("Class-port" notation) and
-/// renders the full Markdown document.
+/// Renders the full Markdown document over already synthesised and
+/// analysed top events (`analyses[i]` belongs to `trees[i]`, e.g. the
+/// items of one analyse_batch run). `options.analysis` supplies the
+/// mission time the document states and the FMEA section quantifies.
 std::string markdown_report(const Model& model,
-                            const std::vector<std::string>& top_events,
+                            const std::vector<const FaultTree*>& trees,
+                            const std::vector<const TreeAnalysis*>& analyses,
                             const MarkdownReportOptions& options = {});
 
 }  // namespace ftsynth

@@ -14,6 +14,7 @@
 #include "analysis/sensitivity.h"
 #include "core/error.h"
 #include "core/parallel.h"
+#include "core/strings.h"
 #include "core/thread_pool.h"
 #include "failure/expr_parser.h"
 #include "fta/synthesis.h"
@@ -25,34 +26,14 @@
 #include "mdl/parser.h"
 #include "model/diff.h"
 #include "model/validate.h"
-#include "service/exec.h"
-#include "service/openpsa_commands.h"
+#include "openpsa/mef_reader.h"
 
 namespace ftsynth::service {
 
-namespace detail {
-
-int exit_code_for(ErrorKind kind) noexcept {
-  switch (kind) {
-    case ErrorKind::kParse:
-      return 2;
-    case ErrorKind::kModel:
-      return 3;
-    case ErrorKind::kLookup:
-      return 4;
-    case ErrorKind::kAnalysis:
-      return 5;
-    case ErrorKind::kInternal:
-      break;
-  }
-  return 6;
-}
-
-}  // namespace detail
-
 namespace {
 
-using namespace detail;
+using openpsa::MefModel;
+using openpsa::MefTop;
 
 /// FNV-1a 64 over the model file bytes: the warm model-cache key. Content
 /// addressing (not mtime) so an edit-and-undo round trip still hits and a
@@ -74,70 +55,99 @@ std::optional<std::string> read_file_bytes(const std::string& path) {
   return buffer.str();
 }
 
-}  // namespace
-
-namespace detail {
-
-/// --verbose stats block. Stats go to the log so `output` stays
-/// byte-identical with and without the cache (the acceptance bar).
-void report_cache_stats(const Exec& exec,
-                        const std::optional<ConeCacheStats>& stats,
-                        std::ostream& err) {
-  if (!exec.request.verbose) return;
-  if (stats) {
-    err << stats->to_string() << "\n";
-  } else {
-    err << "cone cache: disabled\n";
+/// Hard-failure exit code for an error category (see tools/cli.h).
+int exit_code_for(ErrorKind kind) noexcept {
+  switch (kind) {
+    case ErrorKind::kParse:
+      return 2;
+    case ErrorKind::kModel:
+      return 3;
+    case ErrorKind::kLookup:
+      return 4;
+    case ErrorKind::kAnalysis:
+      return 5;
+    case ErrorKind::kInternal:
+      break;
   }
+  return 6;
 }
 
-/// --verbose reordering stats for one analysed top event. Log only, like
-/// the cache stats: `output` must stay byte-identical across --order.
-void report_reorder_stats(const Exec& exec, const std::string& top,
-                          const std::optional<ReorderReport>& reorder,
-                          std::ostream& err) {
-  if (!exec.request.verbose || !reorder) return;
-  err << "variable order [" << top << "]: policy " << reorder->policy
-      << ", passes " << reorder->passes << ", swaps " << reorder->swaps
-      << ", nodes " << reorder->nodes_before << " -> " << reorder->nodes_after
-      << " (root " << reorder->root_nodes << ")\n";
-  if (!reorder->final_order.empty()) {
-    err << "  final order: ";
-    for (std::size_t i = 0; i < reorder->final_order.size(); ++i) {
-      if (i != 0) err << ", ";
-      err << reorder->final_order[i];
-    }
-    err << "\n";
+/// True when `path` goes to the Open-PSA front-end: the extension is
+/// .xml, or the file's leading non-whitespace byte is '<'. An unreadable
+/// non-.xml path returns false so the mdl parser reports its canonical
+/// "cannot read" error.
+bool openpsa_model(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  std::string head;
+  if (file.good()) {
+    head.resize(256);
+    file.read(head.data(), static_cast<std::streamsize>(head.size()));
+    head.resize(static_cast<std::size_t>(file.gcount()));
   }
+  return openpsa::looks_like_openpsa(path, head);
 }
 
-/// --verbose frontier counters for one bound-engine run. Log only, like
-/// the reorder stats: `output` must stay byte-identical across --jobs.
-void report_frontier_stats(const Exec& exec, const std::string& top,
-                           const std::optional<FrontierStats>& frontier,
-                           std::ostream& err) {
-  if (!exec.request.verbose || !frontier) return;
-  err << "bound frontier [" << top << "]: rounds " << frontier->rounds
-      << ", expansions " << frontier->expansions << ", emitted "
-      << frontier->emitted << ", peak frontier " << frontier->peak_frontier
-      << ", subsumed " << frontier->subsumed << ", deferred "
-      << frontier->deferred << "\n";
-}
+/// Per-request execution state threaded through the command handlers.
+/// `budget` is the run's single armed budget: every stage copies it, so
+/// all of them share one deadline latch (and the daemon's
+/// disconnect/shutdown force_expire reaches every worker).
+struct Exec {
+  const ServiceRequest& request;
+  ServiceRunner& runner;
+  DiagnosticSink& sink;
+  std::ostream& out;
+  std::ostream& err;
+  ThreadPool* pool = nullptr;
+  Budget budget;
+  /// Event-tree rows of an analyse/report run (ServiceResult::sequences).
+  std::vector<SequenceSummary> sequences;
+};
+
+/// One request's model as the command set sees it, whichever front-end
+/// read it. `mdl` or `mef` is set, never both: only the parts that
+/// describe the source model -- info, validate, audit, diff and the
+/// report's model summary -- look at them; every other command works on
+/// the tops the tree source yields.
+struct LoadedModel {
+  std::string name;
+  std::shared_ptr<const Model> mdl;
+  std::optional<MefModel> mef;
+  /// The selected .mdl tops (--top, else every derivable one); the tree
+  /// source synthesises them. Open-PSA tops are already trees in `mef`.
+  std::vector<Deviation> deviations;
+  /// Per selected top, in tree-source order: an event-tree sequence?
+  std::vector<bool> sequence;
+
+  std::size_t top_count() const { return sequence.size(); }
+};
 
 /// Sends `text` to the request's --output file or to the result output.
-int emit(const std::string& text, const Exec& exec, std::ostream& out,
-         std::ostream& err) {
+int emit(const std::string& text, Exec& exec) {
   if (exec.request.output.empty()) {
-    out << text;
+    exec.out << text;
     return 0;
   }
   std::ofstream file(exec.request.output);
   if (!file.good()) {
-    err << "error: cannot write '" << exec.request.output << "'\n";
+    exec.err << "error: cannot write '" << exec.request.output << "'\n";
     return 2;
   }
   file << text;
   return 0;
+}
+
+/// Exit for a command that found nothing to work on: diagnostics explain
+/// it when present, otherwise the front-end's no-tops usage error.
+int no_tops(const LoadedModel& loaded, Exec& exec,
+            const char* mdl_message =
+                "no top events (give --top or annotate the model)") {
+  if (exec.sink.has_errors())
+    return exit_code_for(exec.sink.first_error_kind());
+  exec.err << "error: "
+           << (loaded.mdl ? mdl_message
+                          : "no importable top events in this model")
+           << "\n";
+  return 2;
 }
 
 /// The cone cache a command should use, or nullptr:
@@ -172,6 +182,60 @@ void save_local_cache(Exec& exec, std::optional<ConeCache>& local) {
   if (!dir.empty() && !exec.runner.options().warm) local->save(dir, &exec.sink);
 }
 
+// --verbose printers. Everything goes to the log so `output` stays
+// byte-identical across cache/order/jobs variants (the acceptance bar).
+
+void report_cache_stats(Exec& exec,
+                        const std::optional<ConeCacheStats>& stats) {
+  if (!exec.request.verbose) return;
+  if (stats) {
+    exec.err << stats->to_string() << "\n";
+  } else {
+    exec.err << "cone cache: disabled\n";
+  }
+}
+
+void report_reorder_stats(Exec& exec, const std::string& top,
+                          const std::optional<ReorderReport>& reorder) {
+  if (!exec.request.verbose || !reorder) return;
+  exec.err << "variable order [" << top << "]: policy " << reorder->policy
+           << ", passes " << reorder->passes << ", swaps " << reorder->swaps
+           << ", nodes " << reorder->nodes_before << " -> "
+           << reorder->nodes_after << " (root " << reorder->root_nodes
+           << ")\n";
+  if (!reorder->final_order.empty()) {
+    exec.err << "  final order: ";
+    for (std::size_t i = 0; i < reorder->final_order.size(); ++i) {
+      if (i != 0) exec.err << ", ";
+      exec.err << reorder->final_order[i];
+    }
+    exec.err << "\n";
+  }
+}
+
+/// The per-top block of an analysed item: variable order, bound-engine
+/// frontier counters, and whether probabilities came off the diagram.
+void report_analysis_stats(Exec& exec, const std::string& top,
+                           const TreeAnalysis& analysis) {
+  report_reorder_stats(exec, top, analysis.cut_sets.reorder);
+  if (!exec.request.verbose) return;
+  if (const std::optional<FrontierStats>& frontier = analysis.frontier_stats) {
+    exec.err << "bound frontier [" << top << "]: rounds " << frontier->rounds
+             << ", expansions " << frontier->expansions << ", emitted "
+             << frontier->emitted << ", peak frontier "
+             << frontier->peak_frontier << ", subsumed " << frontier->subsumed
+             << ", deferred " << frontier->deferred << "\n";
+  }
+  if (analysis.diagram_native) {
+    exec.err << "probability [" << top
+             << "]: diagram-native (exact despite truncated extraction)\n";
+  }
+}
+
+/// Replays one batch item's diagnostics and error into the shared sink in
+/// the order a serial loop would have produced them. Returns false when
+/// the item failed (strict mode rethrows instead; non-Error exceptions
+/// always propagate, as they would from a serial loop body).
 bool replay_item(BatchItem& item, Exec& exec) {
   for (const Diagnostic& diagnostic : item.diagnostics)
     exec.sink.report(diagnostic);
@@ -185,23 +249,31 @@ bool replay_item(BatchItem& item, Exec& exec) {
   return false;
 }
 
-}  // namespace detail
-
-namespace {
-
-using namespace detail;
+/// The request's analysis knobs: the one mapping from request fields to
+/// AnalysisOptions that every analysing command shares.
+AnalysisOptions analysis_options(const Exec& exec) {
+  AnalysisOptions analysis;
+  analysis.probability.mission_time_hours = exec.request.mission_time_hours;
+  analysis.probability.budget = exec.budget;
+  analysis.render_tree = exec.request.render_tree;
+  analysis.cut_sets.engine = exec.request.engine;
+  analysis.cut_sets.bound_epsilon = exec.request.bound_epsilon;
+  analysis.cut_sets.order = exec.request.order;
+  analysis.cut_sets.budget = exec.budget;
+  analysis.prob_mode = exec.request.prob_mode;
+  return analysis;
+}
 
 /// Synthesis options for a command run: resource budget always, degraded
 /// mode (diagnostics instead of aborts) unless --strict.
 SynthesisOptions synthesis_options(Exec& exec) {
   SynthesisOptions synthesis;
-  synthesis.budget = exec.make_budget();
+  synthesis.budget = exec.budget;
   if (!exec.request.strict) synthesis.sink = &exec.sink;
   return synthesis;
 }
 
-std::vector<Deviation> resolve_tops(const Model& model, Exec& exec,
-                                    ThreadPool* pool = nullptr) {
+std::vector<Deviation> resolve_tops(const Model& model, Exec& exec) {
   std::vector<Deviation> tops;
   if (!exec.request.tops.empty()) {
     for (const std::string& top : exec.request.tops)
@@ -214,7 +286,7 @@ std::vector<Deviation> resolve_tops(const Model& model, Exec& exec,
   // the candidate list and its order are independent of the pool.
   SynthesisOptions prune;
   prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
-  prune.budget = exec.make_budget();
+  prune.budget = exec.budget;
   // The probe only decides which candidates are worth synthesising; its
   // degraded-mode diagnostics would duplicate the real run's, so they go
   // to a throwaway sink (thread-safe: probe workers share it).
@@ -226,7 +298,7 @@ std::vector<Deviation> resolve_tops(const Model& model, Exec& exec,
       candidates.push_back(Deviation{cls, port->name()});
   }
   std::vector<char> derivable(candidates.size(), 0);
-  parallel_for(pool, candidates.size(), [&](std::size_t i) {
+  parallel_for(exec.pool, candidates.size(), [&](std::size_t i) {
     Synthesiser probe(model, prune);
     derivable[i] = probe.synthesise(candidates[i]).top() != nullptr ? 1 : 0;
   });
@@ -236,8 +308,86 @@ std::vector<Deviation> resolve_tops(const Model& model, Exec& exec,
   return tops;
 }
 
-int cmd_info(const Model& model, Exec& exec, std::ostream& out,
-             std::ostream& err) {
+/// Imports an Open-PSA document (strict: throw on the first semantic
+/// problem; default: recover through the sink) and applies the --top
+/// selection. An unknown --top name is a lookup error, like the mdl path.
+MefModel import_openpsa(Exec& exec) {
+  MefModel mef =
+      exec.request.strict
+          ? openpsa::read_openpsa_file(exec.request.model_path)
+          : openpsa::read_openpsa_file(exec.request.model_path, exec.sink);
+  if (exec.request.tops.empty()) return mef;
+  std::vector<MefTop> selected;
+  for (const std::string& name : exec.request.tops) {
+    auto it = std::find_if(
+        mef.tops.begin(), mef.tops.end(),
+        [&](const MefTop& top) { return top.name == name; });
+    require(it != mef.tops.end(), ErrorKind::kLookup,
+            "no top event '" + name +
+                "' in this model (Open-PSA tops are named "
+                "\"fault-tree\", \"fault-tree.gate\" or "
+                "\"event-tree/sequence\")");
+    selected.push_back(std::move(*it));
+    // Leave a non-matching shell behind so a repeated --top NAME fails
+    // the lookup above instead of analysing a moved-from tree.
+    it->name.clear();
+  }
+  mef.tops = std::move(selected);
+  return mef;
+}
+
+/// The one loader: sniffs the front-end, reads the model and selects its
+/// tops. .mdl tops are resolved only for commands that work on trees
+/// (`wants_tops`): deriving them synthesises every candidate once.
+LoadedModel load_model(Exec& exec, bool openpsa, bool wants_tops) {
+  LoadedModel loaded;
+  if (openpsa) {
+    loaded.mef = import_openpsa(exec);
+    loaded.name = loaded.mef->name;
+    for (const MefTop& top : loaded.mef->tops)
+      loaded.sequence.push_back(top.kind == MefTop::Kind::kSequence);
+    return loaded;
+  }
+  // `validate` parses without the implicit validation so it can report
+  // the issues itself instead of dying on the first one; the recovering
+  // parser (default) reports syntax AND validation problems to the sink
+  // and returns the best-effort model.
+  const ServiceRequest& request = exec.request;
+  loaded.mdl = exec.runner.acquire_model(
+      request.model_path, request,
+      /*implicit_validation=*/request.command != "validate",
+      request.strict ? nullptr : &exec.sink);
+  loaded.name = loaded.mdl->name();
+  if (wants_tops) {
+    loaded.deviations = resolve_tops(*loaded.mdl, exec);
+    loaded.sequence.assign(loaded.deviations.size(), false);
+  }
+  return loaded;
+}
+
+/// The tree source: the selected tops as labelled trees in selection
+/// order, analysed too when options.analyse is set. .mdl tops are
+/// synthesised inside the same per-top batch task that analyses them, so
+/// each item's synthesis diagnostics and analysis error replay together,
+/// exactly as a serial loop would report them; Open-PSA tops move in as
+/// imported (their diagnostics were reported at import).
+BatchResult run_tops(LoadedModel& loaded, Exec& exec, BatchOptions options) {
+  if (loaded.mdl) {
+    options.synthesis = synthesis_options(exec);
+    return analyse_batch(*loaded.mdl, loaded.deviations, options, exec.pool);
+  }
+  std::vector<FaultTree> trees;
+  std::vector<std::string> labels;
+  for (MefTop& top : loaded.mef->tops) {
+    labels.push_back(top.name);
+    trees.push_back(std::move(top.tree));
+  }
+  return analyse_trees(std::move(trees), labels, options, exec.pool);
+}
+
+// ---- Source-model descriptions: the only per-front-end rendering. ----
+
+std::string mdl_info(const Model& model) {
   std::string text = "model: " + model.name() + "\n";
   text += "blocks: " + std::to_string(model.block_count()) + "\n";
   std::size_t annotated = 0;
@@ -262,11 +412,31 @@ int cmd_info(const Model& model, Exec& exec, std::ostream& out,
     text += std::string(depth * 2, ' ') + block.name().str() + " [" +
             std::string(to_string(block.kind())) + "]\n";
   });
-  return emit(text, exec, out, err);
+  return text;
 }
 
-int cmd_validate(const Model& model, Exec& exec, std::ostream& out,
-                 std::ostream& err) {
+std::string mef_info(const MefModel& mef) {
+  std::string text = "model: " + mef.name + "\n";
+  text += "fault trees: " + std::to_string(mef.fault_tree_count) + "\n";
+  text += "event trees: " + std::to_string(mef.event_tree_count) + "\n";
+  text += "gates: " + std::to_string(mef.gate_count) + "\n";
+  text += "basic events: " + std::to_string(mef.basic_event_count) + "\n";
+  text += "house events: " + std::to_string(mef.house_event_count) + "\n";
+  text += "sequences: " + std::to_string(mef.sequence_count) + "\n";
+  text += "top events:\n";
+  for (const MefTop& top : mef.tops) {
+    text += "  " + top.name + " [" +
+            (top.kind == MefTop::Kind::kSequence ? "sequence" : "fault-tree") +
+            "]\n";
+  }
+  return text;
+}
+
+/// The .mdl validate report: the structural issues, then a count line.
+/// The recovering parser already forwarded the issues to the sink; in
+/// --strict mode they are forwarded here so the exit-code logic is
+/// uniform.
+std::string mdl_validate(const Model& model, Exec& exec) {
   std::vector<Issue> issues = validate(model);
   std::string text;
   int errors = 0;
@@ -277,267 +447,352 @@ int cmd_validate(const Model& model, Exec& exec, std::ostream& out,
   text += std::to_string(errors) + " error(s), " +
           std::to_string(issues.size() - static_cast<std::size_t>(errors)) +
           " warning(s)\n";
-  int rc = emit(text, exec, out, err);
-  if (rc != 0) return rc;
-  // The recovering parser already forwarded these to the sink; in --strict
-  // mode forward them here so the exit-code logic is uniform.
   if (exec.request.strict) {
     for (const Issue& issue : issues) {
       exec.sink.report({issue.severity, ErrorKind::kModel, {}, issue.block_path,
                         issue.message});
     }
   }
-  return 0;
+  return text;
 }
 
-int cmd_synthesise(const Model& model, Exec& exec, std::ostream& out,
-                   std::ostream& err) {
+/// The Open-PSA validate summary. The import itself is the validation
+/// pass: semantic problems are already in the sink (rendered into the
+/// log; they drive the exit code).
+std::string mef_validate(const MefModel& mef, const Exec& exec) {
+  std::string text = "model: " + mef.name + "\n";
+  text += "top events: " + std::to_string(mef.tops.size()) + "\n";
+  text += std::to_string(exec.sink.error_count()) + " error(s), " +
+          std::to_string(exec.sink.warning_count()) + " warning(s)\n";
+  return text;
+}
+
+/// The Open-PSA report: a model summary from the import counters, one
+/// section per analysed top, then the sequence table. Caps match
+/// MarkdownReportOptions' defaults, so the two reports read alike.
+std::string mef_report(const MefModel& mef,
+                       const std::vector<const BatchItem*>& items,
+                       const std::vector<SequenceSummary>& rows) {
+  const MarkdownReportOptions caps;
+  std::string text = "# Safety analysis report: " + mef.name + "\n\n";
+  text += "## Model summary\n\n";
+  text += "| item | count |\n|---|---|\n";
+  text += "| fault trees | " + std::to_string(mef.fault_tree_count) + " |\n";
+  text += "| event trees | " + std::to_string(mef.event_tree_count) + " |\n";
+  text += "| gates | " + std::to_string(mef.gate_count) + " |\n";
+  text += "| basic events | " + std::to_string(mef.basic_event_count) + " |\n";
+  text +=
+      "| house events | " + std::to_string(mef.house_event_count) + " |\n";
+  text += "| sequences | " + std::to_string(mef.sequence_count) + " |\n\n";
+  for (const BatchItem* item : items) {
+    const TreeAnalysis& analysis = *item->analysis;
+    text += "## Top event: " + item->display_name() + "\n\n";
+    if (!item->tree->top_description().empty())
+      text += item->tree->top_description() + "\n\n";
+    if (analysis.p_lower && analysis.p_upper) {
+      text += "Probability bound: [" + format_double(*analysis.p_lower) +
+              ", " + format_double(*analysis.p_upper) + "]" +
+              (analysis.bound_converged ? "" : " (not converged)") + "\n\n";
+    } else {
+      text += "| measure | value |\n|---|---|\n";
+      text += "| exact (BDD) | " + format_double(analysis.p_exact) + " |\n";
+      text += "| rare event | " + format_double(analysis.p_rare_event) + " |\n";
+      text += "| Esary-Proschan | " +
+              format_double(analysis.p_esary_proschan) + " |\n";
+      text += "| MCUB | " + format_double(analysis.p_mcub) + " |\n\n";
+    }
+    const std::vector<CutSet>& cut_sets = analysis.cut_sets.cut_sets;
+    text += "Minimal cut sets: " + std::to_string(cut_sets.size()) +
+            (analysis.cut_sets.truncated ? " (truncated)" : "") + "\n\n";
+    const std::size_t shown = std::min(cut_sets.size(), caps.max_cut_sets);
+    for (std::size_t i = 0; i < shown; ++i) {
+      text += "- {";
+      for (std::size_t j = 0; j < cut_sets[i].size(); ++j) {
+        if (j != 0) text += ", ";
+        if (cut_sets[i][j].negated) text += "!";
+        text += std::string(cut_sets[i][j].event->name().view());
+      }
+      text += "}\n";
+    }
+    if (shown < cut_sets.size()) {
+      text += "- ... " + std::to_string(cut_sets.size() - shown) + " more\n";
+    }
+    if (shown != 0) text += "\n";
+    if (!analysis.importance.empty()) {
+      text += "| event | Fussell-Vesely | Birnbaum |\n|---|---|---|\n";
+      const std::size_t importance_shown =
+          std::min(analysis.importance.size(), caps.max_importance_rows);
+      for (std::size_t i = 0; i < importance_shown; ++i) {
+        const ImportanceEntry& entry = analysis.importance[i];
+        text += "| " + std::string(entry.event->name().view()) + " | " +
+                format_double(entry.fussell_vesely) + " | " +
+                format_double(entry.birnbaum) + " |\n";
+      }
+      text += "\n";
+    }
+  }
+  return text + render_sequence_markdown(rows);
+}
+
+// ---- The command set: one handler per command, both front-ends. ----
+
+int cmd_info(LoadedModel& loaded, Exec& exec) {
+  return emit(loaded.mdl ? mdl_info(*loaded.mdl) : mef_info(*loaded.mef),
+              exec);
+}
+
+int cmd_validate(LoadedModel& loaded, Exec& exec) {
+  return emit(loaded.mdl ? mdl_validate(*loaded.mdl, exec)
+                         : mef_validate(*loaded.mef, exec),
+              exec);
+}
+
+int cmd_synthesise(LoadedModel& loaded, Exec& exec) {
+  if (loaded.top_count() == 0) return no_tops(loaded, exec);
   BatchOptions batch_options;
-  batch_options.synthesis = synthesis_options(exec);
   batch_options.analyse = false;
-  BatchResult batch = analyse_batch(model, resolve_tops(model, exec, exec.pool),
-                                    batch_options, exec.pool);
-  std::vector<FaultTree> trees;
+  BatchResult batch = run_tops(loaded, exec, batch_options);
+  std::vector<const FaultTree*> trees;
   for (BatchItem& item : batch.items) {
-    if (replay_item(item, exec)) trees.push_back(std::move(*item.tree));
+    if (replay_item(item, exec)) trees.push_back(&*item.tree);
   }
-  if (trees.empty()) {
-    if (exec.sink.has_errors())
-      return exit_code_for(exec.sink.first_error_kind());
-    err << "error: no top events (give --top or annotate the model)\n";
-    return 2;
-  }
+  if (trees.empty()) return no_tops(loaded, exec);
   std::string text;
   const std::string& format = exec.request.format;
   if (format == "text") {
-    for (const FaultTree& tree : trees) text += tree.to_text() + "\n";
+    for (const FaultTree* tree : trees) text += tree->to_text() + "\n";
   } else if (format == "dot") {
-    for (const FaultTree& tree : trees) text += write_dot(tree);
+    for (const FaultTree* tree : trees) text += write_dot(*tree);
   } else if (format == "xml") {
-    std::vector<const FaultTree*> pointers;
-    for (const FaultTree& tree : trees) pointers.push_back(&tree);
-    text = write_xml(pointers);
+    text = write_xml(trees);
   } else if (format == "json") {
-    for (const FaultTree& tree : trees) text += write_json(tree);
+    for (const FaultTree* tree : trees) text += write_json(*tree);
   } else if (format == "ftp") {
-    std::vector<const FaultTree*> pointers;
-    for (const FaultTree& tree : trees) pointers.push_back(&tree);
-    text = write_ftp_project(model.name(), pointers);
+    text = write_ftp_project(loaded.name, trees);
   } else if (format == "openpsa") {
-    std::vector<const FaultTree*> pointers;
-    for (const FaultTree& tree : trees) pointers.push_back(&tree);
-    text = write_openpsa(pointers);
+    text = write_openpsa(trees);
   } else {
-    err << "error: unknown --format '" << format << "'\n";
+    exec.err << "error: unknown --format '" << format << "'\n";
     return 2;
   }
-  return emit(text, exec, out, err);
+  return emit(text, exec);
 }
 
-int cmd_analyse(const Model& model, Exec& exec, std::ostream& out,
-                std::ostream& err) {
+int cmd_analyse(LoadedModel& loaded, Exec& exec) {
+  if (loaded.top_count() == 0) return no_tops(loaded, exec);
+  const std::string& format = exec.request.format;
+  if (format != "text" && format != "xml" && format != "json") {
+    exec.err << "error: unknown --format '" << format
+             << "' (analyse supports text|xml|json)\n";
+    return 2;
+  }
   BatchOptions batch_options;
-  batch_options.synthesis = synthesis_options(exec);
-  batch_options.analysis.probability.mission_time_hours =
-      exec.request.mission_time_hours;
-  batch_options.analysis.render_tree = exec.request.render_tree;
-  batch_options.analysis.cut_sets.engine = exec.request.engine;
-  batch_options.analysis.cut_sets.bound_epsilon = exec.request.bound_epsilon;
-  batch_options.analysis.cut_sets.order = exec.request.order;
-  batch_options.analysis.cut_sets.budget = exec.make_budget();
-  batch_options.analysis.probability.budget = exec.make_budget();
-  batch_options.analysis.prob_mode = exec.request.prob_mode;
+  batch_options.analysis = analysis_options(exec);
   batch_options.share_cones = !exec.request.no_cache;
   std::optional<ConeCache> local;
-  ConeCache* cones =
+  batch_options.analysis.cut_sets.cone_cache =
       choose_cone_cache(exec, batch_options.analysis.cut_sets, false, local);
-  if (cones != nullptr) batch_options.analysis.cut_sets.cone_cache = cones;
-  BatchResult batch = analyse_batch(model, resolve_tops(model, exec, exec.pool),
-                                    batch_options, exec.pool);
+  BatchResult batch = run_tops(loaded, exec, batch_options);
   save_local_cache(exec, local);
-  report_cache_stats(exec, batch.cache_stats, err);
+  report_cache_stats(exec, batch.cache_stats);
   std::string text;
-  for (BatchItem& item : batch.items) {
+  std::vector<const FaultTree*> trees;
+  std::vector<const TreeAnalysis*> analyses;
+  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+    BatchItem& item = batch.items[i];
     if (!replay_item(item, exec)) continue;
-    report_reorder_stats(exec, item.display_name(),
-                         item.analysis->cut_sets.reorder, err);
-    report_frontier_stats(exec, item.display_name(),
-                          item.analysis->frontier_stats, err);
-    // Log-only, like the reorder stats: `output` stays byte-identical.
-    if (exec.request.verbose && item.analysis->diagram_native) {
-      err << "probability [" << item.display_name()
-          << "]: diagram-native (exact despite truncated extraction)\n";
-    }
+    report_analysis_stats(exec, item.display_name(), *item.analysis);
     if (!exec.request.strict && item.analysis->cut_sets.deadline_exceeded) {
       exec.sink.warning(ErrorKind::kAnalysis,
                         "cut-set analysis stopped at the deadline; "
                         "results are partial",
                         {}, item.display_name());
     }
-    text += render(*item.tree, *item.analysis, batch_options.analysis) + "\n";
+    if (format == "text")
+      text += render(*item.tree, *item.analysis, batch_options.analysis) + "\n";
+    trees.push_back(&*item.tree);
+    analyses.push_back(&*item.analysis);
+    if (loaded.sequence[i])
+      exec.sequences.push_back(
+          summarise_sequence(item.display_name(), *item.analysis));
   }
-  if (text.empty()) {
-    if (exec.sink.has_errors())
-      return exit_code_for(exec.sink.first_error_kind());
-    err << "error: no top events (give --top or annotate the model)\n";
-    return 2;
+  if (trees.empty()) return no_tops(loaded, exec);
+  if (format == "text") {
+    text += render_sequence_table(exec.sequences);
+  } else if (format == "xml") {
+    text = write_xml(trees, analyses, exec.sequences);
+  } else {
+    text = write_json(trees, analyses, exec.sequences);
   }
-  return emit(text, exec, out, err);
+  return emit(text, exec);
 }
 
-int cmd_audit(const Model& model, Exec& exec, std::ostream& out,
-              std::ostream& err) {
-  std::vector<CompletenessFinding> findings = audit_completeness(model);
-  std::string text;
-  for (const CompletenessFinding& finding : findings)
-    text += finding.to_string() + "\n";
-  text += std::to_string(findings.size()) + " finding(s)\n";
-  int rc = emit(text, exec, out, err);
-  return rc != 0 ? rc : (findings.empty() ? 0 : 1);
-}
-
-int cmd_report(const Model& model, Exec& exec, std::ostream& out,
-               std::ostream& err) {
+int cmd_report(LoadedModel& loaded, Exec& exec) {
+  if (loaded.top_count() == 0) return no_tops(loaded, exec);
   MarkdownReportOptions report_options;
-  report_options.analysis.probability.mission_time_hours =
-      exec.request.mission_time_hours;
-  report_options.analysis.cut_sets.engine = exec.request.engine;
-  report_options.analysis.cut_sets.bound_epsilon = exec.request.bound_epsilon;
-  report_options.analysis.cut_sets.order = exec.request.order;
-  report_options.analysis.cut_sets.budget = exec.make_budget();
-  report_options.analysis.probability.budget = exec.make_budget();
-  report_options.analysis.prob_mode = exec.request.prob_mode;
+  report_options.analysis = analysis_options(exec);
+  BatchOptions batch_options;
+  batch_options.analysis = report_options.analysis;
+  batch_options.share_cones = !exec.request.no_cache;
   std::optional<ConeCache> local;
-  ConeCache* cones =
-      choose_cone_cache(exec, report_options.analysis.cut_sets, true, local);
-  if (cones != nullptr) report_options.analysis.cut_sets.cone_cache = cones;
-  std::vector<std::string> tops;
-  for (const Deviation& top : resolve_tops(model, exec))
-    tops.push_back(top.to_string());
-  if (tops.empty()) {
-    err << "error: no top events (give --top or annotate the model)\n";
-    return 2;
-  }
-  const std::string text = markdown_report(model, tops, report_options);
+  batch_options.analysis.cut_sets.cone_cache =
+      choose_cone_cache(exec, batch_options.analysis.cut_sets, true, local);
+  BatchResult batch = run_tops(loaded, exec, batch_options);
   save_local_cache(exec, local);
-  report_cache_stats(
-      exec,
-      cones != nullptr ? std::optional<ConeCacheStats>(cones->stats())
-                       : std::nullopt,
-      err);
-  return emit(text, exec, out, err);
+  report_cache_stats(exec, batch.cache_stats);
+  std::vector<const BatchItem*> items;
+  std::vector<const FaultTree*> trees;
+  std::vector<const TreeAnalysis*> analyses;
+  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+    BatchItem& item = batch.items[i];
+    if (!replay_item(item, exec)) continue;
+    items.push_back(&item);
+    trees.push_back(&*item.tree);
+    analyses.push_back(&*item.analysis);
+    if (loaded.sequence[i])
+      exec.sequences.push_back(
+          summarise_sequence(item.display_name(), *item.analysis));
+  }
+  if (items.empty()) return no_tops(loaded, exec);
+  return emit(loaded.mdl ? markdown_report(*loaded.mdl, trees, analyses,
+                                           report_options)
+                         : mef_report(*loaded.mef, items, exec.sequences),
+              exec);
 }
 
-int cmd_sensitivity(const Model& model, Exec& exec, std::ostream& out,
-                    std::ostream& err) {
+int cmd_sensitivity(LoadedModel& loaded, Exec& exec) {
+  if (loaded.top_count() == 0) return no_tops(loaded, exec);
+  BatchOptions batch_options;
+  batch_options.analyse = false;
+  BatchResult batch = run_tops(loaded, exec, batch_options);
   SensitivityOptions sensitivity;
   sensitivity.probability.mission_time_hours = exec.request.mission_time_hours;
-  Synthesiser synthesiser(model, synthesis_options(exec));
   std::string text;
-  for (const Deviation& top : resolve_tops(model, exec)) {
-    if (!exec.request.strict) {
-      try {
-        FaultTree tree = synthesiser.synthesise(top);
-        text += "=== " + tree.top_description() + " ===\n";
-        text += render_sensitivity(rate_sensitivity(tree, sensitivity));
-      } catch (const Error& error) {
-        exec.sink.error_from(error, top.to_string());
-      }
-      continue;
+  for (BatchItem& item : batch.items) {
+    if (!replay_item(item, exec)) continue;
+    const std::string& description = item.tree->top_description();
+    text += "=== " + (description.empty() ? item.display_name() : description) +
+            " ===\n";
+    try {
+      text += render_sensitivity(rate_sensitivity(*item.tree, sensitivity));
+    } catch (const Error& error) {
+      if (exec.request.strict) throw;
+      exec.sink.error_from(error, item.display_name());
     }
-    FaultTree tree = synthesiser.synthesise(top);
-    text += "=== " + tree.top_description() + " ===\n";
-    text += render_sensitivity(rate_sensitivity(tree, sensitivity));
   }
-  if (text.empty()) {
-    if (exec.sink.has_errors())
-      return exit_code_for(exec.sink.first_error_kind());
-    err << "error: no top events (give --top or annotate the model)\n";
-    return 2;
-  }
-  return emit(text, exec, out, err);
+  if (text.empty()) return no_tops(loaded, exec);
+  return emit(text, exec);
 }
 
-int cmd_fmea(const Model& model, Exec& exec, std::ostream& out,
-             std::ostream& err) {
-  ProbabilityOptions probability;
-  probability.mission_time_hours = exec.request.mission_time_hours;
-  probability.budget = exec.make_budget();
-  CutSetOptions cut_set_options;
-  cut_set_options.engine = exec.request.engine;
-  cut_set_options.bound_epsilon = exec.request.bound_epsilon;
+int cmd_fmea(LoadedModel& loaded, Exec& exec) {
+  constexpr const char* kNoTops = "no derivable top events in this model";
+  if (loaded.top_count() == 0) return no_tops(loaded, exec, kNoTops);
+  const AnalysisOptions analysis = analysis_options(exec);
+  CutSetOptions cut_set_options = analysis.cut_sets;
   // FMEA calls compute_cut_sets directly (no analyse_tree to copy the
   // probability inputs over), so hand the bound engine its inputs here.
   cut_set_options.bound_mission_time_hours = exec.request.mission_time_hours;
   cut_set_options.bound_default_probability =
-      probability.default_event_probability;
-  cut_set_options.order = exec.request.order;
-  cut_set_options.budget = exec.make_budget();
+      analysis.probability.default_event_probability;
   cut_set_options.pool = exec.pool;
   // Diagram-native FMEA columns need the ZBDD engine's retained diagram.
-  const bool fmea_diagram =
-      exec.request.prob_mode != ProbMode::kCutSets &&
-      exec.request.engine == CutSetEngine::kZbdd;
+  const bool fmea_diagram = exec.request.prob_mode != ProbMode::kCutSets &&
+                            exec.request.engine == CutSetEngine::kZbdd;
   cut_set_options.keep_diagram = fmea_diagram;
-  // FMEA analyses every derivable top event of one model: prime sharing
-  // territory for the cone cache (plus the persistent layer on --cache).
+  // FMEA analyses every top event of one model: prime sharing territory
+  // for the cone cache (plus the persistent layer on --cache).
   std::optional<ConeCache> local;
   ConeCache* cones = choose_cone_cache(exec, cut_set_options, true, local);
-  if (cones != nullptr) cut_set_options.cone_cache = cones;
+  cut_set_options.cone_cache = cones;
   BatchOptions batch_options;
-  batch_options.synthesis = synthesis_options(exec);
   batch_options.analyse = false;
-  BatchResult batch = analyse_batch(model, resolve_tops(model, exec, exec.pool),
-                                    batch_options, exec.pool);
-  std::vector<FaultTree> trees;
+  BatchResult batch = run_tops(loaded, exec, batch_options);
+  std::vector<const BatchItem*> items;
+  std::vector<const FaultTree*> trees;
   for (BatchItem& item : batch.items) {
-    if (replay_item(item, exec)) trees.push_back(std::move(*item.tree));
+    if (!replay_item(item, exec)) continue;
+    items.push_back(&item);
+    trees.push_back(&*item.tree);
   }
-  if (trees.empty()) {
-    if (exec.sink.has_errors())
-      return exit_code_for(exec.sink.first_error_kind());
-    err << "error: no derivable top events in this model\n";
-    return 2;
-  }
-  std::vector<CutSetAnalysis> analyses =
+  if (trees.empty()) return no_tops(loaded, exec, kNoTops);
+  std::vector<CutSetAnalysis> cut_sets =
       parallel_map(exec.pool, trees.size(), [&](std::size_t i) {
-        return compute_cut_sets(trees[i], cut_set_options);
+        return compute_cut_sets(*trees[i], cut_set_options);
       });
   save_local_cache(exec, local);
-  report_cache_stats(
-      exec,
-      cones != nullptr ? std::optional<ConeCacheStats>(cones->stats())
-                       : std::nullopt,
-      err);
-  for (std::size_t i = 0; i < trees.size(); ++i)
-    report_reorder_stats(exec, trees[i].top_description(),
-                         analyses[i].reorder, err);
-  std::vector<const FaultTree*> tree_ptrs;
-  std::vector<const CutSetAnalysis*> analysis_ptrs;
+  report_cache_stats(exec, cones != nullptr
+                               ? std::optional<ConeCacheStats>(cones->stats())
+                               : std::nullopt);
   for (std::size_t i = 0; i < trees.size(); ++i) {
-    tree_ptrs.push_back(&trees[i]);
-    analysis_ptrs.push_back(&analyses[i]);
+    report_reorder_stats(exec,
+                         loaded.mdl ? trees[i]->top_description()
+                                    : items[i]->display_name(),
+                         cut_sets[i].reorder);
   }
-  std::string text = render_fmea(
-      synthesise_fmea(tree_ptrs, analysis_ptrs, probability,
-                      fmea_diagram ? ProbMode::kDiagram : ProbMode::kCutSets));
-  return emit(text, exec, out, err);
+  std::vector<const CutSetAnalysis*> analyses;
+  for (const CutSetAnalysis& analysis : cut_sets) analyses.push_back(&analysis);
+  return emit(render_fmea(synthesise_fmea(
+                  trees, analyses, analysis.probability,
+                  fmea_diagram ? ProbMode::kDiagram : ProbMode::kCutSets)),
+              exec);
+}
+
+int cmd_audit(LoadedModel& loaded, Exec& exec) {
+  std::vector<CompletenessFinding> findings = audit_completeness(*loaded.mdl);
+  std::string text;
+  for (const CompletenessFinding& finding : findings)
+    text += finding.to_string() + "\n";
+  text += std::to_string(findings.size()) + " finding(s)\n";
+  int rc = emit(text, exec);
+  return rc != 0 ? rc : (findings.empty() ? 0 : 1);
 }
 
 /// Structural + annotation diff against a second model revision
 /// (`against_path`). Both revisions parse under the request's error
 /// discipline; the diff itself is cheap -- this is the daemon's
 /// editor-loop primitive ("what changed since my last analyse?").
-int cmd_diff(const Model& model, Exec& exec, std::ostream& out,
-             std::ostream& err) {
+int cmd_diff(LoadedModel& loaded, Exec& exec) {
   if (exec.request.against_path.empty()) {
-    err << "error: diff needs --against FILE (the revised model)\n";
+    exec.err << "error: diff needs --against FILE (the revised model)\n";
     return 2;
   }
   std::shared_ptr<const Model> after = exec.runner.acquire_model(
       exec.request.against_path, exec.request,
       /*implicit_validation=*/true, exec.request.strict ? nullptr : &exec.sink);
-  return emit(diff_models(model, *after).to_string(), exec, out, err);
+  return emit(diff_models(*loaded.mdl, *after).to_string(), exec);
+}
+
+struct Command {
+  const char* name;
+  int (*run)(LoadedModel&, Exec&);
+  /// Works on the tree source (.mdl tops must be resolved).
+  bool trees = false;
+  /// Needs the block structure only an .mdl architecture model has.
+  bool mdl_only = false;
+};
+
+// `load` is the daemon's warm-up verb: the loader already pinned the
+// parsed model; the info summary doubles as confirmation.
+constexpr Command kCommands[] = {
+    {"info", cmd_info},
+    {"load", cmd_info},
+    {"validate", cmd_validate},
+    {"synthesise", cmd_synthesise, true},
+    {"synthesize", cmd_synthesise, true},
+    {"analyse", cmd_analyse, true},
+    {"analyze", cmd_analyse, true},
+    {"report", cmd_report, true},
+    {"fmea", cmd_fmea, true},
+    {"sensitivity", cmd_sensitivity, true},
+    {"audit", cmd_audit, false, true},
+    {"diff", cmd_diff, false, true},
+};
+
+const Command* find_command(const std::string& name) {
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -570,17 +825,11 @@ std::shared_ptr<const Model> ServiceRunner::acquire_model(
 
   // Warm mode: key by file content + parse flavour. An unreadable file
   // falls through to the parser for its canonical error.
-  std::string content;
-  {
-    std::ifstream file(path, std::ios::binary);
-    if (!file.good()) return parse_fresh(sink);
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    content = buffer.str();
-  }
+  const std::optional<std::string> content = read_file_bytes(path);
+  if (!content) return parse_fresh(sink);
   std::ostringstream key_stream;
-  key_stream << path << '|' << content.size() << '|'
-             << content_hash(content) << '|' << (request.strict ? 's' : 'r')
+  key_stream << path << '|' << content->size() << '|'
+             << content_hash(*content) << '|' << (request.strict ? 's' : 'r')
              << (implicit_validation ? 'v' : 'n') << '|' << request.max_errors;
   const std::string key = key_stream.str();
 
@@ -606,7 +855,7 @@ std::shared_ptr<const Model> ServiceRunner::acquire_model(
     entry.model = parse_fresh(nullptr);  // throws on the first error
   } else {
     DiagnosticSink parse_sink(request.max_errors);
-    entry.model = std::make_shared<const Model>(parse_mdl_file(path, parse_sink));
+    entry.model = parse_fresh(&parse_sink);
     entry.diagnostics = parse_sink.diagnostics();
     if (sink != nullptr) {
       for (const Diagnostic& diagnostic : entry.diagnostics)
@@ -733,13 +982,11 @@ ServiceResult ServiceRunner::execute(const ServiceRequest& request) {
   std::ostringstream out;
   std::ostringstream err;
   DiagnosticSink sink(request.max_errors);
-  std::vector<SequenceSummary> sequences;
+  Exec exec{request, *this, sink, out, err, nullptr, Budget{}, {}};
   int rc = 0;
+  bool failed = false;
   bool deadline_fired = false;
   try {
-    const std::string& command = request.command;
-
-    Exec exec{request, *this, sink, nullptr, Budget{}};
     // One budget, armed once: every stage and worker copies it, so they
     // all share a single deadline latch. The daemon pre-arms it at
     // admission (queue wait counts, and disconnect can force_expire it);
@@ -767,72 +1014,50 @@ ServiceResult ServiceRunner::execute(const ServiceRequest& request) {
       exec.pool = owned_pool ? &*owned_pool : nullptr;
     }
 
-    if (openpsa_model(request.model_path)) {
-      // Open-PSA XML model: its own dispatch over imported trees. The
-      // model cache is skipped on purpose -- importing is cheap relative
-      // to analysis and the response memo already gives warm replays.
-      rc = run_openpsa_command(exec, out, err, &sequences);
+    // Open-PSA models are re-imported per request rather than held in the
+    // model cache: importing is cheap next to analysis, and the response
+    // memo already gives warm replays. An Open-PSA request for an unknown
+    // or .mdl-only command fails before the import; an .mdl one after the
+    // parse, whose diagnostics then accompany the error.
+    const Command* command = find_command(request.command);
+    const bool openpsa = openpsa_model(request.model_path);
+    if (openpsa && command != nullptr && command->mdl_only) {
+      err << "error: '" << request.command
+          << "' needs a .mdl architecture model (an Open-PSA document has "
+             "no block structure)\n";
+      rc = 2;
+    } else if (openpsa && command == nullptr) {
+      err << "error: unknown command '" << request.command << "'\n";
+      rc = 2;
     } else {
-      // `validate` parses without the implicit validation so it can
-      // report the issues itself instead of dying on the first one; the
-      // recovering parser (default) reports syntax AND validation
-      // problems to the sink and returns the best-effort model.
-      const bool implicit_validation = command != "validate";
-      std::shared_ptr<const Model> model_ptr = acquire_model(
-          request.model_path, request, implicit_validation,
-          request.strict ? nullptr : &sink);
-      const Model& model = *model_ptr;
-
-      if (command == "info" || command == "load") {
-        // `load` is the daemon's warm-up verb: acquire_model above
-        // already pinned the parsed model; the summary doubles as
-        // confirmation.
-        rc = cmd_info(model, exec, out, err);
-      } else if (command == "validate") {
-        rc = cmd_validate(model, exec, out, err);
-      } else if (command == "synthesise" || command == "synthesize") {
-        rc = cmd_synthesise(model, exec, out, err);
-      } else if (command == "analyse" || command == "analyze") {
-        rc = cmd_analyse(model, exec, out, err);
-      } else if (command == "audit") {
-        rc = cmd_audit(model, exec, out, err);
-      } else if (command == "fmea") {
-        rc = cmd_fmea(model, exec, out, err);
-      } else if (command == "sensitivity") {
-        rc = cmd_sensitivity(model, exec, out, err);
-      } else if (command == "report") {
-        rc = cmd_report(model, exec, out, err);
-      } else if (command == "diff") {
-        rc = cmd_diff(model, exec, out, err);
+      LoadedModel loaded =
+          load_model(exec, openpsa, command != nullptr && command->trees);
+      if (command != nullptr) {
+        rc = command->run(loaded, exec);
       } else {
-        err << "error: unknown command '" << command << "'\n";
+        err << "error: unknown command '" << request.command << "'\n";
         rc = 2;
       }
     }
     deadline_fired = exec.budget.expired();
   } catch (const Error& error) {
     err << "error: " << error.what() << "\n";
-    if (!sink.empty()) err << sink.render_table();
-    result.exit_code = exit_code_for(error.kind());
-    result.output = out.str();
-    result.log = err.str();
-    return result;
+    rc = exit_code_for(error.kind());
+    failed = true;
   } catch (const std::exception& error) {
     // Request isolation: a non-Error exception (bad_alloc, a library bug)
     // must degrade into this one request's result, never escape into the
     // daemon. The CLI maps it to the internal-error exit code.
     err << "error: internal: " << error.what() << "\n";
-    if (!sink.empty()) err << sink.render_table();
-    result.exit_code = exit_code_for(ErrorKind::kInternal);
-    result.output = out.str();
-    result.log = err.str();
-    return result;
+    rc = exit_code_for(ErrorKind::kInternal);
+    failed = true;
   }
   if (!sink.empty()) err << sink.render_table();
   result.exit_code = rc != 0 ? rc : (sink.has_errors() ? 1 : 0);
   result.output = out.str();
   result.log = err.str();
-  result.sequences = std::move(sequences);
+  if (failed) return result;
+  result.sequences = std::move(exec.sequences);
   // Clean-run-only stores, like the cone cache: a result whose deadline
   // fired may be partial (wall-clock nondeterminism), so only complete
   // runs are replayable -- and a complete run satisfies any deadline.

@@ -18,6 +18,17 @@
 //     parsed models and per-keyspace cone caches resident across
 //     requests, and `execute` may be called from many threads at once.
 //
+// Both model front-ends feed one command set. `execute` loads the model
+// through one loader, which sniffs an annotated .mdl architecture model
+// or an Open-PSA MEF document, into one loaded-model shape: the model
+// name, the selected tops as labelled fault trees (synthesised from the
+// .mdl model, imported from the MEF document) with an event-tree sequence
+// bit each, and the front-end's own description. Each command is one
+// handler over that shape, so analyse, report, fmea, sensitivity and
+// synthesise behave the same whichever front-end read the model; only
+// info, validate and the report's model summary describe the source
+// model, and audit/diff need the .mdl block structure.
+//
 // The warm state is three layers, each correctness-neutral by
 // construction: model entries are keyed by content hash (an edited file
 // re-parses), replayed parse diagnostics reproduce the cold diagnostic
@@ -68,7 +79,8 @@ struct ServiceRequest {
   std::string model_path;    ///< the .mdl file, or an Open-PSA .xml model
   std::string against_path;  ///< diff only: the revised model
   std::vector<std::string> tops;
-  std::string format = "text";  ///< synthesise: text|dot|xml|json|ftp
+  /// synthesise: text|dot|xml|json|ftp|openpsa; analyse: text|xml|json.
+  std::string format = "text";
   std::string output;           ///< CLI --output FILE; empty = in-result
   double mission_time_hours = 1.0;
   bool render_tree = false;

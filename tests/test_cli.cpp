@@ -5,7 +5,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/report.h"
 #include "casestudy/setta.h"
+#include "fta/synthesis.h"
+#include "ftp/json_writer.h"
+#include "ftp/xml_writer.h"
+#include "mdl/parser.h"
 #include "mdl/writer.h"
 #include "tools/cli.h"
 
@@ -175,6 +180,54 @@ TEST_F(CliTest, UnknownTopEventFailsStrict) {
                  "--strict"}),
             4);
   EXPECT_NE(err_.str().find("no boundary output port"), std::string::npos);
+}
+
+TEST_F(CliTest, AnalyseFormatFollowsTheOpenPsaContract) {
+  // .mdl and Open-PSA models share one analyse: text|xml|json, anything
+  // else is a usage error.
+  const std::string duplex = std::string(FTSYNTH_EXAMPLES_DIR) + "/duplex.mdl";
+  EXPECT_EQ(run({"analyse", duplex, "--format", "bogus"}), 2);
+  EXPECT_EQ(err_.str(),
+            "error: unknown --format 'bogus' (analyse supports text|xml|json)\n");
+  EXPECT_TRUE(out_.str().empty());
+
+  Model model = parse_mdl_file(duplex);
+  FaultTree tree = Synthesiser(model).synthesise("Omission-reading");
+  TreeAnalysis analysis = analyse_tree(tree, AnalysisOptions{});
+  EXPECT_EQ(run({"analyse", duplex, "--top", "Omission-reading", "--format",
+                 "xml"}),
+            0);
+  EXPECT_EQ(out_.str(), write_xml({&tree}, {&analysis}, {}));
+  EXPECT_EQ(run({"analyse", duplex, "--top", "Omission-reading", "--format",
+                 "json"}),
+            0);
+  EXPECT_EQ(out_.str(), write_json({&tree}, {&analysis}, {}));
+}
+
+TEST_F(CliTest, ReportRecoversFromADegradedModelLikeAnalyse) {
+  // The selector's cause names a port it does not have: synthesis leaves
+  // that deviation undeveloped with a warning instead of failing.
+  std::ifstream source(std::string(FTSYNTH_EXAMPLES_DIR) + "/duplex.mdl");
+  std::stringstream text;
+  text << source.rdbuf();
+  std::string model = text.str();
+  const std::string cause = "select_defect OR (Omission-a AND Omission-b)";
+  ASSERT_NE(model.find(cause), std::string::npos);
+  model.replace(model.find(cause), cause.size(),
+                "select_defect OR (Omission-a AND Omission-zz)");
+  const std::string path = testing::TempDir() + "/cli_degraded_duplex.mdl";
+  std::ofstream(path) << model;
+
+  EXPECT_EQ(run({"analyse", path}), 1);
+  const std::string analyse_log = err_.str();
+  EXPECT_NE(analyse_log.find("Omission-zz left undeveloped"),
+            std::string::npos);
+  EXPECT_EQ(run({"report", path}), 1);
+  EXPECT_NE(out_.str().find("# Safety analysis report: `duplex`"),
+            std::string::npos);
+  EXPECT_NE(out_.str().find("## Top event: Omission-reading at duplex"),
+            std::string::npos);
+  EXPECT_EQ(err_.str(), analyse_log);
 }
 
 class CliRecoveryTest : public CliTest {

@@ -49,7 +49,7 @@ options:
   --against FILE     diff: the revised model to compare against
   --format FMT       synthesise output: text (default), dot, xml, json,
                      ftp, openpsa (Open-PSA MEF XML; re-importable);
-                     Open-PSA analyse also takes xml or json
+                     analyse output: text (default), xml or json
   --output FILE      write to FILE instead of stdout
   --time HOURS       mission time for probabilities (default 1)
   --tree             include the rendered tree in analyse output

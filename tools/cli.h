@@ -9,7 +9,8 @@
 //   ftsynth synthesise <model.mdl> --top <Class-port> [--format text|dot|
 //                      xml|json|ftp] [--output FILE]  fault tree synthesis
 //   ftsynth analyse    <model.mdl> --top <Class-port> [--time HOURS]
-//                      [--tree]                       cut sets/reliability
+//                      [--tree] [--format text|xml|json]
+//                                                      cut sets/reliability
 //   ftsynth audit      <model.mdl>                    HAZOP completeness
 //   ftsynth fmea       <model.mdl> [--time HOURS]     system-level FMEA
 //   ftsynth sensitivity <model.mdl> [--top ...] [--time HOURS]

@@ -28,8 +28,12 @@ any workload's ColdProcess/WarmDaemon ratio falls below X (the acceptance
 bar runs it with --min-speedup 5).
 
 Results are only meaningful between files produced the same way (same
-machine class, Release build -- see tools/run_benchmarks.sh). The files in
-bench_results/ are the committed baselines for exactly this purpose:
+machine class, Release build -- see tools/run_benchmarks.sh). The two-file
+mode therefore exits 2 when both files stamp `cmake_build_type` or `nproc`
+in their context block and the values differ; a file without the stamps
+(baselines taken before run_benchmarks.sh stamped them) only draws a
+warning. The files in bench_results/ are the committed baselines for
+exactly this purpose:
 
     tools/run_benchmarks.sh bench_cutsets
     tools/compare_benchmarks.py bench_results/BENCH_cutsets.json \
@@ -62,6 +66,41 @@ def load_benchmarks(path: str, metric: str) -> dict[str, float]:
             continue
         out[name] = float(record[metric])
     return out
+
+
+# Context stamps (tools/run_benchmarks.sh) that must match between a
+# baseline and a candidate for their times to be comparable.
+STAMPS = ("cmake_build_type", "nproc")
+
+
+def contexts_match(baseline_path: str, candidate_path: str) -> bool:
+    """False when both files stamp a STAMPS key with different values.
+
+    A missing stamp warns instead: most committed baselines predate the
+    stamping, and refusing them would retire every comparison at once.
+    """
+    contexts = []
+    for path in (baseline_path, candidate_path):
+        with open(path, "r", encoding="utf-8") as handle:
+            contexts.append(json.load(handle).get("context", {}))
+    ok = True
+    for key in STAMPS:
+        values = [context.get(key) for context in contexts]
+        if None in values:
+            missing = [p for p, v in zip((baseline_path, candidate_path), values) if v is None]
+            print(
+                f"warning: {key} not stamped in {', '.join(missing)}; "
+                "cannot check the files were measured alike",
+                file=sys.stderr,
+            )
+        elif str(values[0]) != str(values[1]):
+            print(
+                f"error: {key} differs (baseline {values[0]}, candidate "
+                f"{values[1]}); re-take one side so both match",
+                file=sys.stderr,
+            )
+            ok = False
+    return ok
 
 
 def service_report(path: str, metric: str, min_speedup: float) -> int:
@@ -452,6 +491,8 @@ def main() -> int:
             "--bound-report"
         )
 
+    if not contexts_match(args.baseline, args.candidate):
+        return 2
     baseline = load_benchmarks(args.baseline, args.metric)
     candidate = load_benchmarks(args.candidate, args.metric)
     if args.filter:
