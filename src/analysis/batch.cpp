@@ -38,7 +38,6 @@ BatchResult analyse_batch(const Model& model,
     SynthesisOptions synthesis = options.synthesis;
     if (degraded) synthesis.sink = &local;
     AnalysisOptions analysis = options.analysis;
-    analysis.cut_sets.pool = pool;  // minimisation shares the workers
     analysis.cut_sets.cone_cache = cones;
     try {
       Synthesiser synthesiser(model, synthesis);
@@ -78,7 +77,6 @@ BatchResult analyse_trees(std::vector<FaultTree> trees,
   parallel_for(pool, result.items.size(), [&](std::size_t index) {
     BatchItem& item = result.items[index];
     AnalysisOptions analysis = options.analysis;
-    analysis.cut_sets.pool = pool;
     analysis.cut_sets.cone_cache = cones;
     try {
       item.analysis.emplace(analyse_tree(*item.tree, analysis));

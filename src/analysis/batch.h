@@ -42,8 +42,8 @@ struct BatchOptions {
   /// per-item sink and the shared sink only sees the merged, ordered
   /// stream.
   SynthesisOptions synthesis;
-  /// Cut sets + probabilities + importance per tree. The cut-set pool is
-  /// overridden with the batch pool so minimisation shares the workers.
+  /// Cut sets + probabilities + importance per tree, each tree on the
+  /// one worker that runs its item.
   AnalysisOptions analysis;
   /// false: synthesise only (e.g. the CLI `synthesise` command); for
   /// analyse_trees, just label the trees.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -19,8 +17,6 @@
 #include "bound/frontier.h"
 #include "bound/pdag.h"
 #include "core/error.h"
-#include "core/parallel.h"
-#include "core/thread_pool.h"
 #include "fta/simplify.h"
 
 namespace ftsynth {
@@ -280,7 +276,6 @@ class Context {
   }
   void mark_truncated() noexcept { truncated_ = true; }
   const CutSetOptions& options() const noexcept { return options_; }
-  ThreadPool* pool() const noexcept { return options_.pool; }
 
  private:
   const CutSetOptions& options_;
@@ -311,12 +306,6 @@ class Context {
 ///     literals is screened against just those k buckets, a small slice of
 ///     the survivors. Bucket entries carry (count, signature) so the scan
 ///     stays in one dense array until a signature actually passes.
-///
-/// With a pool in the context's options, the pass runs block-parallel:
-/// a block of consecutive candidates is screened against the already-kept
-/// sets concurrently (the quadratic part), and only the short intra-block
-/// dependency chain is resolved serially. The kept list is
-/// literal-for-literal the serial one.
 std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
   std::sort(sets.begin(), sets.end(), set_less);
   sets.erase(std::unique(sets.begin(), sets.end(), set_equal), sets.end());
@@ -369,41 +358,10 @@ std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
     }
     kept.push_back(std::move(candidate));
   };
-  ThreadPool* pool = context != nullptr ? context->pool() : nullptr;
-  constexpr std::size_t kBlock = 256;
-  if (pool == nullptr || pool->size() <= 1 || sets.size() < 2 * kBlock) {
-    for (Set& candidate : sets) {
-      if (context != nullptr && context->deadline_hit()) break;
-      if (contradictory(candidate)) continue;
-      if (!screened_out(candidate)) keep(candidate);
-    }
-    return kept;
-  }
-  std::vector<char> alive;
-  for (std::size_t pos = 0; pos < sets.size(); pos += kBlock) {
-    if (context->deadline_hit()) break;
-    const std::size_t block = std::min(kBlock, sets.size() - pos);
-    alive.assign(block, 1);
-    parallel_for(pool, block, [&](std::size_t k) {
-      const Set& candidate = sets[pos + k];
-      if (contradictory(candidate) || screened_out(candidate)) alive[k] = 0;
-    });
-    // Intra-block subsumption: only smaller sets kept *in this block* can
-    // still subsume a survivor (everything earlier was screened above).
-    const std::size_t kept_before = kept.size();
-    for (std::size_t k = 0; k < block; ++k) {
-      if (alive[k] == 0) continue;
-      Set& candidate = sets[pos + k];
-      bool subsumed = false;
-      for (std::size_t j = kept_before;
-           j < kept.size() && kept[j].count < candidate.count; ++j) {
-        if (subset(kept[j], candidate)) {
-          subsumed = true;
-          break;
-        }
-      }
-      if (!subsumed) keep(candidate);
-    }
+  for (Set& candidate : sets) {
+    if (context != nullptr && context->deadline_hit()) break;
+    if (contradictory(candidate)) continue;
+    if (!screened_out(candidate)) keep(candidate);
   }
   return kept;
 }
@@ -1096,249 +1054,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       return memo.at(top);
     };
 
-    // -- Parallel bottom-up DAG conversion (the --jobs path) ---------------
-    //
-    // Independent cones of the gate DAG convert concurrently on the shared
-    // pool. Node construction is thread-safe (the managers' sharded
-    // tables), and the family each gate converges to is canonical under
-    // the current variable order however the folds interleave, so the
-    // extracted (and canonically sorted) listing is byte-identical to a
-    // --jobs 1 run. The STRUCTURAL phases are not concurrent: a worker
-    // that observes the reorder-pressure flag requests a stop-the-world
-    // rendezvous, every participant parks at a safe point between
-    // operations with its partial accumulator published as a GC root, the
-    // last one to park runs the sift exclusively, and the rest resume.
-    // The protocol and its determinism argument live in DESIGN.md §12.
-    auto parallel_convert = [&](const FtNode* top) -> Zbdd::Ref {
-      if (std::optional<Zbdd::Ref> simple = resolve_simple(top))
-        return *simple;
-      struct ChildSlot {
-        Zbdd::Ref ref = Zbdd::kEmpty;
-        std::ptrdiff_t task = -1;  ///< >= 0: index of the producing task
-      };
-      struct GateTask {
-        const FtNode* node = nullptr;
-        bool is_or = false;
-        std::vector<ChildSlot> children;
-        std::vector<std::size_t> parents;  ///< one entry per waiting edge
-        std::size_t unresolved = 0;        ///< child tasks not yet done
-        Zbdd::Ref result = Zbdd::kEmpty;
-        bool done = false;
-      };
-      // Discovery runs serially on the caller: everything resolve_simple
-      // can answer (leaves, NOT gates, memo/cache hits) is built here,
-      // before workers start; only AND/OR gates become tasks, with their
-      // child refs pre-resolved so workers never touch the memo, the cone
-      // cache or the context.
-      std::vector<GateTask> tasks;
-      std::unordered_map<const FtNode*, std::size_t> task_of;
-      {
-        std::vector<const FtNode*> stack{top};
-        while (!stack.empty()) {
-          const FtNode* node = stack.back();
-          stack.pop_back();
-          if (task_of.count(node) != 0) continue;
-          task_of.emplace(node, tasks.size());
-          tasks.push_back({node, node->gate() == GateKind::kOr, {}, {}, 0,
-                           Zbdd::kEmpty, false});
-          for (const FtNode* child : node->children())
-            if (!resolve_simple(child)) stack.push_back(child);
-        }
-      }
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        GateTask& task = tasks[t];
-        task.children.reserve(task.node->children().size());
-        for (const FtNode* child : task.node->children()) {
-          if (std::optional<Zbdd::Ref> ready = resolve_simple(child)) {
-            task.children.push_back({*ready, -1});
-          } else {
-            const std::size_t producer = task_of.at(child);
-            task.children.push_back(
-                {Zbdd::kEmpty, static_cast<std::ptrdiff_t>(producer)});
-            tasks[producer].parents.push_back(t);
-            ++task.unresolved;
-          }
-        }
-      }
-
-      // Scheduler state. Heap-shared so pool helpers that start AFTER the
-      // caller has already drained the graph can still run their prologue
-      // safely: they check `closed` under the mutex and leave without
-      // touching anything frame-local. The caller only sets `closed` once
-      // every entered helper has left (`entered == 0`).
-      struct Shared {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool closed = false;
-        std::size_t entered = 0;  ///< threads currently inside drive()
-        std::deque<std::size_t> ready;
-        std::size_t remaining = 0;
-        bool stw = false;  ///< stop-the-world rendezvous requested
-        std::size_t parked = 0;
-        std::uint64_t generation = 0;
-        std::vector<Zbdd::Ref> parked_accs;  ///< GC roots of parked workers
-        bool abort = false;
-        bool have_interrupt = false;
-        bool interrupt_deadline = false;
-      };
-      auto shared = std::make_shared<Shared>();
-      shared->remaining = tasks.size();
-      for (std::size_t t = 0; t < tasks.size(); ++t)
-        if (tasks[t].unresolved == 0) shared->ready.push_back(t);
-
-      // Parks the caller at a safe point: no worker holds manager state
-      // outside parked_accs / done results / the memo. The LAST one to
-      // park becomes the leader and runs the reorder with every live ref
-      // rooted; the others sleep until the generation advances. Returns
-      // false when the run aborted instead.
-      auto rendezvous = [&](Shared& s, std::unique_lock<std::mutex>& lock,
-                            std::optional<Zbdd::Ref> acc) -> bool {
-        if (acc) s.parked_accs.push_back(*acc);
-        ++s.parked;
-        const std::uint64_t gen = s.generation;
-        if (s.parked == s.entered) {
-          std::vector<Zbdd::Ref> roots;
-          roots.reserve(memo.size() + tasks.size() + s.parked_accs.size() + 1);
-          roots.push_back(contra);
-          for (const auto& [node, ref] : memo) roots.push_back(ref);
-          for (const GateTask& task : tasks)
-            if (task.done) roots.push_back(task.result);
-          for (Zbdd::Ref parked : s.parked_accs) roots.push_back(parked);
-          // Exclusive access: everyone else is parked in the wait below or
-          // blocked on the mutex (held throughout the structural phase).
-          if (std::optional<SiftStats> stats =
-                  zbdd.maybe_reorder(roots, sift_options))
-            sift_total.merge(*stats);
-          s.parked_accs.clear();
-          s.parked = 0;
-          s.stw = false;
-          ++s.generation;
-          s.cv.notify_all();
-          return !s.abort;
-        }
-        s.cv.wait(lock, [&] { return s.generation != gen || s.abort; });
-        if (s.generation == gen) {  // abort fired before a leader emerged
-          --s.parked;
-          return false;
-        }
-        return !s.abort;
-      };
-
-      // Folds one gate. Unlocked except at the safe points between
-      // operations; returns nullopt when the run aborted mid-fold.
-      auto run_task = [&](Shared& s, GateTask& task)
-          -> std::optional<Zbdd::Ref> {
-        Zbdd::Ref acc = task.is_or ? Zbdd::kEmpty : Zbdd::kBase;
-        auto safe_point = [&]() -> bool {
-          const bool pressure = dynamic_order && zbdd.reorder_pending();
-          std::unique_lock<std::mutex> lock(s.mutex);
-          if (s.abort) return false;
-          if (pressure) {
-            s.stw = true;
-            s.cv.notify_all();  // idle workers park too
-          }
-          if (s.stw) return rendezvous(s, lock, acc);
-          return true;
-        };
-        try {
-          for (const ChildSlot& slot : task.children) {
-            const Zbdd::Ref child =
-                slot.task < 0
-                    ? slot.ref
-                    : tasks[static_cast<std::size_t>(slot.task)].result;
-            acc = task.is_or ? zbdd.set_union(acc, child)
-                             : zbdd.product(acc, child);
-            if (!safe_point()) return std::nullopt;
-          }
-          if (!task.is_or && contra != Zbdd::kEmpty) {
-            acc = zbdd.without(acc, contra);
-            if (!safe_point()) return std::nullopt;
-          }
-          acc = zbdd.minimal(acc);
-        } catch (const Zbdd::Interrupt& interrupt) {
-          std::lock_guard<std::mutex> lock(s.mutex);
-          if (!s.have_interrupt) {
-            s.have_interrupt = true;
-            s.interrupt_deadline = interrupt.deadline_exceeded;
-          }
-          s.abort = true;
-          s.cv.notify_all();
-          return std::nullopt;
-        }
-        return acc;
-      };
-
-      // The worker loop every participant runs: caller and helpers alike.
-      auto drive = [&](Shared& s) {
-        std::unique_lock<std::mutex> lock(s.mutex);
-        for (;;) {
-          if (s.abort) return;
-          if (s.stw) {
-            if (!rendezvous(s, lock, std::nullopt)) return;
-            continue;
-          }
-          if (!s.ready.empty()) {
-            const std::size_t index = s.ready.front();
-            s.ready.pop_front();
-            lock.unlock();
-            GateTask& task = tasks[index];
-            std::optional<Zbdd::Ref> result = run_task(s, task);
-            lock.lock();
-            if (!result) continue;  // abort recorded; next check exits
-            task.result = *result;
-            task.done = true;
-            --s.remaining;
-            for (std::size_t parent : task.parents)
-              if (--tasks[parent].unresolved == 0) s.ready.push_back(parent);
-            s.cv.notify_all();
-            continue;
-          }
-          if (s.remaining == 0) return;
-          s.cv.wait(lock, [&] {
-            return s.abort || s.stw || !s.ready.empty() || s.remaining == 0;
-          });
-        }
-      };
-
-      ThreadPool* pool = context.pool();
-      const std::size_t helpers = std::min(pool->size(), tasks.size());
-      for (std::size_t i = 0; i < helpers; ++i) {
-        pool->submit([shared, &drive] {
-          std::unique_lock<std::mutex> lock(shared->mutex);
-          if (shared->closed) return;
-          ++shared->entered;
-          lock.unlock();
-          drive(*shared);  // safe: the caller waits for entered == 0
-          lock.lock();
-          --shared->entered;
-          shared->cv.notify_all();
-        });
-      }
-      {
-        std::unique_lock<std::mutex> lock(shared->mutex);
-        ++shared->entered;
-        lock.unlock();
-        drive(*shared);
-        lock.lock();
-        --shared->entered;
-        shared->cv.notify_all();
-        shared->cv.wait(lock, [&] { return shared->entered == 0; });
-        shared->closed = true;
-      }
-      if (shared->have_interrupt)
-        throw Zbdd::Interrupt{shared->interrupt_deadline};
-      check_internal(shared->remaining == 0,
-                     "parallel ZBDD conversion left unfinished gates");
-      // Adopt the gate results into the memo: the cache-publishing pass,
-      // the GC root builder and keep_diagram all read it.
-      for (const GateTask& task : tasks) memo.emplace(task.node, task.result);
-      return memo.at(top);
-    };
-
-    const bool parallel =
-        context.pool() != nullptr && context.pool()->size() > 1;
-    root = zbdd.minimal(parallel ? parallel_convert(flat.top())
-                                 : convert(flat.top()));
+    root = zbdd.minimal(convert(flat.top()));
     conversion_complete = true;
     // For the symbolic engine the working set IS the diagram.
     context.track_peak(zbdd.size());
@@ -1396,12 +1112,12 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       // Truncated family: the listing is a bounded sample. Sample it
       // CANONICALLY -- smallest sets first, set_less within one order --
       // instead of in diagram order: diagram order follows the variable
-      // order, which dynamic reordering (and, under --jobs, its timing)
-      // moves, and stdout must depend on neither. Per-node order bounds
-      // prune each sweep to the subgraphs that can hold a set of the
-      // wanted size; the enumeration ceiling bounds the boundary order's
-      // cost (a sample past the ceiling keeps the enumeration prefix --
-      // the documented residual, docs/FORMATS.md).
+      // order, which dynamic reordering moves, and stdout must not depend
+      // on it. Per-node order bounds prune each sweep to the subgraphs
+      // that can hold a set of the wanted size; the enumeration ceiling
+      // bounds the boundary order's cost (a sample past the ceiling keeps
+      // the enumeration prefix -- the documented residual,
+      // docs/FORMATS.md).
       truncated_paths = true;
       constexpr std::size_t kNoSets = std::numeric_limits<std::size_t>::max();
       std::unordered_map<Zbdd::Ref, std::pair<std::size_t, std::size_t>>
@@ -1759,7 +1475,6 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   limits.max_sets = options.max_sets;
   limits.max_expansions = options.budget.max_nodes;
   limits.budget = options.budget;
-  limits.pool = options.pool;
   bound::BoundOutcome outcome = bound::drain_frontier(pdag, limits);
 
   if (outcome.deadline_exceeded) context.mark_deadline();

@@ -100,13 +100,10 @@ struct CutSetOptions {
   /// result `deadline_exceeded` (partial: cut sets may be missing, and the
   /// ones returned may be non-minimal).
   Budget budget{};
-  /// Optional worker pool (not owned): parallelises the quadratic
-  /// subsumption pass of minimisation over blocks of candidates, and -- for
-  /// the ZBDD engine -- the bottom-up conversion itself: independent cones
-  /// of the gate DAG build concurrently on the managers' sharded tables,
-  /// with reordering run stop-the-world at safe points (DESIGN.md §12).
-  /// Either way the result is byte-identical to the serial pass; null (the
-  /// default) keeps everything on the calling thread.
+  /// Ignored: every engine analyses a tree on the calling thread, and
+  /// --jobs parallelises across trees instead (DESIGN.md §12). Kept only
+  /// because the benchmark probe still assigns it; the next change to the
+  /// benchmark deletes the member together with that assignment.
   ThreadPool* pool = nullptr;
   /// Optional content-addressed cone cache (analysis/cache.h, not owned):
   /// per-cone minimal families are looked up / stored by structural hash,
@@ -257,9 +254,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
 /// Anytime best-first engine (see header comment). Emits the
 /// highest-probability minimal cut sets first and certifies
 /// p_lower <= P(top) <= p_upper at every stop; honours max_order/max_sets,
-/// the Budget deadline, and Budget::max_nodes as an expansion cap. Runs
-/// the round-synchronised frontier on `options.pool`; output is
-/// byte-identical across worker counts.
+/// the Budget deadline, and Budget::max_nodes as an expansion cap.
 CutSetAnalysis bound_cut_sets(const FaultTree& tree,
                               const CutSetOptions& options = {});
 

@@ -10,54 +10,11 @@ namespace ftsynth {
 
 namespace {
 constexpr int kTerminalVar = INT_MAX;
-/// Marks freed (or never-constructed) arena slots so structural scans can
-/// tell them from live nodes without consulting the free list.
-constexpr int kFreeVar = -1;
 }  // namespace
 
-Bdd::Bdd() : tables_(std::make_unique<Tables>()) {
-  ensure_block(0);
-  node_mut(kFalse) = {kTerminalVar, kFalse, kFalse};  // 0: false
-  node_mut(kTrue) = {kTerminalVar, kTrue, kTrue};     // 1: true
-  tables_->next_slot.store(2);
-}
-
-Bdd::~Bdd() = default;
-Bdd::Bdd(Bdd&&) noexcept = default;
-Bdd& Bdd::operator=(Bdd&&) noexcept = default;
-
-void Bdd::ensure_block(std::size_t block) {
-  check_internal(block < kMaxBlocks, "BDD node table overflow");
-  if (tables_->blocks[block].load(std::memory_order_acquire) != nullptr)
-    return;
-  std::lock_guard<std::mutex> lock(tables_->grow_mutex);
-  if (tables_->blocks[block].load(std::memory_order_relaxed) != nullptr)
-    return;
-  const std::size_t capacity = block_capacity(block);
-  Node* storage = new Node[capacity];
-  // Pre-mark every slot free: a slot becomes live only when make() writes
-  // real fields, so scans never misread an unconstructed slot.
-  for (std::size_t i = 0; i < capacity; ++i)
-    storage[i] = {kFreeVar, kFalse, kFalse};
-  tables_->blocks[block].store(storage, std::memory_order_release);
-}
-
-Bdd::Ref Bdd::allocate_slot() {
-  if (tables_->free_count.load() != 0) {
-    std::lock_guard<std::mutex> lock(tables_->free_mutex);
-    if (!tables_->free.empty()) {
-      const Ref ref = tables_->free.back();
-      tables_->free.pop_back();
-      tables_->free_count.store(tables_->free.size());
-      return ref;
-    }
-  }
-  const std::size_t slot = tables_->next_slot.value.fetch_add(
-      1, std::memory_order_relaxed);
-  check_internal(slot < kNoEntry, "BDD node table overflow");
-  const Ref ref = static_cast<Ref>(slot);
-  ensure_block(block_index(ref));
-  return ref;
+Bdd::Bdd() {
+  nodes_.push_back({kTerminalVar, kFalse, kFalse});  // 0: false
+  nodes_.push_back({kTerminalVar, kTrue, kTrue});    // 1: true
 }
 
 int Bdd::new_var() {
@@ -99,53 +56,22 @@ int Bdd::node_level(Ref a) const noexcept {
                              : level_of_[static_cast<std::size_t>(var)];
 }
 
-Bdd::Ref Bdd::cache_get(const OpKey& key) const {
-  OpShard& shard = op_shard(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  return it == shard.map.end() ? kNoEntry : it->second;
-}
-
-void Bdd::cache_put(const OpKey& key, Ref result) {
-  OpShard& shard = op_shard(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.map.emplace(key, result);
-}
-
-void Bdd::clear_op_cache() {
-  for (OpShard& shard : tables_->cache) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-}
-
 Bdd::Ref Bdd::make(int var, Ref low, Ref high) {
   if (low == high) return low;  // reduction rule
   const UniqueKey key{var, low, high};
-  UniqueShard& shard = unique_shard(key);
-  // Allocation happens under the owning shard's lock: one canonical node
-  // per key no matter how concurrent make() calls interleave. The node's
-  // fields are written before the lock is released, so any thread that
-  // learns the ref reads them across a happens-before edge.
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.map.emplace(key, kFalse);
-  if (!inserted) return it->second;
+  if (auto it = unique_.find(key); it != unique_.end()) return it->second;
   Ref ref;
-  try {
-    ref = allocate_slot();
-  } catch (...) {
-    shard.map.erase(it);
-    throw;
-  }
-  node_mut(ref) = {var, low, high};
-  it->second = ref;
-  tables_->unique_count.add(1);
-  if (in_swap_) {
-    // Single-threaded rewrite: maintain the worklists directly.
-    var_refs_[static_cast<std::size_t>(var)].push_back(ref);
+  if (!free_.empty()) {
+    ref = free_.back();
+    free_.pop_back();
+    nodes_[ref] = {var, low, high};
   } else {
-    tables_->var_refs_stale.store(true, std::memory_order_relaxed);
+    check_internal(nodes_.size() < UINT32_MAX, "BDD node table overflow");
+    ref = static_cast<Ref>(nodes_.size());
+    nodes_.push_back({var, low, high});
   }
+  unique_.emplace(key, ref);
+  var_refs_[static_cast<std::size_t>(var)].push_back(ref);
   return ref;
 }
 
@@ -163,10 +89,10 @@ Bdd::Ref Bdd::apply_not(Ref a) {
   if (a == kFalse) return kTrue;
   if (a == kTrue) return kFalse;
   const OpKey key{Op::kNot, a, 0};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
   const Node n = node(a);
   Ref result = make(n.var, apply_not(n.low), apply_not(n.high));
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
@@ -197,10 +123,9 @@ Bdd::Ref Bdd::apply(Op op, Ref a, Ref b) {
   // Commutative ops: canonicalise the operand order for the cache.
   if (a > b) std::swap(a, b);
   const OpKey key{op, a, b};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
 
-  // Copy: the arena entries themselves are stable, but holding a
-  // reference across a recursion that may reuse freed slots is fragile.
+  // Copy: recursive calls may grow nodes_ and invalidate references.
   const int la = node_level(a);
   const int lb = node_level(b);
   const Node na = node(a);
@@ -211,7 +136,7 @@ Bdd::Ref Bdd::apply(Op op, Ref a, Ref b) {
   const Ref b_low = lb <= la ? nb.low : b;
   const Ref b_high = lb <= la ? nb.high : b;
   Ref result = make(v, apply(op, a_low, b_low), apply(op, a_high, b_high));
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
@@ -273,36 +198,13 @@ double Bdd::sat_count(Ref a) const {
   return count(count, a) * static_cast<double>(1ULL << level(a));
 }
 
-void Bdd::rebuild_var_refs() {
-  for (auto& refs : var_refs_) refs.clear();
-  const std::size_t limit = size();
-  for (std::size_t block = 0; block < kMaxBlocks; ++block) {
-    const Node* storage = tables_->blocks[block].load(std::memory_order_acquire);
-    if (storage == nullptr) continue;
-    const std::size_t start = block_start(block);
-    if (start >= limit) break;
-    const std::size_t end = std::min(limit, start + block_capacity(block));
-    for (std::size_t slot = std::max<std::size_t>(start, 2); slot < end;
-         ++slot) {
-      const int var = storage[slot - start].var;
-      if (var >= 0 && var < var_count_)
-        var_refs_[static_cast<std::size_t>(var)].push_back(
-            static_cast<Ref>(slot));
-    }
-  }
-  tables_->var_refs_stale.store(false, std::memory_order_relaxed);
-}
-
 void Bdd::swap_adjacent_levels(int level) {
   check_internal(level >= 0 && level + 1 < var_count_,
                  "BDD level swap out of range");
-  if (tables_->var_refs_stale.load(std::memory_order_relaxed))
-    rebuild_var_refs();
   const int v = var_at_level_[static_cast<std::size_t>(level)];
   const int w = var_at_level_[static_cast<std::size_t>(level + 1)];
   // Op-cache results bake in the old level comparisons.
-  clear_op_cache();
-  in_swap_ = true;
+  cache_.clear();
   // make(v, ...) below appends rebuilt cofactor nodes to var_refs_[v], so
   // move the worklist out first; v-nodes independent of w go back in at the
   // end (they simply ride down one level, their structure untouched).
@@ -323,7 +225,7 @@ void Bdd::swap_adjacent_levels(int level) {
     }
   };
   for (Ref r : worklist) {
-    const Node n = node(r);  // copy: make() rewrites slots in place
+    const Node n = node(r);  // copy: make() may reallocate nodes_
     if (!((!is_terminal(n.low) && node(n.low).var == w) ||
           (!is_terminal(n.high) && node(n.high).var == w))) {
       // Independent of w: the node keeps its variable and structure.
@@ -335,27 +237,14 @@ void Bdd::swap_adjacent_levels(int level) {
     split(n.high, h0, h1);
     // <v, L, H> = <w, <v, l0, h0>, <v, l1, h1>> once w is above v. The
     // rewrite is in place so every external ref to r keeps its meaning.
-    {
-      const UniqueKey old_key{n.var, n.low, n.high};
-      UniqueShard& shard = unique_shard(old_key);
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      if (shard.map.erase(old_key) != 0)
-        tables_->unique_count.value.fetch_sub(1, std::memory_order_relaxed);
-    }
+    unique_.erase(UniqueKey{n.var, n.low, n.high});
     const Ref nlow = make(v, l0, h0);
     const Ref nhigh = make(v, l1, h1);
     // nlow != nhigh: r depends on w (a reduced child decides it), so its
     // two w-cofactors are distinct functions and make() is canonical.
     check_internal(nlow != nhigh, "BDD level swap collapsed a node");
-    node_mut(r) = {w, nlow, nhigh};
-    bool inserted;
-    {
-      const UniqueKey new_key{w, nlow, nhigh};
-      UniqueShard& shard = unique_shard(new_key);
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      inserted = shard.map.emplace(new_key, r).second;
-    }
-    if (inserted) tables_->unique_count.add(1);
+    nodes_[r] = {w, nlow, nhigh};
+    const bool inserted = unique_.emplace(UniqueKey{w, nlow, nhigh}, r).second;
     // Canonicity argument: distinct allocated nodes denote distinct
     // functions, the rewrite preserves r's function, and every other
     // <w, ., .> node denotes some other function -- so no collision.
@@ -368,7 +257,6 @@ void Bdd::swap_adjacent_levels(int level) {
             var_at_level_[static_cast<std::size_t>(level + 1)]);
   level_of_[static_cast<std::size_t>(v)] = level + 1;
   level_of_[static_cast<std::size_t>(w)] = level;
-  in_swap_ = false;
 }
 
 std::size_t Bdd::level_width(int level) const {
@@ -379,9 +267,8 @@ std::size_t Bdd::level_width(int level) const {
 }
 
 void Bdd::collect_garbage(const std::vector<Ref>& roots) {
-  clear_op_cache();  // cached results may reference nodes about to die
-  const std::size_t limit = size();
-  std::vector<bool> marked(limit, false);
+  cache_.clear();  // cached results may reference nodes about to die
+  std::vector<bool> marked(nodes_.size(), false);
   std::vector<Ref> stack;
   for (Ref r : roots)
     if (!is_terminal(r) && !marked[r]) {
@@ -398,34 +285,22 @@ void Bdd::collect_garbage(const std::vector<Ref>& roots) {
       }
   }
   // Only entries still in the unique table are allocated; previously freed
-  // slots are already on the free list and must not be pushed twice.
+  // slots are already on free_ and must not be pushed twice.
   std::vector<Ref> dead;
-  for (UniqueShard& shard : tables_->unique) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (!marked[it->second]) {
-        dead.push_back(it->second);
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = unique_.begin(); it != unique_.end();) {
+    if (!marked[it->second]) {
+      dead.push_back(it->second);
+      it = unique_.erase(it);
+    } else {
+      ++it;
     }
   }
-  tables_->unique_count.value.fetch_sub(dead.size(),
-                                        std::memory_order_relaxed);
   std::sort(dead.begin(), dead.end());
-  for (Ref r : dead) node_mut(r).var = kFreeVar;
-  {
-    std::lock_guard<std::mutex> lock(tables_->free_mutex);
-    tables_->free.insert(tables_->free.end(), dead.begin(), dead.end());
-    tables_->free_count.store(tables_->free.size());
-  }
+  free_.insert(free_.end(), dead.begin(), dead.end());
   for (auto& refs : var_refs_) refs.clear();
-  for (std::size_t r = 2; r < limit; ++r)
+  for (Ref r = 2; r < nodes_.size(); ++r)
     if (marked[r])
-      var_refs_[static_cast<std::size_t>(node(static_cast<Ref>(r)).var)]
-          .push_back(static_cast<Ref>(r));
-  tables_->var_refs_stale.store(false, std::memory_order_relaxed);
+      var_refs_[static_cast<std::size_t>(nodes_[r].var)].push_back(r);
 }
 
 std::size_t Bdd::live_size(const std::vector<Ref>& roots) const {

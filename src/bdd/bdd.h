@@ -18,31 +18,16 @@
 // every Ref's meaning, so only collect_garbage() invalidates refs (and only
 // unreachable ones).
 //
-// -- Thread safety ------------------------------------------------------------
-//
-// Node construction and the boolean operations (var / nvar / apply_* /
-// ite) may run from many threads concurrently: the unique table and the
-// operation cache are split into cache-line-padded, striped-lock shards
-// addressed by key hash, and nodes live in a segmented arena whose blocks
-// never move, so node(ref) stays valid while other workers allocate. The
-// STRUCTURAL phases (swap_adjacent_levels / collect_garbage / sift /
-// set_order) stay single-threaded by contract: the caller must hold all
-// workers parked. Read-only walks (sat_count, evaluate, node_count) are
-// safe concurrently with each other and with node construction.
+// A manager is single-threaded: every tree is analysed on one thread
+// (DESIGN.md section 12), so a manager is never shared between workers.
 
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "bdd/sifting.h"
-#include "core/sync.h"
 
 namespace ftsynth {
 
@@ -58,11 +43,6 @@ class Bdd {
   static constexpr Ref kTrue = 1;
 
   Bdd();
-  ~Bdd();
-  Bdd(Bdd&&) noexcept;
-  Bdd& operator=(Bdd&&) noexcept;
-  Bdd(const Bdd&) = delete;
-  Bdd& operator=(const Bdd&) = delete;
 
   /// Declares a fresh variable; variables are ordered by declaration.
   int new_var();
@@ -102,15 +82,11 @@ class Bdd {
   std::size_t node_count(Ref a) const;
 
   /// Total node slots allocated by this manager (live + reclaimable).
-  std::size_t size() const noexcept {
-    return tables_->next_slot.load(std::memory_order_relaxed);
-  }
+  std::size_t size() const noexcept { return nodes_.size(); }
 
   /// Live unique-table entries (every allocated node that has not been
   /// garbage collected).
-  std::size_t table_size() const noexcept {
-    return tables_->unique_count.load(std::memory_order_relaxed);
-  }
+  std::size_t table_size() const noexcept { return unique_.size(); }
 
   /// Evaluates under a full assignment (indexed by variable).
   bool evaluate(Ref a, const std::vector<bool>& assignment) const;
@@ -124,13 +100,9 @@ class Bdd {
     Ref low;   ///< cofactor with var = false
     Ref high;  ///< cofactor with var = true
   };
-  /// The node behind `a`. The returned reference stays valid while other
-  /// threads allocate: arena blocks never move or shrink.
-  const Node& node(Ref a) const noexcept {
-    const std::size_t block = block_index(a);
-    return tables_->blocks[block].load(std::memory_order_acquire)
-        [a - block_start(block)];
-  }
+  /// The node behind `a`. The reference is invalidated by the next node
+  /// allocation: copy the node before building anything.
+  const Node& node(Ref a) const noexcept { return nodes_[a]; }
   bool is_terminal(Ref a) const noexcept { return a <= kTrue; }
 
   // -- Dynamic reordering ------------------------------------------------------
@@ -207,90 +179,16 @@ class Bdd {
   /// Level of a node's decision variable; terminals sort below everything.
   int node_level(Ref a) const noexcept;
 
-  /// "No cached result" sentinel; never a valid Ref.
-  static constexpr Ref kNoEntry = 0xFFFFFFFFu;
-
-  // Segmented node arena (same layout as Zbdd's): block k holds
-  // 2^(kBlockBits + k) slots, published once and never moved.
-  static constexpr unsigned kBlockBits = 12;
-  static constexpr std::size_t kMaxBlocks = 21;
-  static constexpr unsigned kShardBits = 6;  ///< 64-way striping
-  static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
-
-  static std::size_t block_index(Ref a) noexcept {
-    return static_cast<std::size_t>(
-               std::bit_width((static_cast<std::uint32_t>(a) >> kBlockBits) +
-                              1u)) -
-           1;
-  }
-  static std::size_t block_start(std::size_t block) noexcept {
-    return ((std::size_t{1} << block) - 1) << kBlockBits;
-  }
-  static std::size_t block_capacity(std::size_t block) noexcept {
-    return std::size_t{1} << (kBlockBits + block);
-  }
-
-  struct alignas(kCacheLineSize) UniqueShard {
-    std::mutex mutex;
-    std::unordered_map<UniqueKey, Ref, UniqueHash> map;
-  };
-  struct alignas(kCacheLineSize) OpShard {
-    std::mutex mutex;
-    std::unordered_map<OpKey, Ref, OpHash> map;
-  };
-
-  /// Everything touched from concurrent workers; heap-held behind a
-  /// unique_ptr so the manager stays movable (mutexes and atomics are
-  /// not) and so shard padding does not bloat the by-value object.
-  struct Tables {
-    std::array<std::atomic<Node*>, kMaxBlocks> blocks{};
-    std::mutex grow_mutex;                   ///< guards block creation
-    PaddedAtomic<std::size_t> next_slot;     ///< allocation high-water mark
-    PaddedAtomic<std::size_t> unique_count;  ///< live unique-table entries
-    PaddedAtomic<std::size_t> free_count;    ///< |free| mirror: lock-free peek
-    /// make() outside a swap no longer maintains var_refs_ (that would
-    /// serialise workers on per-variable lists); it raises this flag and
-    /// the structural phases rebuild the lists from an arena scan.
-    std::atomic<bool> var_refs_stale{false};
-    std::mutex free_mutex;
-    std::vector<Ref> free;  ///< collected slots awaiting reuse
-    std::array<UniqueShard, kShardCount> unique;
-    std::array<OpShard, kShardCount> cache;
-
-    ~Tables() {
-      for (std::atomic<Node*>& block : blocks)
-        delete[] block.load(std::memory_order_relaxed);
-    }
-  };
-
-  Node& node_mut(Ref a) noexcept {
-    const std::size_t block = block_index(a);
-    return tables_->blocks[block].load(std::memory_order_relaxed)
-        [a - block_start(block)];
-  }
-  UniqueShard& unique_shard(const UniqueKey& key) const noexcept {
-    return tables_->unique[shard_index(UniqueHash{}(key), kShardBits)];
-  }
-  OpShard& op_shard(const OpKey& key) const noexcept {
-    return tables_->cache[shard_index(OpHash{}(key), kShardBits)];
-  }
-  Ref cache_get(const OpKey& key) const;
-  void cache_put(const OpKey& key, Ref result);
-  void clear_op_cache();
-  void ensure_block(std::size_t block);
-  Ref allocate_slot();
-  void rebuild_var_refs();
-
-  std::unique_ptr<Tables> tables_;
+  std::vector<Node> nodes_;
+  std::unordered_map<UniqueKey, Ref, UniqueHash> unique_;
+  std::unordered_map<OpKey, Ref, OpHash> cache_;
   std::vector<int> level_of_;      ///< level_of_[var]; identity by default
   std::vector<int> var_at_level_;  ///< inverse of level_of_
   /// Every allocated (not yet collected) ref whose node decides this
-  /// variable -- the swap primitive's per-level worklist. Maintained only
-  /// inside the single-threaded structural phases; rebuilt on demand when
-  /// concurrent allocation marked it stale.
+  /// variable -- the swap primitive's per-level worklist.
   std::vector<std::vector<Ref>> var_refs_;
+  std::vector<Ref> free_;  ///< collected slots awaiting reuse
   int var_count_ = 0;
-  bool in_swap_ = false;  ///< swap rewrite in progress
 };
 
 }  // namespace ftsynth

@@ -10,54 +10,11 @@ namespace ftsynth {
 
 namespace {
 constexpr int kTerminalVar = INT_MAX;
-/// Marks freed (or never-constructed) arena slots so structural scans can
-/// tell them from live nodes without consulting the free list.
-constexpr int kFreeVar = -1;
 }  // namespace
 
-Zbdd::Zbdd() : tables_(std::make_unique<Tables>()) {
-  ensure_block(0);
-  node_mut(kEmpty) = {kTerminalVar, kEmpty, kEmpty};  // 0: {}
-  node_mut(kBase) = {kTerminalVar, kBase, kBase};     // 1: {{}}
-  tables_->next_slot.store(2);
-}
-
-Zbdd::~Zbdd() = default;
-Zbdd::Zbdd(Zbdd&&) noexcept = default;
-Zbdd& Zbdd::operator=(Zbdd&&) noexcept = default;
-
-void Zbdd::ensure_block(std::size_t block) {
-  check_internal(block < kMaxBlocks, "ZBDD node table overflow");
-  if (tables_->blocks[block].load(std::memory_order_acquire) != nullptr)
-    return;
-  std::lock_guard<std::mutex> lock(tables_->grow_mutex);
-  if (tables_->blocks[block].load(std::memory_order_relaxed) != nullptr)
-    return;
-  const std::size_t capacity = block_capacity(block);
-  Node* storage = new Node[capacity];
-  // Pre-mark every slot free: a slot becomes live only when make() writes
-  // real fields, so scans never misread an unconstructed slot.
-  for (std::size_t i = 0; i < capacity; ++i)
-    storage[i] = {kFreeVar, kEmpty, kEmpty};
-  tables_->blocks[block].store(storage, std::memory_order_release);
-}
-
-Zbdd::Ref Zbdd::allocate_slot() {
-  if (tables_->free_count.load() != 0) {
-    std::lock_guard<std::mutex> lock(tables_->free_mutex);
-    if (!tables_->free.empty()) {
-      const Ref ref = tables_->free.back();
-      tables_->free.pop_back();
-      tables_->free_count.store(tables_->free.size());
-      return ref;
-    }
-  }
-  const std::size_t slot = tables_->next_slot.value.fetch_add(
-      1, std::memory_order_relaxed);
-  check_internal(slot < kNoEntry, "ZBDD node table overflow");
-  const Ref ref = static_cast<Ref>(slot);
-  ensure_block(block_index(ref));
-  return ref;
+Zbdd::Zbdd() {
+  nodes_.push_back({kTerminalVar, kEmpty, kEmpty});  // 0: {}
+  nodes_.push_back({kTerminalVar, kBase, kBase});    // 1: {{}}
 }
 
 int Zbdd::new_var() {
@@ -101,72 +58,32 @@ int Zbdd::var_level(int var) const noexcept {
 
 int Zbdd::node_level(Ref a) const noexcept { return var_level(node(a).var); }
 
-Zbdd::Ref Zbdd::cache_get(const OpKey& key) const {
-  OpShard& shard = op_shard(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  return it == shard.map.end() ? kNoEntry : it->second;
-}
-
-void Zbdd::cache_put(const OpKey& key, Ref result) {
-  OpShard& shard = op_shard(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.map.emplace(key, result);
-}
-
-void Zbdd::clear_op_cache() {
-  for (OpShard& shard : tables_->cache) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-}
-
 Zbdd::Ref Zbdd::make(int var, Ref low, Ref high) {
   if (high == kEmpty) return low;  // zero-suppression rule
   const UniqueKey key{var, low, high};
-  UniqueShard& shard = unique_shard(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end())
-      return it->second;
-  }
+  if (auto it = unique_.find(key); it != unique_.end()) return it->second;
   // A level swap rewrites nodes in place and must run to completion -- a
   // half-swapped level is not a valid diagram -- so interrupts are deferred
   // to the swap boundaries (the sifting driver polls there).
   if (!in_swap_) {
     if (budget_ != nullptr && budget_->poll()) throw Interrupt{true};
-    if (node_limit_ != 0 && live_slot_estimate() >= node_limit_)
+    if (node_limit_ != 0 && nodes_.size() - free_.size() >= node_limit_)
       throw Interrupt{false};
   }
-  // Allocation happens under the owning shard's lock: one canonical node
-  // per key no matter how concurrent make() calls interleave. The node's
-  // fields are written before the shard lock is released, so any thread
-  // that learns the ref -- through this map, an op-cache shard or a
-  // conversion memo slot -- reads them across a happens-before edge.
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.map.emplace(key, kEmpty);
-  if (!inserted) return it->second;  // lost an insert race after the peek
   Ref ref;
-  try {
-    ref = allocate_slot();
-  } catch (...) {
-    shard.map.erase(it);
-    throw;
-  }
-  node_mut(ref) = {var, low, high};
-  it->second = ref;
-  const std::size_t entries = tables_->unique_count.value.fetch_add(
-                                  1, std::memory_order_relaxed) +
-                              1;
-  if (in_swap_) {
-    // Single-threaded rewrite: maintain the worklists directly.
-    var_refs_[static_cast<std::size_t>(var)].push_back(ref);
+  if (!free_.empty()) {
+    ref = free_.back();
+    free_.pop_back();
+    nodes_[ref] = {var, low, high};
   } else {
-    tables_->var_refs_stale.store(true, std::memory_order_relaxed);
-    if (auto_reorder_ && entries >= reorder_threshold_ &&
-        !tables_->reorder_pending.load(std::memory_order_relaxed))
-      tables_->reorder_pending.store(true, std::memory_order_relaxed);
+    check_internal(nodes_.size() < UINT32_MAX, "ZBDD node table overflow");
+    ref = static_cast<Ref>(nodes_.size());
+    nodes_.push_back({var, low, high});
   }
+  unique_.emplace(key, ref);
+  var_refs_[static_cast<std::size_t>(var)].push_back(ref);
+  if (auto_reorder_ && !in_swap_ && unique_.size() >= reorder_threshold_)
+    reorder_pending_ = true;
   return ref;
 }
 
@@ -181,9 +98,8 @@ Zbdd::Ref Zbdd::set_union(Ref a, Ref b) {
   if (b == kEmpty) return a;
   if (a > b) std::swap(a, b);  // commutative: canonical cache key
   const OpKey key{Op::kUnion, a, b};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
-  // Copy: the arena entries themselves are stable, but holding a
-  // reference across a recursion that may reuse freed slots is fragile.
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
+  // Copy: recursive calls may grow nodes_ and invalidate references.
   const Node na = node(a);
   const Node nb = node(b);
   const int la = var_level(na.var);
@@ -198,7 +114,7 @@ Zbdd::Ref Zbdd::set_union(Ref a, Ref b) {
   } else {
     result = make(nb.var, set_union(nb.low, a), nb.high);
   }
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
@@ -207,7 +123,7 @@ Zbdd::Ref Zbdd::set_intersection(Ref a, Ref b) {
   if (a == kEmpty || b == kEmpty) return kEmpty;
   if (a > b) std::swap(a, b);
   const OpKey key{Op::kIntersection, a, b};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
   const Node na = node(a);
   const Node nb = node(b);
   const int la = var_level(na.var);
@@ -222,7 +138,7 @@ Zbdd::Ref Zbdd::set_intersection(Ref a, Ref b) {
   } else {
     result = set_intersection(nb.low, a);
   }
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
@@ -232,7 +148,7 @@ Zbdd::Ref Zbdd::product(Ref a, Ref b) {
   if (b == kBase) return a;
   if (a > b) std::swap(a, b);  // pairwise union is commutative
   const OpKey key{Op::kProduct, a, b};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
   const Node na = node(a);
   const Node nb = node(b);
   const int la = var_level(na.var);
@@ -249,7 +165,7 @@ Zbdd::Ref Zbdd::product(Ref a, Ref b) {
     const Ref other = la < lb ? b : a;
     result = make(top.var, product(top.low, other), product(top.high, other));
   }
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
@@ -259,7 +175,7 @@ Zbdd::Ref Zbdd::without(Ref a, Ref b) {
   if (b == kBase) return kEmpty;  // {} is a subset of every set
   if (a == b) return kEmpty;      // every set subsumes itself
   const OpKey key{Op::kWithout, a, b};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
   const Node na = node(a);
   const Node nb = node(b);
   const int la = var_level(na.var);
@@ -278,21 +194,21 @@ Zbdd::Ref Zbdd::without(Ref a, Ref b) {
     // b-sets without it -- b.low -- can subsume them.
     result = without(a, nb.low);
   }
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
 Zbdd::Ref Zbdd::minimal(Ref a) {
   if (is_terminal(a)) return a;
   const OpKey key{Op::kMinimal, a, 0};
-  if (const Ref hit = cache_get(key); hit != kNoEntry) return hit;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
   const Node n = node(a);
   // A set v+s (s in high) is non-minimal iff s' <= s for some s' already
   // minimal in high, or t <= s for some t in low (t has no v).
   Ref low = minimal(n.low);
   Ref high = without(minimal(n.high), low);
   Ref result = make(n.var, low, high);
-  cache_put(key, result);
+  cache_.emplace(key, result);
   return result;
 }
 
@@ -343,35 +259,13 @@ void Zbdd::for_each_set(
   walk(walk, a);
 }
 
-void Zbdd::rebuild_var_refs() {
-  for (auto& refs : var_refs_) refs.clear();
-  const std::size_t limit = size();
-  for (std::size_t block = 0; block < kMaxBlocks; ++block) {
-    const Node* storage = tables_->blocks[block].load(std::memory_order_acquire);
-    if (storage == nullptr) continue;
-    const std::size_t start = block_start(block);
-    if (start >= limit) break;
-    const std::size_t end = std::min(limit, start + block_capacity(block));
-    for (std::size_t slot = std::max<std::size_t>(start, 2); slot < end;
-         ++slot) {
-      const int var = storage[slot - start].var;
-      if (var >= 0 && var < var_count_)
-        var_refs_[static_cast<std::size_t>(var)].push_back(
-            static_cast<Ref>(slot));
-    }
-  }
-  tables_->var_refs_stale.store(false, std::memory_order_relaxed);
-}
-
 void Zbdd::swap_adjacent_levels(int level) {
   check_internal(level >= 0 && level + 1 < var_count_,
                  "ZBDD level swap out of range");
-  if (tables_->var_refs_stale.load(std::memory_order_relaxed))
-    rebuild_var_refs();
   const int v = var_at_level_[static_cast<std::size_t>(level)];
   const int w = var_at_level_[static_cast<std::size_t>(level + 1)];
   // Op-cache results bake in the old level comparisons.
-  clear_op_cache();
+  cache_.clear();
   in_swap_ = true;
   // make(v, ...) below appends rebuilt cofactor nodes to var_refs_[v], so
   // move the worklist out first; v-nodes independent of w go back in at the
@@ -392,7 +286,7 @@ void Zbdd::swap_adjacent_levels(int level) {
     }
   };
   for (Ref r : worklist) {
-    const Node n = node(r);  // copy: make() rewrites slots in place
+    const Node n = node(r);  // copy: make() may reallocate nodes_
     Ref l0, l1, h0, h1;
     split(n.low, l0, l1);
     split(n.high, h0, h1);
@@ -403,27 +297,13 @@ void Zbdd::swap_adjacent_levels(int level) {
     }
     // <v, L, H> = <w, <v, l0, h0>, <v, l1, h1>> once w is above v. The
     // rewrite is in place so every external ref to r keeps its meaning.
-    {
-      const UniqueKey old_key{n.var, n.low, n.high};
-      UniqueShard& shard = unique_shard(old_key);
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      if (shard.map.erase(old_key) != 0)
-        tables_->unique_count.value.fetch_sub(1, std::memory_order_relaxed);
-    }
+    unique_.erase(UniqueKey{n.var, n.low, n.high});
     const Ref nlow = make(v, l0, h0);
     const Ref nhigh = make(v, l1, h1);
     // nhigh != kEmpty: l1/h1 are not both empty, so the node stays valid
     // under zero-suppression.
-    node_mut(r) = {w, nlow, nhigh};
-    bool inserted;
-    {
-      const UniqueKey new_key{w, nlow, nhigh};
-      UniqueShard& shard = unique_shard(new_key);
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      inserted = shard.map.emplace(new_key, r).second;
-    }
-    if (inserted)
-      tables_->unique_count.value.fetch_add(1, std::memory_order_relaxed);
+    nodes_[r] = {w, nlow, nhigh};
+    const bool inserted = unique_.emplace(UniqueKey{w, nlow, nhigh}, r).second;
     // Canonicity argument: distinct allocated nodes denote distinct
     // families, the rewrite preserves r's family, and every other
     // <w, ., .> node denotes some other family -- so no collision.
@@ -447,9 +327,8 @@ std::size_t Zbdd::level_width(int level) const {
 }
 
 void Zbdd::collect_garbage(const std::vector<Ref>& roots) {
-  clear_op_cache();  // cached results may reference nodes about to die
-  const std::size_t limit = size();
-  std::vector<bool> marked(limit, false);
+  cache_.clear();  // cached results may reference nodes about to die
+  std::vector<bool> marked(nodes_.size(), false);
   std::vector<Ref> stack;
   for (Ref r : roots)
     if (!is_terminal(r) && !marked[r]) {
@@ -466,34 +345,22 @@ void Zbdd::collect_garbage(const std::vector<Ref>& roots) {
       }
   }
   // Only entries still in the unique table are allocated; previously freed
-  // slots are already on the free list and must not be pushed twice.
+  // slots are already on free_ and must not be pushed twice.
   std::vector<Ref> dead;
-  for (UniqueShard& shard : tables_->unique) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (!marked[it->second]) {
-        dead.push_back(it->second);
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = unique_.begin(); it != unique_.end();) {
+    if (!marked[it->second]) {
+      dead.push_back(it->second);
+      it = unique_.erase(it);
+    } else {
+      ++it;
     }
   }
-  tables_->unique_count.value.fetch_sub(dead.size(),
-                                        std::memory_order_relaxed);
   std::sort(dead.begin(), dead.end());
-  for (Ref r : dead) node_mut(r).var = kFreeVar;
-  {
-    std::lock_guard<std::mutex> lock(tables_->free_mutex);
-    tables_->free.insert(tables_->free.end(), dead.begin(), dead.end());
-    tables_->free_count.store(tables_->free.size());
-  }
+  free_.insert(free_.end(), dead.begin(), dead.end());
   for (auto& refs : var_refs_) refs.clear();
-  for (std::size_t r = 2; r < limit; ++r)
+  for (Ref r = 2; r < nodes_.size(); ++r)
     if (marked[r])
-      var_refs_[static_cast<std::size_t>(node(static_cast<Ref>(r)).var)]
-          .push_back(static_cast<Ref>(r));
-  tables_->var_refs_stale.store(false, std::memory_order_relaxed);
+      var_refs_[static_cast<std::size_t>(nodes_[r].var)].push_back(r);
 }
 
 std::size_t Zbdd::live_size(const std::vector<Ref>& roots) const {
@@ -522,7 +389,7 @@ std::size_t Zbdd::live_size(const std::vector<Ref>& roots) const {
 SiftStats Zbdd::sift(const std::vector<Ref>& roots,
                      const SiftOptions& options) {
   SiftStats stats = rudell_sift(*this, roots, options);
-  tables_->reorder_pending.store(false, std::memory_order_relaxed);
+  reorder_pending_ = false;
   // Rearm well above the new live size so the trigger means real growth,
   // not the table crossing the same threshold again right away.
   reorder_threshold_ =
@@ -533,12 +400,12 @@ SiftStats Zbdd::sift(const std::vector<Ref>& roots,
 void Zbdd::set_auto_reorder(bool on, std::size_t threshold) {
   auto_reorder_ = on;
   reorder_threshold_ = threshold != 0 ? threshold : kDefaultReorderThreshold;
-  if (!on) tables_->reorder_pending.store(false, std::memory_order_relaxed);
+  if (!on) reorder_pending_ = false;
 }
 
 std::optional<SiftStats> Zbdd::maybe_reorder(const std::vector<Ref>& roots,
                                              const SiftOptions& options) {
-  if (!reorder_pending()) return std::nullopt;
+  if (!reorder_pending_) return std::nullopt;
   return sift(roots, options);
 }
 

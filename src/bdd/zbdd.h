@@ -30,42 +30,19 @@
 // (collect_garbage) invalidates refs, and only those unreachable from the
 // roots the caller passes.
 //
-// -- Thread safety ------------------------------------------------------------
-//
-// Node construction and the family operations (single / set_union /
-// set_intersection / product / without / minimal) may be called from many
-// threads concurrently: the unique table and the operation cache are
-// split into cache-line-padded, striped-lock shards addressed by key
-// hash, and nodes live in a segmented arena whose blocks never move, so
-// node(ref) stays valid while other workers allocate. Canonicity is
-// preserved under contention -- allocation happens under the owning
-// unique shard's lock, so one key maps to exactly one node no matter how
-// calls interleave (racing recomputations of the same operation re-find
-// the same nodes and create nothing new).
-//
-// The STRUCTURAL phases stay single-threaded by contract: callers of
-// swap_adjacent_levels / collect_garbage / sift / set_order must hold all
-// workers parked (the conversion engine uses a stop-the-world rendezvous,
-// see analysis/cutsets.cpp). The read-only walks (set_count, node_count,
-// for_each_set, level queries) are safe concurrently with each other and
-// with node construction, but not with the structural phases.
+// A manager is single-threaded: every tree is analysed on one thread
+// (DESIGN.md section 12), so a manager is never shared between workers.
 
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "bdd/sifting.h"
 #include "core/budget.h"
-#include "core/sync.h"
 
 namespace ftsynth {
 
@@ -81,11 +58,6 @@ class Zbdd {
   static constexpr Ref kBase = 1;   ///< {{}}: only the empty set
 
   Zbdd();
-  ~Zbdd();
-  Zbdd(Zbdd&&) noexcept;
-  Zbdd& operator=(Zbdd&&) noexcept;
-  Zbdd(const Zbdd&) = delete;
-  Zbdd& operator=(const Zbdd&) = delete;
 
   /// Declares a fresh variable; the initial order is declaration order
   /// (earlier declaration = closer to the root) until set_order() or a
@@ -132,15 +104,11 @@ class Zbdd {
   std::size_t node_count(Ref a) const;
 
   /// Total node slots allocated by this manager (live + reclaimable).
-  std::size_t size() const noexcept {
-    return tables_->next_slot.load(std::memory_order_relaxed);
-  }
+  std::size_t size() const noexcept { return nodes_.size(); }
 
   /// Live unique-table entries (every allocated node that has not been
   /// garbage collected). The unique-table-pressure metric.
-  std::size_t table_size() const noexcept {
-    return tables_->unique_count.load(std::memory_order_relaxed);
-  }
+  std::size_t table_size() const noexcept { return unique_.size(); }
 
   /// Visits every set of the family, each as a vector of variables in
   /// diagram (level) order -- ascending variable index only while the
@@ -154,13 +122,9 @@ class Zbdd {
     Ref low;   ///< sets without var
     Ref high;  ///< sets with var (var itself stripped)
   };
-  /// The node behind `a`. The returned reference stays valid while other
-  /// threads allocate: arena blocks never move or shrink.
-  const Node& node(Ref a) const noexcept {
-    const std::size_t block = block_index(a);
-    return tables_->blocks[block].load(std::memory_order_acquire)
-        [a - block_start(block)];
-  }
+  /// The node behind `a`. The reference is invalidated by the next node
+  /// allocation: copy the node before building anything.
+  const Node& node(Ref a) const noexcept { return nodes_[a]; }
   bool is_terminal(Ref a) const noexcept { return a <= kBase; }
 
   // -- Dynamic reordering ------------------------------------------------------
@@ -168,8 +132,7 @@ class Zbdd {
   // The Rudell machinery (see bdd/sifting.h for the schedule). A swap
   // rewrites every node of `level` that depends on the variable below it
   // IN PLACE -- external refs keep their meaning -- and invalidates the
-  // operation cache. Never call it while an operation is on the stack,
-  // and never while any other thread touches the manager.
+  // operation cache. Never call it while an operation is on the stack.
 
   /// Exchanges the variables at `level` and `level + 1`.
   void swap_adjacent_levels(int level);
@@ -200,9 +163,7 @@ class Zbdd {
   /// safe point via maybe_reorder(). make() itself never reorders --
   /// operations hold node copies on the stack that a swap would bypass.
   void set_auto_reorder(bool on, std::size_t threshold = 0);
-  bool reorder_pending() const noexcept {
-    return tables_->reorder_pending.load(std::memory_order_relaxed);
-  }
+  bool reorder_pending() const noexcept { return reorder_pending_; }
 
   /// sift() if a pressure-triggered reorder is pending, else nothing.
   std::optional<SiftStats> maybe_reorder(const std::vector<Ref>& roots,
@@ -225,9 +186,7 @@ class Zbdd {
 
   /// Polled (amortised) on every node allocation. Null disables the check.
   void set_budget(Budget* budget) noexcept { budget_ = budget; }
-  /// Node ceiling (0 = unlimited). Concurrent workers check it against a
-  /// relaxed live count, so the ceiling can overshoot by a handful of
-  /// racing allocations -- it is a resource guard, not an exact quota.
+  /// Node ceiling (0 = unlimited): live nodes, reclaimable slots excluded.
   void set_node_limit(std::size_t limit) noexcept { node_limit_ = limit; }
 
  private:
@@ -279,104 +238,22 @@ class Zbdd {
   };
 
   static constexpr std::size_t kDefaultReorderThreshold = 4096;
-  /// "No cached result" sentinel; never a valid Ref (the arena caps out
-  /// one below it).
-  static constexpr Ref kNoEntry = 0xFFFFFFFFu;
 
-  // Segmented node arena: block k holds 2^(kBlockBits + k) slots, so ~20
-  // blocks cover the whole 32-bit ref space while refs stay dense. Blocks
-  // are published once with a release store and never move, which is what
-  // lets node(ref) run without a lock while other workers allocate.
-  static constexpr unsigned kBlockBits = 12;
-  static constexpr std::size_t kMaxBlocks = 21;
-  static constexpr unsigned kShardBits = 6;  ///< 64-way striping
-  static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
-
-  static std::size_t block_index(Ref a) noexcept {
-    return static_cast<std::size_t>(
-               std::bit_width((static_cast<std::uint32_t>(a) >> kBlockBits) +
-                              1u)) -
-           1;
-  }
-  static std::size_t block_start(std::size_t block) noexcept {
-    return ((std::size_t{1} << block) - 1) << kBlockBits;
-  }
-  static std::size_t block_capacity(std::size_t block) noexcept {
-    return std::size_t{1} << (kBlockBits + block);
-  }
-
-  struct alignas(kCacheLineSize) UniqueShard {
-    std::mutex mutex;
-    std::unordered_map<UniqueKey, Ref, UniqueHash> map;
-  };
-  struct alignas(kCacheLineSize) OpShard {
-    std::mutex mutex;
-    std::unordered_map<OpKey, Ref, OpHash> map;
-  };
-
-  /// Everything touched from concurrent workers. Heap-held behind a
-  /// unique_ptr so the manager stays movable (mutexes and atomics are
-  /// not) and so shard padding does not bloat the by-value object.
-  struct Tables {
-    std::array<std::atomic<Node*>, kMaxBlocks> blocks{};
-    std::mutex grow_mutex;                   ///< guards block creation
-    PaddedAtomic<std::size_t> next_slot;     ///< allocation high-water mark
-    PaddedAtomic<std::size_t> unique_count;  ///< live unique-table entries
-    PaddedAtomic<std::size_t> free_count;    ///< |free| mirror: lock-free peek
-    std::atomic<bool> reorder_pending{false};
-    /// make() outside a swap no longer maintains var_refs_ (that would
-    /// serialise workers on per-variable lists); it raises this flag and
-    /// the structural phases rebuild the lists from an arena scan.
-    std::atomic<bool> var_refs_stale{false};
-    std::mutex free_mutex;
-    std::vector<Ref> free;  ///< collected slots awaiting reuse
-    std::array<UniqueShard, kShardCount> unique;
-    std::array<OpShard, kShardCount> cache;
-
-    ~Tables() {
-      for (std::atomic<Node*>& block : blocks)
-        delete[] block.load(std::memory_order_relaxed);
-    }
-  };
-
-  Node& node_mut(Ref a) noexcept {
-    const std::size_t block = block_index(a);
-    return tables_->blocks[block].load(std::memory_order_relaxed)
-        [a - block_start(block)];
-  }
-  UniqueShard& unique_shard(const UniqueKey& key) const noexcept {
-    return tables_->unique[shard_index(UniqueHash{}(key), kShardBits)];
-  }
-  OpShard& op_shard(const OpKey& key) const noexcept {
-    return tables_->cache[shard_index(OpHash{}(key), kShardBits)];
-  }
-  Ref cache_get(const OpKey& key) const;
-  void cache_put(const OpKey& key, Ref result);
-  void clear_op_cache();
-  void ensure_block(std::size_t block);
-  Ref allocate_slot();
-  std::size_t live_slot_estimate() const noexcept {
-    const std::size_t allocated =
-        tables_->next_slot.load(std::memory_order_relaxed);
-    const std::size_t freed =
-        tables_->free_count.load(std::memory_order_relaxed);
-    return allocated > freed ? allocated - freed : 0;
-  }
-  void rebuild_var_refs();
-
-  std::unique_ptr<Tables> tables_;
+  std::vector<Node> nodes_;
+  std::unordered_map<UniqueKey, Ref, UniqueHash> unique_;
+  std::unordered_map<OpKey, Ref, OpHash> cache_;
   std::vector<int> level_of_;      ///< level_of_[var]; declaration order start
   std::vector<int> var_at_level_;  ///< inverse of level_of_
   /// Every allocated (not yet collected) ref whose node decides this
-  /// variable -- the swap primitive's per-level worklist. Maintained only
-  /// inside the single-threaded structural phases; rebuilt on demand when
-  /// concurrent allocation marked it stale.
+  /// variable -- the swap primitive's per-level worklist.
   std::vector<std::vector<Ref>> var_refs_;
+  std::vector<Ref> free_;          ///< collected slots awaiting reuse
   int var_count_ = 0;
   Budget* budget_ = nullptr;       ///< not owned
   std::size_t node_limit_ = 0;
   bool in_swap_ = false;           ///< swap rewrite in progress: no interrupts
   bool auto_reorder_ = false;
+  bool reorder_pending_ = false;
   std::size_t reorder_threshold_ = kDefaultReorderThreshold;
 };
 

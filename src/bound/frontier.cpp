@@ -8,22 +8,18 @@
 #include <queue>
 #include <utility>
 
-#include "core/parallel.h"
-#include "core/thread_pool.h"
-
 namespace ftsynth::bound {
 
 namespace {
 
-/// Shard count is a CONSTANT, never derived from the worker count: an
-/// item's home shard depends only on its content, so the frontier's shape
-/// -- and with it every selection, expansion and merge -- is identical
-/// under any --jobs value.
+/// Shard count is a CONSTANT: an item's home shard depends only on its
+/// content, so the frontier's shape -- and with it every selection,
+/// expansion and merge -- is a function of the tree and the limits.
 constexpr std::size_t kShards = 16;
 
 /// Items expanded per round. Also constant: the round boundary is where
-/// convergence and budgets are checked, so the stopping point (and the
-/// reported interval) must not depend on the worker count either.
+/// convergence and budgets are checked, so it fixes the stopping point
+/// (and the reported interval) of an anytime run.
 constexpr std::size_t kRoundWidth = 64;
 
 /// SDP admission caps: a set whose disjoint-product expansion exceeds
@@ -280,8 +276,7 @@ class SdpEngine {
   std::vector<std::vector<int>> admitted_;
 };
 
-/// One expanded item's offspring, produced on a worker and merged in batch
-/// order on the coordinating thread.
+/// One expanded item's offspring, merged into the frontier in batch order.
 struct Expansion {
   std::vector<Item> children;       ///< open and complete alike
   double order_dropped_mass = 0.0;  ///< items cut by max_order
@@ -364,11 +359,8 @@ class Frontier {
     const std::size_t snapshot = emitted_.size();
     // Expansion is read-only on the frontier state: items were popped, the
     // emitted prefix [0, snapshot) is frozen for the round.
-    std::vector<Expansion> expansions = parallel_map(
-        limits_.pool, batch.size(), [&](std::size_t i) -> Expansion {
-          return expand(batch[i], snapshot);
-        });
-    for (Expansion& expansion : expansions) {
+    for (const Item& item : batch) {
+      Expansion expansion = expand(item, snapshot);
       stats_.subsumed += expansion.subsumed;
       if (expansion.order_truncated) truncated_ = true;
       order_dropped_.add(expansion.order_dropped_mass);
@@ -442,9 +434,8 @@ class Frontier {
     return result;
   }
 
-  /// Deterministic single-threaded sink for new items: complete products
-  /// are emitted (SDP-admitted or deferred), open items go to their
-  /// content shard.
+  /// Deterministic sink for new items: complete products are emitted
+  /// (SDP-admitted or deferred), open items go to their content shard.
   void merge_child(Item&& child) {
     if (child.gates.empty()) {
       emit(std::move(child));

@@ -26,12 +26,11 @@
 // exhausted run has emitted every minimal cut set and, absent deferrals,
 // lower == upper == the exact probability.
 //
-// Parallelism is round-synchronised so output is byte-identical across
-// --jobs counts: each round deterministically selects the globally best
-// fixed-size batch of items from a constant number of shards, expands the
-// batch on the pool (determinism by indexing), then merges children and
-// emitted products serially in batch order. Nothing about shard count,
-// batch size or merge order depends on the worker count.
+// The drain is round-synchronised: each round selects the globally best
+// fixed-size batch of items from a constant number of content shards,
+// expands the batch, then merges children and emitted products in batch
+// order. The shard count and the round width decide which items an
+// anytime run expands before it stops, so they decide its output.
 
 #pragma once
 
@@ -40,10 +39,6 @@
 
 #include "bound/pdag.h"
 #include "core/budget.h"
-
-namespace ftsynth {
-class ThreadPool;
-}  // namespace ftsynth
 
 namespace ftsynth::bound {
 
@@ -61,7 +56,6 @@ struct BoundLimits {
   /// Total expansion cap; 0 = unlimited (from Budget::max_nodes).
   std::size_t max_expansions = 0;
   Budget budget;
-  ThreadPool* pool = nullptr;
 };
 
 struct BoundStats {

@@ -1,19 +1,12 @@
-// Scalable-synchronization building blocks for the sharded diagram
-// managers and the intra-tree parallel conversion (DESIGN.md section 12).
-//
-// The shapes here follow the classic scalable-synchronization playbook:
-// counters that different threads bump concurrently live on their own
-// cache line (no false sharing), shared hot structures are split into
-// striped, hash-addressed shards so writers serialise only per shard, and
-// rare global phases (garbage collection, variable reordering) park every
-// worker at a generation-counted rendezvous instead of taking a big lock
-// around the hot path.
+// Cache-line padding for counters that batch-level workers bump
+// concurrently: the cone cache's per-shard statistics and the shared
+// DiagnosticSink's counts. Each independently-written hot word lives on
+// its own cache line so writers never bounce each other's lines.
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 
 namespace ftsynth {
@@ -41,15 +34,5 @@ struct alignas(kCacheLineSize) PaddedAtomic {
     value.store(v, order);
   }
 };
-
-/// Mixes a hash into a shard index in [0, 1 << bits). The multiplier is
-/// the 64-bit golden ratio; taking the TOP bits decorrelates shard choice
-/// from the low bits unordered_map buckets consume, so one shard's map
-/// does not see a biased key distribution.
-inline std::size_t shard_index(std::size_t hash, unsigned bits) noexcept {
-  return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(hash) * 0x9E3779B97F4A7C15ull) >>
-      (64 - bits));
-}
 
 }  // namespace ftsynth

@@ -694,7 +694,6 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
   cut_set_options.bound_mission_time_hours = exec.request.mission_time_hours;
   cut_set_options.bound_default_probability =
       analysis.probability.default_event_probability;
-  cut_set_options.pool = exec.pool;
   // Diagram-native FMEA columns need the ZBDD engine's retained diagram.
   const bool fmea_diagram = exec.request.prob_mode != ProbMode::kCutSets &&
                             exec.request.engine == CutSetEngine::kZbdd;

@@ -3,8 +3,8 @@
 // exhaustion, limit/deadline diagnostics, and --jobs determinism.
 //
 // Suites are named Bound* so the TSan job's suite regex
-// (Concurrency|Parallel|Reorder|Service|Bound) covers the parallel
-// frontier drain.
+// (Concurrency|Parallel|Reorder|Service|Bound) covers bound-engine trees
+// drained concurrently under batch-level --jobs.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/batch.h"
 #include "analysis/cutsets.h"
 #include "analysis/ordering.h"
 #include "analysis/probability.h"
@@ -267,23 +268,34 @@ TEST(BoundFrontier, ExpansionBudgetTruncates) {
 }
 
 TEST(BoundParallel, OutputByteIdenticalAcrossJobs) {
-  FaultTree tree = frontier_tree(12, 6);
-  CutSetOptions serial;
-  serial.engine = CutSetEngine::kBound;
-  serial.bound_epsilon = -1.0;
-  CutSetAnalysis reference = compute_cut_sets(tree, serial);
-  const std::string expected = reference.to_string();
-
-  for (int jobs : {2, 8}) {
-    ThreadPool pool(jobs);
-    CutSetOptions pooled = serial;
-    pooled.pool = &pool;
-    CutSetAnalysis analysis = compute_cut_sets(tree, pooled);
-    EXPECT_EQ(analysis.to_string(), expected) << "jobs=" << jobs;
-    // The interval itself must be bit-identical, not merely close: the
-    // round-synchronised merge is deterministic by construction.
-    EXPECT_EQ(*analysis.p_lower, *reference.p_lower) << "jobs=" << jobs;
-    EXPECT_EQ(*analysis.p_upper, *reference.p_upper) << "jobs=" << jobs;
+  // Batch-level --jobs: the trees of one batch run concurrently, each
+  // drained on its own worker. Both the anytime stop and the run to
+  // exhaustion must print the serial bytes and the bit-identical interval.
+  auto trees = [] {
+    std::vector<FaultTree> out;
+    out.push_back(frontier_tree(12, 6));
+    out.push_back(frontier_tree(10, 4));
+    out.push_back(frontier_tree(8, 5));
+    return out;
+  };
+  for (double epsilon : {1e-6, -1.0}) {
+    BatchOptions options;
+    options.analysis.cut_sets.engine = CutSetEngine::kBound;
+    options.analysis.cut_sets.bound_epsilon = epsilon;
+    const BatchResult serial = analyse_trees(trees(), {}, options, nullptr);
+    for (int jobs : {2, 8}) {
+      ThreadPool pool(jobs);
+      const BatchResult pooled = analyse_trees(trees(), {}, options, &pool);
+      ASSERT_EQ(pooled.items.size(), serial.items.size());
+      for (std::size_t i = 0; i < serial.items.size(); ++i) {
+        const CutSetAnalysis& a = serial.items[i].analysis->cut_sets;
+        const CutSetAnalysis& b = pooled.items[i].analysis->cut_sets;
+        EXPECT_EQ(b.to_string(), a.to_string())
+            << "eps=" << epsilon << " jobs=" << jobs << " item=" << i;
+        EXPECT_EQ(*b.p_lower, *a.p_lower) << "jobs=" << jobs << " item=" << i;
+        EXPECT_EQ(*b.p_upper, *a.p_upper) << "jobs=" << jobs << " item=" << i;
+      }
+    }
   }
 }
 

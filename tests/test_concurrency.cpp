@@ -1,8 +1,8 @@
 // Concurrency stress tests for the shared-state primitives of the
 // parallel analysis engine: DiagnosticSink under concurrent reporting,
 // Budget's shared deadline latch, the work-stealing ThreadPool and the
-// structured parallel loops, and the parallel stages that must stay
-// bit-identical to their serial counterparts.
+// structured parallel loops, and the batch-level parallel stages that
+// must stay bit-identical to their serial counterparts.
 //
 // These suites (Concurrency*) are the ThreadSanitizer surface: CI runs
 // them under -fsanitize=thread, so keep every cross-thread interaction
@@ -14,17 +14,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/batch.h"
 #include "analysis/cutsets.h"
-#include "bdd/bdd.h"
-#include "bdd/zbdd.h"
 #include "casestudy/setta.h"
 #include "casestudy/synthetic.h"
 #include "core/budget.h"
@@ -354,29 +354,6 @@ TEST(ConcurrencyPool, MoveOnlyResultsWork) {
 // ---------------------------------------------------------------------------
 // Parallel stages vs their serial twins.
 
-TEST(ConcurrencyMinimise, ParallelSubsumptionMatchesSerial) {
-  // Thousands of working sets at the voting AND: large enough that the
-  // blocked parallel path actually engages (it falls back to serial below
-  // 2 blocks of candidates).
-  synthetic::ReplicatedConfig config;
-  config.channels = 3;
-  config.stages = 12;
-  Model model = synthetic::build_replicated(config);
-  FaultTree tree = Synthesiser(model).synthesise("Omission-sink");
-
-  CutSetAnalysis serial = minimal_cut_sets(tree);
-  ASSERT_GE(serial.peak_sets, 1000u);
-
-  ThreadPool pool(4);
-  CutSetOptions options;
-  options.pool = &pool;
-  CutSetAnalysis parallel = minimal_cut_sets(tree, options);
-
-  EXPECT_EQ(parallel.to_string(), serial.to_string());
-  EXPECT_EQ(parallel.cut_sets.size(), serial.cut_sets.size());
-  EXPECT_EQ(parallel.truncated, serial.truncated);
-}
-
 TEST(ConcurrencyMonteCarlo, ShardedRunIsIdenticalWithAndWithoutPool) {
   Model model = setta::build_bbw();
   const Deviation top{model.registry().omission(), Symbol("brake_force_fl")};
@@ -396,140 +373,60 @@ TEST(ConcurrencyMonteCarlo, ShardedRunIsIdenticalWithAndWithoutPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded diagram managers: one manager hammered from many threads.
-
-TEST(ConcurrencyZbdd, ConcurrentConstructionStaysCanonical) {
-  // 8 threads build overlapping families in ONE manager. The striped
-  // unique table must keep the representation canonical under contention:
-  // after the threads join, serially recomputing each family must land on
-  // the very same Ref (same family == same node in a canonical diagram).
-  constexpr int kVars = 24;
-  constexpr std::size_t kThreads = 8;
-  Zbdd zbdd;
-  for (int v = 0; v < kVars; ++v) zbdd.new_var();
-
-  auto family = [&](std::size_t t) {
-    // Deliberately overlapping across threads so shards contend on the
-    // same keys, not just the same locks.
-    Zbdd::Ref acc = Zbdd::kEmpty;
-    for (std::size_t i = 0; i < 200; ++i) {
-      Zbdd::Ref product = zbdd.product(
-          zbdd.single(static_cast<int>((t + i) % kVars)),
-          zbdd.single(static_cast<int>((3 * i + 7) % kVars)));
-      acc = zbdd.set_union(acc, product);
-    }
-    return zbdd.minimal(acc);
-  };
-
-  std::vector<Zbdd::Ref> results(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[t] = family(t % 4); });
-  for (std::thread& thread : threads) thread.join();
-
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(results[t], family(t % 4)) << t;   // serial recomputation
-    EXPECT_EQ(results[t], results[t % 4]) << t;  // racing twins agree
-  }
-  // GC with the results as roots keeps them valid and consistent.
-  zbdd.collect_garbage(results);
-  EXPECT_EQ(zbdd.table_size(), zbdd.live_size(results));
-}
-
-TEST(ConcurrencyBdd, ConcurrentApplyStaysCanonical) {
-  constexpr int kVars = 20;
-  constexpr std::size_t kThreads = 8;
-  Bdd bdd;
-  for (int v = 0; v < kVars; ++v) bdd.new_var();
-
-  auto function = [&](std::size_t t) {
-    Bdd::Ref acc = Bdd::kFalse;
-    for (std::size_t i = 0; i < 150; ++i) {
-      Bdd::Ref term =
-          bdd.apply_and(bdd.var(static_cast<int>((t + i) % kVars)),
-                        bdd.var(static_cast<int>((5 * i + 2) % kVars)));
-      acc = bdd.apply_or(acc, term);
-    }
-    return acc;
-  };
-
-  std::vector<Bdd::Ref> results(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[t] = function(t % 4); });
-  for (std::thread& thread : threads) thread.join();
-
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(results[t], function(t % 4)) << t;
-    EXPECT_EQ(results[t], results[t % 4]) << t;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel ZBDD conversion: the stop-the-world protocol under fire.
+// Cut sets under batch-level --jobs: each tree on one worker, the cone
+// cache shared by all of them.
 
 FaultTree synthesise_replicated(int channels, int stages) {
   synthetic::ReplicatedConfig config;
   config.channels = channels;
   config.stages = stages;
-  static std::vector<Model> keep_alive;  // trees point into their models
+  static std::deque<Model> keep_alive;  // trees point into their models
   static std::mutex keep_alive_mutex;
   std::lock_guard<std::mutex> lock(keep_alive_mutex);
   keep_alive.push_back(synthetic::build_replicated(config));
   return Synthesiser(keep_alive.back()).synthesise("Omission-sink");
 }
 
-TEST(ConcurrencyZbddConvert, ParallelConversionWithAutoSiftMatchesSerial) {
-  // Big enough that the unique table passes the pressure threshold
-  // mid-conversion, so workers exercise the full stop-the-world
-  // rendezvous (park, GC, sift, resume) -- and the output must still be
-  // byte-identical to the serial frame-stack conversion.
-  FaultTree tree = synthesise_replicated(3, 16);
-  CutSetOptions options;
-  options.engine = CutSetEngine::kZbdd;
-  options.order = OrderPolicy::kSift;
-
-  const CutSetAnalysis serial = compute_cut_sets(tree, options);
-  ASSERT_FALSE(serial.truncated);
-
-  for (int jobs : {2, 8}) {
-    ThreadPool pool(jobs);
-    options.pool = &pool;
-    const CutSetAnalysis parallel = compute_cut_sets(tree, options);
-    EXPECT_EQ(parallel.to_string(), serial.to_string()) << jobs;
-    EXPECT_EQ(parallel.truncated, serial.truncated) << jobs;
-    EXPECT_EQ(parallel.deadline_exceeded, serial.deadline_exceeded) << jobs;
-  }
-}
-
 TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
-  // The acceptance matrix: one tree, every engine x order policy, --jobs
-  // {1, 2, 8}. Every cell must produce the serial cell's bytes.
-  FaultTree tree = synthesise_replicated(3, 10);
+  // The acceptance matrix: a batch of overlapping trees, every engine x
+  // order policy, --jobs {1, 2, 8}. Trees run concurrently and race on one
+  // shared cone cache; every item must produce the serial item's bytes.
+  auto trees = [] {
+    std::vector<FaultTree> out;
+    for (const auto& [channels, stages] :
+         std::vector<std::pair<int, int>>{{3, 10}, {2, 12}, {3, 8}, {4, 5}})
+      out.push_back(synthesise_replicated(channels, stages));
+    return out;
+  };
   for (CutSetEngine engine :
        {CutSetEngine::kMicsup, CutSetEngine::kMocus, CutSetEngine::kZbdd}) {
     for (OrderPolicy order : {OrderPolicy::kStatic, OrderPolicy::kSift}) {
-      CutSetOptions options;
-      options.engine = engine;
-      options.order = order;
-      const CutSetAnalysis serial = compute_cut_sets(tree, options);
+      BatchOptions options;
+      options.analysis.cut_sets.engine = engine;
+      options.analysis.cut_sets.order = order;
+      const BatchResult serial = analyse_trees(trees(), {}, options, nullptr);
       for (int jobs : {2, 8}) {
         ThreadPool pool(jobs);
-        options.pool = &pool;
-        const CutSetAnalysis parallel = compute_cut_sets(tree, options);
-        EXPECT_EQ(parallel.to_string(), serial.to_string())
-            << "engine=" << static_cast<int>(engine)
-            << " order=" << to_string(order) << " jobs=" << jobs;
-        EXPECT_EQ(parallel.truncated, serial.truncated);
+        const BatchResult pooled = analyse_trees(trees(), {}, options, &pool);
+        ASSERT_EQ(pooled.items.size(), serial.items.size());
+        for (std::size_t i = 0; i < serial.items.size(); ++i) {
+          const CutSetAnalysis& a = serial.items[i].analysis->cut_sets;
+          const CutSetAnalysis& b = pooled.items[i].analysis->cut_sets;
+          EXPECT_EQ(b.to_string(), a.to_string())
+              << "engine=" << static_cast<int>(engine)
+              << " order=" << to_string(order) << " jobs=" << jobs
+              << " item=" << i;
+          EXPECT_EQ(b.truncated, a.truncated);
+        }
       }
     }
   }
 }
 
 TEST(ConcurrencyZbddConvert, ForceExpireMidConversionDegradesCleanly) {
-  // A cancellation racing the parallel conversion: whenever the latch
-  // fires, the run must come back flagged (or complete, if the race was
-  // lost) -- never crash, deadlock, or corrupt the manager.
+  // A cancellation from another thread racing the sifted conversion:
+  // whenever the latch fires, the run must come back flagged (or
+  // complete, if the race was lost) -- never crash or corrupt the manager.
   FaultTree tree = synthesise_replicated(3, 18);
   const CutSetAnalysis reference = compute_cut_sets(
       tree, [] {
@@ -542,8 +439,6 @@ TEST(ConcurrencyZbddConvert, ForceExpireMidConversionDegradesCleanly) {
     CutSetOptions options;
     options.engine = CutSetEngine::kZbdd;
     options.order = OrderPolicy::kSift;
-    ThreadPool pool(8);
-    options.pool = &pool;
     options.budget.set_deadline_ms(3'600'000);
     std::thread killer([&options, delay_us] {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_us));

@@ -3,13 +3,16 @@
 // A seeded generator produces random AND/OR/NOT fault trees (shared
 // subtrees included, so they are DAGs); every tree is analysed by all
 // four engines (micsup, mocus, zbdd, bound) under every --order policy,
-// with a cold and a warm cone cache, and with the set engine running on a
-// thread pool. All renderings must be byte-identical: the canonical
-// minimal cut-set family is order-, engine-, cache- and
-// schedule-invariant. The bound engine additionally certifies a
-// probability interval, which must always contain the exact BDD
-// probability -- both when run to exhaustion and when stopped early at
-// the default epsilon.
+// and with a cold and a warm cone cache. All renderings must be
+// byte-identical: the canonical minimal cut-set family is order-,
+// engine- and cache-invariant. Ground truth does not rest on the engines
+// agreeing with each other: a brute-force oracle enumerates every
+// assignment of the tree's events, and its exact probability must match
+// the BDD engine's, and (for trees without NOT) its minimal satisfying
+// event sets must equal the engines' family. The bound engine
+// additionally certifies a probability interval, which must always
+// contain the exact BDD probability -- both when run to exhaustion and
+// when stopped early at the default epsilon.
 //
 // Failures report the offending seed; rerun a single seed with
 //   ctest -R 'DifferentialFuzz.*/<seed>'
@@ -20,8 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/cache.h"
@@ -30,7 +37,6 @@
 #include "bdd/bdd_prob.h"
 #include "casestudy/synthetic.h"
 #include "core/symbol.h"
-#include "core/thread_pool.h"
 #include "fta/fault_tree.h"
 #include "fta/synthesis.h"
 
@@ -90,6 +96,109 @@ FaultTree random_tree(std::mt19937& rng, int tag) {
   return tree;
 }
 
+/// Ground truth by exhaustion over the reachable basic events (at most 10
+/// in these trees, so at most 1024 assignments).
+struct BruteForce {
+  double probability = 0.0;  ///< exact P(top), summed over satisfying rows
+  bool coherent = true;      ///< no NOT gate: the family below is meaningful
+  /// Minimal satisfying event sets, rendered like CutSetAnalysis::to_string.
+  std::string minimal_family;
+};
+
+BruteForce brute_force(const FaultTree& tree) {
+  // Postorder over the DAG: children always precede their parents.
+  std::vector<const FtNode*> order;
+  std::unordered_map<const FtNode*, std::size_t> index;
+  std::vector<const FtNode*> events;
+  auto visit = [&](auto&& self, const FtNode* node) -> void {
+    if (index.count(node) != 0) return;
+    for (const FtNode* child : node->children()) self(self, child);
+    index.emplace(node, order.size());
+    order.push_back(node);
+    if (node->kind() == NodeKind::kBasic) events.push_back(node);
+  };
+  visit(visit, tree.top());
+  std::sort(events.begin(), events.end(), [](const FtNode* a, const FtNode* b) {
+    return a->name().str() < b->name().str();
+  });
+  std::unordered_map<const FtNode*, int> bit;
+  for (std::size_t i = 0; i < events.size(); ++i)
+    bit.emplace(events[i], static_cast<int>(i));
+
+  BruteForce out;
+  std::vector<double> p;
+  for (const FtNode* event : events)
+    p.push_back(event_probability(*event, ProbabilityOptions{}));
+  const std::uint32_t rows = 1u << events.size();
+  std::vector<char> satisfied(rows, 0);
+  std::vector<char> value(order.size(), 0);
+  for (std::uint32_t mask = 0; mask < rows; ++mask) {
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const FtNode* node = order[i];
+      if (node->kind() == NodeKind::kBasic) {
+        value[i] = (mask >> bit.at(node)) & 1u;
+        continue;
+      }
+      const std::vector<FtNode*>& children = node->children();
+      auto child = [&](std::size_t c) { return value[index.at(children[c])]; };
+      switch (node->gate()) {
+        case GateKind::kNot:
+          out.coherent = false;
+          value[i] = !child(0);
+          break;
+        case GateKind::kAnd:
+          value[i] = 1;
+          for (std::size_t c = 0; c < children.size(); ++c)
+            value[i] = value[i] && child(c);
+          break;
+        default:  // the generator builds only NOT, AND and OR gates
+          value[i] = 0;
+          for (std::size_t c = 0; c < children.size(); ++c)
+            value[i] = value[i] || child(c);
+          break;
+      }
+    }
+    satisfied[mask] = value.back();
+    if (!satisfied[mask]) continue;
+    double row = 1.0;
+    for (std::size_t e = 0; e < events.size(); ++e)
+      row *= (mask >> e) & 1u ? p[e] : 1.0 - p[e];
+    out.probability += row;
+  }
+  if (!out.coherent) return out;
+
+  // Monotone function: a satisfying set is minimal exactly when dropping
+  // any one of its events falsifies the top.
+  std::vector<std::vector<std::string>> family;
+  for (std::uint32_t mask = 0; mask < rows; ++mask) {
+    if (!satisfied[mask]) continue;
+    bool minimal = true;
+    for (std::size_t e = 0; e < events.size() && minimal; ++e)
+      if ((mask >> e) & 1u) minimal = !satisfied[mask & ~(1u << e)];
+    if (!minimal) continue;
+    std::vector<std::string> names;
+    for (std::size_t e = 0; e < events.size(); ++e)
+      if ((mask >> e) & 1u) names.push_back(events[e]->name().str());
+    family.push_back(std::move(names));
+  }
+  // The engines' canonical order: by size, then lexicographic names.
+  std::sort(family.begin(), family.end(),
+            [](const std::vector<std::string>& a,
+               const std::vector<std::string>& b) {
+              if (a.size() != b.size()) return a.size() < b.size();
+              return a < b;
+            });
+  for (const std::vector<std::string>& names : family) {
+    out.minimal_family += "{";
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (i != 0) out.minimal_family += ", ";
+      out.minimal_family += names[i];
+    }
+    out.minimal_family += "}\n";
+  }
+  return out;
+}
+
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialFuzz, EnginesOrdersAndCachesAgree) {
@@ -131,19 +240,25 @@ TEST_P(DifferentialFuzz, EnginesOrdersAndCachesAgree) {
         << "zbdd warm cache diverged; seed=" << seed << " tree=" << t;
     options.cone_cache = nullptr;
 
-    // The set engine on a pool: schedule independence.
-    ThreadPool pool(4);
-    CutSetOptions pooled;
-    pooled.pool = &pool;
-    EXPECT_EQ(compute_cut_sets(tree, pooled).to_string(), expected)
-        << "pooled micsup diverged; seed=" << seed << " tree=" << t;
-
-    // The bound engine, run to exhaustion (negative epsilon disables
-    // early stopping): same canonical family, byte-identical.
+    // The brute-force oracle: the BDD probability to 1e-12 relative, and
+    // on coherent trees the engines' family itself.
     BddEncoding encoding = encode_bdd(tree);
     BddProbabilityEngine prob_engine(
         encoding.bdd, encoding.probabilities(ProbabilityOptions{}));
     const double exact = prob_engine.probability(encoding.root);
+    const BruteForce truth = brute_force(tree);
+    EXPECT_LE(std::abs(exact - truth.probability),
+              1e-12 * std::max(std::abs(exact), std::abs(truth.probability)))
+        << "BDD probability " << exact << " vs brute force "
+        << truth.probability << "; seed=" << seed << " tree=" << t;
+    if (truth.coherent) {
+      EXPECT_EQ(expected, truth.minimal_family)
+          << "engines' family differs from brute force; seed=" << seed
+          << " tree=" << t;
+    }
+
+    // The bound engine, run to exhaustion (negative epsilon disables
+    // early stopping): same canonical family, byte-identical.
 
     CutSetOptions bound;
     bound.engine = CutSetEngine::kBound;
@@ -173,9 +288,10 @@ TEST_P(DifferentialFuzz, EnginesOrdersAndCachesAgree) {
   }
 }
 
-// 25 seeds x 10 trees = 250 random DAGs per CI run, each analysed eleven
+// 25 seeds x 10 trees = 250 random DAGs per CI run, each analysed ten
 // ways (including two bound-engine runs checked against the exact BDD
-// probability). The ISSUE acceptance floor is 200 trees.
+// probability) and checked against the brute-force oracle. The
+// acceptance floor is 200 trees.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz, ::testing::Range(0, 25));
 
 }  // namespace

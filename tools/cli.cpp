@@ -60,7 +60,8 @@ options:
                      60000 when unset)
   --max-depth N      budget: synthesis recursion-depth cap
   --max-nodes N      budget: fault-tree node cap (0 = unlimited)
-  --jobs N           worker threads for synthesise/analyse/fmea
+  --jobs N           worker threads for synthesise/analyse/fmea: top
+                     events run in parallel, each tree on one thread
                      (default: hardware concurrency; 1 = serial; output
                      is byte-identical for every N)
   --engine ENG       cut-set engine for analyse/fmea/report: micsup

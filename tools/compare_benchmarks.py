@@ -6,8 +6,6 @@ Usage:
         [--threshold PCT] [--filter REGEX] [--metric METRIC]
     tools/compare_benchmarks.py --service-report RESULTS.json
         [--min-speedup X]
-    tools/compare_benchmarks.py --contention-report RESULTS.json
-        [--min-speedup X]
     tools/compare_benchmarks.py --bound-report RESULTS.json
         [--min-speedup X]
 
@@ -222,98 +220,6 @@ def prob_report(path: str, metric: str, min_speedup: float) -> int:
     return 0
 
 
-def contention_report(path: str, metric: str, min_speedup: float) -> int:
-    """Worker-axis scaling of the parallel ZBDD conversion from
-    BENCH_contention.json (bench/bench_contention.cpp).
-
-    Reads every BM_ParallelConvertForest*/N series and reports the
-    N-worker speedup over the 1-worker (serial, null-pool) baseline. The
-    --min-speedup bar applies to the static-order series at the widest
-    worker count; the Sift series (stop-the-world reordering on the hot
-    path) and the shard-contention microbench are report-only. On a host
-    without at least as many CPUs as the widest worker count the bar is
-    informational: there is no physical parallelism to measure, so the
-    report prints a warning and exits 0.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        num_cpus = int(json.load(handle).get("context", {}).get("num_cpus", 0))
-    times = load_benchmarks(path, metric)
-    pattern = re.compile(r"^(BM_ParallelConvertForest(?:Sift)?)/(\d+)(?:/|$)")
-    series: dict[str, dict[int, float]] = {}
-    for name, value in times.items():
-        match = pattern.match(name)
-        if match:
-            series.setdefault(match.group(1), {})[int(match.group(2))] = value
-
-    gated = {
-        name: axes
-        for name, axes in sorted(series.items())
-        if 1 in axes and len(axes) > 1
-    }
-    if not gated:
-        print(
-            "error: no BM_ParallelConvertForest/N series in " + path,
-            file=sys.stderr,
-        )
-        return 1
-
-    too_slow = []
-    print(f"{'series':<32}  workers  {'time ms':>10}  speedup")
-    for name, axes in gated.items():
-        serial = axes[1]
-        for workers in sorted(axes):
-            speedup = serial / axes[workers] if axes[workers] > 0 else 0.0
-            print(
-                f"{name:<32}  {workers:>7}  {axes[workers]:>10.2f}  "
-                f"{speedup:>6.2f}x"
-            )
-        widest = max(axes)
-        speedup = serial / axes[widest] if axes[widest] > 0 else 0.0
-        if (
-            name == "BM_ParallelConvertForest"
-            and min_speedup > 0
-            and speedup < min_speedup
-        ):
-            too_slow.append((name, widest, speedup))
-
-    shard = {
-        int(m.group(1)): value
-        for name, value in times.items()
-        if (m := re.match(r"^BM_ZbddShardContention/(\d+)(?:/|$)", name))
-    }
-    if shard and 1 in shard:
-        print(f"\n{'shard microbench':<32}  threads  {'time ms':>10}  efficiency")
-        for threads in sorted(shard):
-            # Each thread performs the same fixed work, so flat time across
-            # the thread axis = perfect scaling (efficiency 1.0).
-            efficiency = shard[1] / shard[threads] if shard[threads] > 0 else 0.0
-            print(
-                f"{'BM_ZbddShardContention':<32}  {threads:>7}  "
-                f"{shard[threads]:>10.3f}  {efficiency:>6.2f}"
-            )
-
-    widest_workers = max(max(axes) for axes in gated.values())
-    if num_cpus < max(2, widest_workers):
-        print(
-            f"\nwarning: host has {num_cpus} CPU(s) for a {widest_workers}-"
-            "worker series; scaling bar skipped (no physical parallelism "
-            "to measure)",
-        )
-        return 0
-    if too_slow:
-        print(
-            f"\n{len(too_slow)} series below the {min_speedup:.0f}x "
-            "parallel-conversion bar:",
-            file=sys.stderr,
-        )
-        for name, workers, speedup in too_slow:
-            print(f"  {name} at {workers} workers: {speedup:.1f}x", file=sys.stderr)
-        return 1
-    if min_speedup > 0:
-        print(f"\nok: parallel conversion meets the {min_speedup:.0f}x bar")
-    return 0
-
-
 def bound_report(path: str, metric: str, min_speedup: float) -> int:
     """Convergence-vs-time of the anytime bound engine from
     BENCH_bound.json (bench/bench_bound.cpp).
@@ -431,12 +337,6 @@ def main() -> int:
         "BENCH_prob.json instead of diffing two files",
     )
     parser.add_argument(
-        "--contention-report",
-        metavar="RESULTS",
-        help="report worker-axis scaling of the parallel ZBDD conversion "
-        "from one BENCH_contention.json instead of diffing two files",
-    )
-    parser.add_argument(
         "--bound-report",
         metavar="RESULTS",
         help="report anytime-bound convergence vs the truncated ZBDD run "
@@ -447,10 +347,9 @@ def main() -> int:
         type=float,
         default=0.0,
         metavar="X",
-        help="with --service-report (--prob-report, --contention-report, "
-        "--bound-report): fail when any workload's cold/warm (cutsets/"
-        "diagram, serial/parallel, zbdd/bound) ratio is below X "
-        "(default: report only)",
+        help="with --service-report (--prob-report, --bound-report): fail "
+        "when any workload's cold/warm (cutsets/diagram, zbdd/bound) ratio "
+        "is below X (default: report only)",
     )
     parser.add_argument(
         "--threshold",
@@ -478,17 +377,12 @@ def main() -> int:
         return service_report(args.service_report, args.metric, args.min_speedup)
     if args.prob_report:
         return prob_report(args.prob_report, args.metric, args.min_speedup)
-    if args.contention_report:
-        return contention_report(
-            args.contention_report, args.metric, args.min_speedup
-        )
     if args.bound_report:
         return bound_report(args.bound_report, args.metric, args.min_speedup)
     if args.baseline is None or args.candidate is None:
         parser.error(
             "BASELINE and CANDIDATE are required unless "
-            "--service-report/--prob-report/--contention-report/"
-            "--bound-report"
+            "--service-report/--prob-report/--bound-report"
         )
 
     if not contexts_match(args.baseline, args.candidate):

@@ -21,9 +21,10 @@
 # baseline records what it measured and on how many cores.
 #
 # Results are only comparable when produced by this script: a DEBUG-build
-# number is meaningless (google-benchmark itself warns), which is why the
-# output lands in files prefixed BENCH_ -- anything else in bench_results/
-# is legacy and should be deleted rather than compared against.
+# number is meaningless (google-benchmark itself warns), so the script
+# exits 1 when the configured tree is not Release, and the output lands in
+# files prefixed BENCH_ -- anything else in bench_results/ is legacy and
+# should be deleted rather than compared against.
 #
 # To check a fresh run against the committed baselines (e.g. before
 # refreshing them), diff the JSON files with the companion script:
@@ -45,6 +46,14 @@ RESULTS_DIR="bench_results"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 
+# A non-Release number is meaningless, so refuse to produce one (a
+# multi-config generator, for one, leaves the cache entry empty).
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")"
+if [ "$build_type" != "Release" ]; then
+  echo "error: $BUILD_DIR is configured as '$build_type', not Release" >&2
+  exit 1
+fi
+
 if [ "$#" -gt 0 ]; then
   benches=("$@")
 else
@@ -61,7 +70,6 @@ mkdir -p "$RESULTS_DIR"
 
 git_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 if ! git diff --quiet HEAD 2>/dev/null; then git_sha="$git_sha-dirty"; fi
-build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")"
 context="git_sha=$git_sha,cmake_build_type=$build_type,nproc=$(nproc)"
 
 extra_args=()
