@@ -2,21 +2,24 @@
 //
 // Two claims to measure:
 //
-//   1. End to end, `--prob-mode diagram` beats the cut-set path whenever
-//      path extraction dominates: the ZBDD engine's diagram stays linear
-//      in the model while the family it encodes is combinatorial
-//      (stages^channels for the replicated voter), so enumerating sets
-//      just to sum over them is the bottleneck the diagram sweeps remove.
+//   1. End to end, the ZBDD engine's retained diagram (what analyse_tree
+//      keeps for every zbdd run) beats the cut-set path whenever path
+//      extraction dominates: the diagram stays linear in the model while
+//      the family it encodes is combinatorial (stages^channels for the
+//      replicated voter), so enumerating sets just to sum over them is
+//      the bottleneck the diagram sweeps remove.
 //      BM_AnalyseCutsets / BM_AnalyseDiagram is that A/B on a replicated
 //      fixture whose family blows past max_sets; compare_benchmarks.py
-//      --prob-report watches the ratio (the acceptance bar is 2x).
+//      --prob-report watches the ratio (the acceptance bar is 2x). The
+//      cut-set arm is the reference path: keep_diagram=false, then
+//      analyse_reliability over the listing.
 //
 //   2. The honest axis: on a clean run whose family fits the limits, both
-//      modes evaluate the SAME extracted family with the same kernels --
+//      arms evaluate the SAME extracted family with the same kernels --
 //      the BBW pair must come out ~1x, and its outputs byte-identical.
 //
 // Plus the importance kernel in isolation: the per-variable restricted
-// evaluation (O(V*N), what importance_ranking used to do) against the
+// evaluation (O(V*N), what the importance ranking used to do) against the
 // one-pass up/down Birnbaum sweep (O(N)).
 
 #include <benchmark/benchmark.h>
@@ -52,22 +55,34 @@ const FaultTree& replicated_tree() {
   return tree;
 }
 
-AnalysisOptions replicated_options(ProbMode mode) {
+AnalysisOptions replicated_options() {
   AnalysisOptions options;
   options.cut_sets.engine = CutSetEngine::kZbdd;
   options.cut_sets.max_sets = 1u << 14;
-  options.prob_mode = mode;
   return options;
+}
+
+/// The cut-set arm: analyse_tree's stages with the diagram withheld
+/// (keep_diagram=false), so every number is evaluated over the listing.
+ReliabilitySummary analyse_listing(const FaultTree& tree,
+                                   const AnalysisOptions& options,
+                                   std::size_t* listed_sets) {
+  CutSetOptions cut_options = options.cut_sets;
+  cut_options.keep_diagram = false;
+  const CutSetAnalysis cut_sets = compute_cut_sets(tree, cut_options);
+  CommonCauseReport common_cause = analyse_common_cause(tree, cut_sets);
+  benchmark::DoNotOptimize(&common_cause);
+  *listed_sets = cut_sets.cut_sets.size();
+  return analyse_reliability(tree, cut_sets, options.probability);
 }
 
 void BM_AnalyseCutsets(benchmark::State& state) {
   const FaultTree& tree = replicated_tree();
-  const AnalysisOptions options = replicated_options(ProbMode::kCutSets);
+  const AnalysisOptions options = replicated_options();
   std::size_t sets = 0;
   for (auto _ : state) {
-    TreeAnalysis analysis = analyse_tree(tree, options);
-    sets = analysis.cut_sets.cut_sets.size();
-    benchmark::DoNotOptimize(analysis.p_rare_event);
+    ReliabilitySummary reliability = analyse_listing(tree, options, &sets);
+    benchmark::DoNotOptimize(reliability.p_rare_event);
   }
   state.counters["listed_sets"] = static_cast<double>(sets);
   state.SetLabel("replicated_c3_s40_truncated");
@@ -76,7 +91,7 @@ BENCHMARK(BM_AnalyseCutsets)->Unit(benchmark::kMillisecond);
 
 void BM_AnalyseDiagram(benchmark::State& state) {
   const FaultTree& tree = replicated_tree();
-  const AnalysisOptions options = replicated_options(ProbMode::kDiagram);
+  const AnalysisOptions options = replicated_options();
   std::size_t sets = 0;
   bool native = false;
   for (auto _ : state) {
@@ -91,26 +106,34 @@ void BM_AnalyseDiagram(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyseDiagram)->Unit(benchmark::kMillisecond);
 
-/// Honesty pair: a clean run (family within limits) must cost the same in
-/// both modes -- the diagram path only diverges once extraction truncates.
-void analyse_bbw(benchmark::State& state, ProbMode mode) {
+/// Honesty pair: a clean run (family within limits) must cost the same
+/// on both arms -- the diagram path only diverges once extraction
+/// truncates.
+const FaultTree& bbw_tree() {
   static Model model = setta::build_bbw();
   static FaultTree tree =
       Synthesiser(model).synthesise("Omission-brake_force_fl");
+  return tree;
+}
+void BM_AnalyseBbwCutsets(benchmark::State& state) {
   AnalysisOptions options;
   options.cut_sets.engine = CutSetEngine::kZbdd;
-  options.prob_mode = mode;
+  std::size_t sets = 0;
   for (auto _ : state) {
-    TreeAnalysis analysis = analyse_tree(tree, options);
-    benchmark::DoNotOptimize(analysis.p_exact);
+    ReliabilitySummary reliability =
+        analyse_listing(bbw_tree(), options, &sets);
+    benchmark::DoNotOptimize(reliability.p_exact);
   }
   state.SetLabel("bbw_clean_run");
 }
-void BM_AnalyseBbwCutsets(benchmark::State& state) {
-  analyse_bbw(state, ProbMode::kCutSets);
-}
 void BM_AnalyseBbwDiagram(benchmark::State& state) {
-  analyse_bbw(state, ProbMode::kDiagram);
+  AnalysisOptions options;
+  options.cut_sets.engine = CutSetEngine::kZbdd;
+  for (auto _ : state) {
+    TreeAnalysis analysis = analyse_tree(bbw_tree(), options);
+    benchmark::DoNotOptimize(analysis.p_exact);
+  }
+  state.SetLabel("bbw_clean_run");
 }
 BENCHMARK(BM_AnalyseBbwCutsets)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AnalyseBbwDiagram)->Unit(benchmark::kMillisecond);

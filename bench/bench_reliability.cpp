@@ -92,7 +92,8 @@ void BM_ImportanceRankingBbw(benchmark::State& state) {
   std::size_t entries = 0;
   for (auto _ : state) {
     std::vector<ImportanceEntry> ranking =
-        importance_ranking(fixture().tree, fixture().cut_sets, options);
+        analyse_reliability(fixture().tree, fixture().cut_sets, options)
+            .importance;
     entries = ranking.size();
     benchmark::DoNotOptimize(ranking.data());
   }

@@ -377,23 +377,6 @@ std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
 using NodeHashes =
     std::unordered_map<const FtNode*, StructuralHash, std::hash<const FtNode*>>;
 
-/// The engine tag the keyspace matching below compares against.
-std::string_view engine_tag(CutSetEngine engine) noexcept {
-  switch (engine) {
-    case CutSetEngine::kMicsup:
-      return "micsup";
-    case CutSetEngine::kMocus:
-      return "mocus";
-    case CutSetEngine::kZbdd:
-      return "zbdd";
-    case CutSetEngine::kBound:
-      // The bound engine never consults the cone cache (a cached family
-      // carries no interval), so this tag only keeps keyspaces distinct.
-      return "bound";
-  }
-  return "micsup";
-}
-
 /// The options' cone cache when its keyspace matches this engine + limit
 /// configuration; null otherwise (a mismatched cache is ignored, since its
 /// families were computed under a different truncation regime).
@@ -721,26 +704,31 @@ void remap_events(CutSetAnalysis& analysis, const FaultTree& original) {
 }  // namespace
 
 ConeKeyspace cone_keyspace(const CutSetOptions& options) {
-  return {std::string(engine_tag(options.engine)), options.max_order,
-          options.max_sets};
+  return {to_string(options.engine), options.max_order, options.max_sets};
 }
 
-std::string to_string(ProbMode mode) {
-  switch (mode) {
-    case ProbMode::kCutSets:
-      return "cutsets";
-    case ProbMode::kDiagram:
-      return "diagram";
-    case ProbMode::kAuto:
-      break;
+std::string to_string(CutSetEngine engine) {
+  switch (engine) {
+    case CutSetEngine::kMicsup:
+      return "micsup";
+    case CutSetEngine::kMocus:
+      return "mocus";
+    case CutSetEngine::kZbdd:
+      return "zbdd";
+    case CutSetEngine::kBound:
+      // The bound engine never consults the cone cache (a cached family
+      // carries no interval), so as a keyspace tag this only keeps
+      // keyspaces distinct.
+      return "bound";
   }
-  return "auto";
+  return "micsup";
 }
 
-std::optional<ProbMode> parse_prob_mode(std::string_view text) {
-  if (text == "cutsets") return ProbMode::kCutSets;
-  if (text == "diagram") return ProbMode::kDiagram;
-  if (text == "auto") return ProbMode::kAuto;
+std::optional<CutSetEngine> parse_cut_set_engine(std::string_view text) {
+  if (text == "micsup") return CutSetEngine::kMicsup;
+  if (text == "mocus") return CutSetEngine::kMocus;
+  if (text == "zbdd") return CutSetEngine::kZbdd;
+  if (text == "bound") return CutSetEngine::kBound;
   return std::nullopt;
 }
 
@@ -862,7 +850,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   Zbdd& zbdd = diagram_handle->zbdd;
   // Literal id == ZBDD variable: two per event, the plain polarity first,
   // events in depth-first occurrence order (the shared static heuristic --
-  // the SEED order; the sift policies may move it afterwards).
+  // the SEED order; the sift policy may move it afterwards).
   for (std::size_t i = 0; i < 2 * order.size(); ++i) zbdd.new_var();
   Budget budget = options.budget;  // run-local copy sharing the latch
   zbdd.set_budget(&budget);
@@ -1060,13 +1048,10 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     context.track_peak(zbdd.size());
 
     // Final explicit pass: pressure may never have fired (small diagrams)
-    // or may have left gains on the table; the sift policies always end on
+    // or may have left gains on the table; the sift policy always ends on
     // a locally minimal order. The budget still applies -- an interrupted
     // pass parks at the best order seen and degrades, never corrupts.
-    if (dynamic_order) {
-      sift_options.converge = options.order == OrderPolicy::kSiftConverge;
-      sift_total.merge(zbdd.sift(live_roots(), sift_options));
-    }
+    if (dynamic_order) sift_total.merge(zbdd.sift(live_roots(), sift_options));
 
     // Extract the minimal family. The limits apply per path: long sets
     // are skipped (max_order), the enumeration stops at max_sets.
@@ -1184,7 +1169,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     // Publish every memoised gate family after a CLEAN run (partial
     // diagrams must never be reused). Enumeration cost is bounded by the
     // same cap the other engines use. The diagram enumerates in the
-    // CURRENT variable order, which the sift policies may have moved, so
+    // CURRENT variable order, which the sift policy may have moved, so
     // re-canonicalise (sort literals per set, sets by set_less) -- cache
     // contents, like stdout, must be byte-identical across policies.
     if (cache != nullptr && context.clean() && !context.deadline_hit()) {

@@ -66,26 +66,18 @@ enum class CutSetEngine {
   kBound,   ///< anytime best-first engine with certified bounds
 };
 
-/// How the reporting layer computes probabilities and importance
-/// (CLI --prob-mode). kCutSets evaluates over the extracted family --
-/// the classic path, partial whenever extraction truncated. kDiagram
-/// keeps the ZBDD engine's minimal-family diagram past extraction
-/// (CutSetOptions::keep_diagram) and evaluates measures by diagram
-/// traversal (bdd/zbdd_prob.h): on clean runs the rendered numbers are
-/// byte-identical to kCutSets (same kernels, same family), and on runs
-/// whose family blew past max_sets the numbers are EXACT where the
-/// cut-set path's were partial. kAuto picks kDiagram exactly when the
-/// ZBDD engine is active (the set-based engines have no diagram and
-/// always use the family).
+/// CLI and wire spelling: "micsup" | "mocus" | "zbdd" | "bound". Also the
+/// engine tag of cone-cache keyspaces.
+std::string to_string(CutSetEngine engine);
+
+/// Parses a CLI/wire spelling; std::nullopt when unrecognised.
+std::optional<CutSetEngine> parse_cut_set_engine(std::string_view text);
+
+/// Ignored (diagrams are used whenever present); kept for perfbench/probe.cpp.
 enum class ProbMode {
   kCutSets,
   kDiagram,
-  kAuto,
 };
-
-/// CLI spelling: "cutsets" | "diagram" | "auto".
-std::string to_string(ProbMode mode);
-std::optional<ProbMode> parse_prob_mode(std::string_view text);
 
 struct CutSetOptions {
   /// Engine selection; every engine honours the limits below and returns
@@ -114,9 +106,9 @@ struct CutSetOptions {
   /// cold or warm. Thread-safe: one cache may serve all batch workers.
   ConeCache* cone_cache = nullptr;
   /// Variable-order policy for the decision-diagram engines (CLI --order).
-  /// kStatic keeps the DFS occurrence order; the sift policies reorder
-  /// dynamically on unique-table pressure plus a final explicit pass
-  /// (Rudell sifting, bdd/sifting.h). Cut sets are canonicalised after
+  /// kStatic keeps the DFS occurrence order; kSift reorders dynamically
+  /// on unique-table pressure plus one final explicit pass (Rudell
+  /// sifting, bdd/sifting.h). Cut sets are canonicalised after
   /// extraction, so every policy produces byte-identical analysis output --
   /// the policy only changes diagram size and time. The set-based engines
   /// ignore it.
@@ -127,7 +119,9 @@ struct CutSetOptions {
   /// family larger than max_sets, only a bounded sample of sets is
   /// extracted for the listing (flagged truncated exactly as the full
   /// extraction would have been) -- the reliability numbers no longer
-  /// need the paths. The set-based engines ignore the flag.
+  /// need the paths. analyse_tree and the FMEA command set it for every
+  /// ZBDD run; false gives the cut-set reference path that tests and
+  /// bench_prob compare against. The set-based engines ignore the flag.
   bool keep_diagram = false;
   /// Bound engine only: stop once p_upper - p_lower <= bound_epsilon
   /// (CLI --bound-epsilon). Negative disables early stopping: the run goes

@@ -18,7 +18,7 @@ bool FmeaRow::has_direct_effect() const noexcept {
 std::vector<FmeaRow> synthesise_fmea(
     const std::vector<const FaultTree*>& trees,
     const std::vector<const CutSetAnalysis*>& cut_sets,
-    const ProbabilityOptions& options, ProbMode mode) {
+    const ProbabilityOptions& options) {
   require(trees.size() == cut_sets.size(), ErrorKind::kAnalysis,
           "synthesise_fmea needs one cut-set analysis per tree");
 
@@ -47,10 +47,10 @@ std::vector<FmeaRow> synthesise_fmea(
     const CutSetAnalysis& analysis = *cut_sets[i];
 
     // Diagram regime, per tree: same condition as analyse_reliability --
-    // requested, exact diagram present, extraction cut short. Clean trees
-    // keep the family path so output is byte-identical across modes.
+    // exact diagram present, extraction cut short. Clean trees keep the
+    // family path so output is byte-identical with and without a diagram.
     const CutSetDiagram* diagram = analysis.diagram.get();
-    if (mode != ProbMode::kCutSets && diagram != nullptr && diagram->exact &&
+    if (diagram != nullptr && diagram->exact &&
         (analysis.truncated || analysis.deadline_exceeded)) {
       std::vector<double> var_probs(2 * diagram->events.size(), 0.0);
       for (std::size_t r = 0; r < diagram->events.size(); ++r) {

@@ -41,18 +41,16 @@ struct FmeaRow {
 /// be parallel (cut_sets[i] computed from trees[i]) and must outlive the
 /// result.
 ///
-/// `mode` selects how each tree's quantitative columns are computed, per
-/// tree under the same regime as analyse_reliability: with kDiagram/kAuto,
-/// an analysis that carries an exact retained diagram AND whose extraction
-/// was cut short gets its FV shares, orders and direct flags from ZBDD
-/// measure sweeps (exact despite the truncated listing); every other tree
-/// -- and everything under kCutSets -- uses the extracted family, so clean
-/// runs render byte-identically across modes.
+/// Each tree's quantitative columns follow the same regime as
+/// analyse_reliability: an analysis that carries an exact retained diagram
+/// AND whose extraction was cut short gets its FV shares, orders and direct
+/// flags from ZBDD measure sweeps (exact despite the truncated listing);
+/// every other tree uses the extracted family, so clean runs render
+/// byte-identically with and without a diagram.
 std::vector<FmeaRow> synthesise_fmea(
     const std::vector<const FaultTree*>& trees,
     const std::vector<const CutSetAnalysis*>& cut_sets,
-    const ProbabilityOptions& options = {},
-    ProbMode mode = ProbMode::kCutSets);
+    const ProbabilityOptions& options = {});
 
 /// Renders the FMEA as a text table:
 /// component | failure mode | lambda | effect | direct? | order | FV.

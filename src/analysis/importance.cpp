@@ -42,7 +42,7 @@ struct RareEventMasses {
 ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                        const CutSetAnalysis& analysis,
                                        const ProbabilityOptions& options,
-                                       ProbMode mode) {
+                                       ProbMode) {
   ReliabilitySummary out;
   std::unordered_map<const FtNode*, ImportanceEntry> entries;
   for (const FtNode* event : tree.basic_events())
@@ -56,15 +56,14 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
   const bool bound_run = analysis.p_lower.has_value();
   std::unordered_map<const FtNode*, RareEventMasses> rare_masses;
 
-  // The diagram regime: requested, an exact diagram is present, AND
-  // extraction was cut short. On clean runs both modes evaluate the
-  // extracted family with the same kernels, so the rendered output is
-  // byte-identical across modes; once extraction truncates, the family
-  // numbers are partial while the diagram's are exact -- the whole point
-  // of keeping the diagram.
+  // The diagram regime: an exact diagram is present AND extraction was
+  // cut short. On clean runs both regimes evaluate the extracted family
+  // with the same kernels, so the rendered output is byte-identical with
+  // and without a diagram; once extraction truncates, the family numbers
+  // are partial while the diagram's are exact -- the whole point of
+  // keeping the diagram.
   const CutSetDiagram* diagram = analysis.diagram.get();
-  bool use_diagram = mode != ProbMode::kCutSets && diagram != nullptr &&
-                     diagram->exact &&
+  bool use_diagram = diagram != nullptr && diagram->exact &&
                      (analysis.truncated || analysis.deadline_exceeded);
   ZbddMeasures measures;
   if (use_diagram) {
@@ -219,13 +218,6 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
             });
   out.importance = std::move(ranking);
   return out;
-}
-
-std::vector<ImportanceEntry> importance_ranking(
-    const FaultTree& tree, const CutSetAnalysis& analysis,
-    const ProbabilityOptions& options) {
-  return analyse_reliability(tree, analysis, options, ProbMode::kCutSets)
-      .importance;
 }
 
 std::string render_importance(const std::vector<ImportanceEntry>& ranking) {

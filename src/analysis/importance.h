@@ -38,37 +38,33 @@ struct ImportanceEntry {
 /// measure sweeps serves Fussell-Vesely, the rare-event and Esary-Proschan
 /// bounds, the per-event set counts and the smallest orders.
 struct ReliabilitySummary {
-  std::vector<ImportanceEntry> importance;  ///< ranked as importance_ranking
+  /// Every basic event of the tree, most important (by Fussell-Vesely,
+  /// then Birnbaum) first.
+  std::vector<ImportanceEntry> importance;
   double p_exact = 0.0;          ///< exact P(top) on the BDD
   double p_rare_event = 0.0;     ///< sum of cut-set probabilities
   double p_esary_proschan = 0.0; ///< 1 - prod(1 - P(set))
   double p_mcub = 0.0;           ///< same bound in log space (mcub_bound)
   /// True when the family-derived numbers above (rare-event, EP, FV,
   /// counts, orders) came from diagram traversal rather than the
-  /// extracted cut-set list. Happens only when `mode` requested it, the
-  /// analysis carries an exact diagram, AND extraction was cut short --
-  /// the case where the diagram numbers are exact while the family
-  /// numbers would have been partial. On clean runs both paths use the
-  /// extracted family, keeping output byte-identical across modes.
+  /// extracted cut-set list. Happens only when the analysis carries an
+  /// exact diagram AND extraction was cut short -- the case where the
+  /// diagram numbers are exact while the family numbers would have been
+  /// partial. On clean runs both paths use the extracted family, keeping
+  /// output byte-identical with and without a diagram.
   bool diagram_native = false;
 };
 
-/// Computes the full probability stage for one analysed tree. With
-/// ProbMode::kCutSets this reproduces the classic pipeline bit for bit
-/// (importance_ranking + the probability.h bounds); kDiagram/kAuto switch
-/// the family-derived numbers to diagram sweeps exactly under the
-/// conditions documented on ReliabilitySummary::diagram_native.
+/// Computes the full probability stage for one analysed tree. Without a
+/// retained diagram this is the classic pipeline (family-derived FV and
+/// the probability.h bounds); with one, the family-derived numbers switch
+/// to diagram sweeps exactly under the conditions documented on
+/// ReliabilitySummary::diagram_native. The trailing ProbMode is ignored;
+/// kept for perfbench/probe.cpp.
 ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                        const CutSetAnalysis& analysis,
                                        const ProbabilityOptions& options,
-                                       ProbMode mode = ProbMode::kCutSets);
-
-/// Ranks every basic event of `tree`, most important (by Fussell-Vesely,
-/// then Birnbaum) first. Thin wrapper over analyse_reliability (cut-set
-/// mode) kept for the existing call sites and tests.
-std::vector<ImportanceEntry> importance_ranking(
-    const FaultTree& tree, const CutSetAnalysis& analysis,
-    const ProbabilityOptions& options);
+                                       ProbMode = ProbMode::kDiagram);
 
 /// Renders the ranking as a text table.
 std::string render_importance(const std::vector<ImportanceEntry>& ranking);

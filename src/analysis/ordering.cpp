@@ -26,8 +26,6 @@ std::string to_string(OrderPolicy policy) {
       return "static";
     case OrderPolicy::kSift:
       return "sift";
-    case OrderPolicy::kSiftConverge:
-      return "sift-converge";
   }
   return "static";
 }
@@ -35,7 +33,6 @@ std::string to_string(OrderPolicy policy) {
 std::optional<OrderPolicy> parse_order_policy(std::string_view text) {
   if (text == "static") return OrderPolicy::kStatic;
   if (text == "sift") return OrderPolicy::kSift;
-  if (text == "sift-converge") return OrderPolicy::kSiftConverge;
   return std::nullopt;
 }
 

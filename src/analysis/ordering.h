@@ -31,12 +31,11 @@ std::vector<const FtNode*> dfs_variable_order(const FaultTree& tree);
 /// cut-set families are canonicalised downstream of the diagrams -- and
 /// differ only in diagram size and time.
 enum class OrderPolicy {
-  kStatic,        ///< DFS occurrence order, never revisited (the default)
-  kSift,          ///< Rudell sifting on unique-table pressure + a final pass
-  kSiftConverge,  ///< same, but the final pass repeats until it stops paying
+  kStatic,  ///< DFS occurrence order, never revisited (the default)
+  kSift,    ///< Rudell sifting on unique-table pressure + one final pass
 };
 
-/// CLI spelling: "static", "sift", "sift-converge".
+/// CLI spelling: "static", "sift".
 std::string to_string(OrderPolicy policy);
 
 /// Parses a CLI spelling; std::nullopt when unrecognised.

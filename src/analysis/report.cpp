@@ -9,13 +9,10 @@ TreeAnalysis analyse_tree(const FaultTree& tree,
   TreeAnalysis analysis;
   analysis.top_event = tree.top_description();
   analysis.tree_stats = tree.stats();
-  // Diagram-native evaluation needs the ZBDD engine to retain its diagram;
-  // kAuto means "diagram exactly when that engine is active".
+  // The ZBDD engine always keeps its diagram: the reliability stage
+  // evaluates it when extraction is cut short.
   CutSetOptions cut_options = options.cut_sets;
-  const bool want_diagram =
-      options.prob_mode != ProbMode::kCutSets &&
-      cut_options.engine == CutSetEngine::kZbdd;
-  cut_options.keep_diagram = want_diagram;
+  cut_options.keep_diagram = cut_options.engine == CutSetEngine::kZbdd;
   // The bound engine consumes probabilities during enumeration; hand it
   // the same inputs the reporting stage below will use.
   cut_options.bound_mission_time_hours =
@@ -28,9 +25,8 @@ TreeAnalysis analyse_tree(const FaultTree& tree,
   // importance measures share a single BDD encoding and probability memo,
   // and -- in the diagram regime -- the bounds, FV, counts and orders come
   // from ZBDD measure sweeps instead of the extracted family.
-  ReliabilitySummary reliability = analyse_reliability(
-      tree, analysis.cut_sets, options.probability,
-      want_diagram ? ProbMode::kDiagram : ProbMode::kCutSets);
+  ReliabilitySummary reliability =
+      analyse_reliability(tree, analysis.cut_sets, options.probability);
   analysis.importance = std::move(reliability.importance);
   analysis.p_rare_event = reliability.p_rare_event;
   analysis.p_esary_proschan = reliability.p_esary_proschan;

@@ -29,11 +29,8 @@ struct AnalysisOptions {
   bool render_tree = false;
   /// Limit importance rows shown by render().
   std::size_t max_importance_rows = 10;
-  /// Probability / importance computation mode (see ProbMode). kAuto uses
-  /// diagram-native evaluation exactly when cut_sets.engine is the ZBDD
-  /// engine; analyse_tree derives cut_sets.keep_diagram from this, so
-  /// callers need only set the mode.
-  ProbMode prob_mode = ProbMode::kAuto;
+  /// Ignored (zbdd always keeps its diagram); kept for perfbench/probe.cpp.
+  ProbMode prob_mode = ProbMode::kDiagram;
 };
 
 /// Full analysis of one synthesized tree.
@@ -49,8 +46,8 @@ struct TreeAnalysis {
   double p_exact = 0.0;
   /// True when the family-derived numbers came from diagram traversal
   /// (see ReliabilitySummary::diagram_native). Deliberately absent from
-  /// render() so clean-run reports stay byte-identical across modes; the
-  /// CLI surfaces it behind --verbose.
+  /// render() so clean-run reports stay byte-identical with and without
+  /// the diagram; the CLI surfaces it behind --verbose.
   bool diagram_native = false;
   /// Cone-cache counters as of the end of this analysis, when
   /// options.cut_sets.cone_cache was set. CUMULATIVE for the cache, not

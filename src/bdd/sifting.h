@@ -8,8 +8,7 @@
 // primitive and this header drives it with the classic sifting schedule
 // (Rudell, ICCAD'93): move each variable, heaviest level first, through
 // every position of the order, remember the position where the live diagram
-// was smallest, and park it there. Converge mode repeats passes until a
-// pass stops paying.
+// was smallest, and park it there. One pass: each variable sifts once.
 //
 // The driver is a template over the manager because the schedule is
 // identical for both diagram kinds; only the swap arithmetic differs (and
@@ -47,10 +46,6 @@ struct SiftOptions {
   /// Hard swap ceiling for the whole run (0 = unlimited). The effort knob
   /// for callers without a deadline.
   std::size_t max_swaps = 0;
-  /// Repeat whole passes until one stops improving (classic
-  /// sifting-to-convergence), bounded by max_passes.
-  bool converge = false;
-  int max_passes = 8;
   /// Deadline polled between swaps (not owned, may be null). Expiry stops
   /// the reorder at the next swap boundary -- every intermediate order is a
   /// valid order, so an interrupted sift degrades, never corrupts.
@@ -92,79 +87,74 @@ SiftStats rudell_sift(Manager& manager,
       return true;
     return options.budget != nullptr && options.budget->poll();
   };
-  const int passes = options.converge ? std::max(1, options.max_passes) : 1;
-  for (int pass = 0; pass < passes && !stats.interrupted; ++pass) {
-    ++stats.passes;
-    const std::size_t pass_start = current;
-    // Heaviest variables first: parking the fattest level pays the most
-    // and unlocks gains for everything sifted after it. Width-0 variables
-    // (declared but absent from the live diagram) cannot change any size,
-    // so they keep their positions.
-    std::vector<std::size_t> width(static_cast<std::size_t>(levels), 0);
-    std::vector<int> vars;
-    vars.reserve(static_cast<std::size_t>(levels));
-    for (int v = 0; v < levels; ++v) {
-      width[static_cast<std::size_t>(v)] =
-          manager.level_width(manager.level_of(v));
-      if (width[static_cast<std::size_t>(v)] > 0) vars.push_back(v);
-    }
-    std::stable_sort(vars.begin(), vars.end(), [&](int a, int b) {
-      return width[static_cast<std::size_t>(a)] >
-             width[static_cast<std::size_t>(b)];
-    });
+  stats.passes = 1;
+  // Heaviest variables first: parking the fattest level pays the most
+  // and unlocks gains for everything sifted after it. Width-0 variables
+  // (declared but absent from the live diagram) cannot change any size,
+  // so they keep their positions.
+  std::vector<std::size_t> width(static_cast<std::size_t>(levels), 0);
+  std::vector<int> vars;
+  vars.reserve(static_cast<std::size_t>(levels));
+  for (int v = 0; v < levels; ++v) {
+    width[static_cast<std::size_t>(v)] =
+        manager.level_width(manager.level_of(v));
+    if (width[static_cast<std::size_t>(v)] > 0) vars.push_back(v);
+  }
+  std::stable_sort(vars.begin(), vars.end(), [&](int a, int b) {
+    return width[static_cast<std::size_t>(a)] >
+           width[static_cast<std::size_t>(b)];
+  });
 
-    for (int v : vars) {
-      if (exhausted()) {
-        stats.interrupted = true;
-        break;
-      }
-      int pos = manager.level_of(v);
-      int best_pos = pos;
-      std::size_t best = current;
-      const std::size_t limit =
-          best +
-          best * static_cast<std::size_t>(options.max_growth_percent) / 100 +
-          2;
-      // One journey: nearer boundary first, then sweep across to the other
-      // one, then settle on the best position seen.
-      auto travel = [&](int target) {
-        while (pos != target) {
-          if (exhausted()) {
-            stats.interrupted = true;
-            return;
-          }
-          manager.swap_adjacent_levels(pos < target ? pos : pos - 1);
-          ++stats.swaps;
-          pos += pos < target ? 1 : -1;
-          const std::size_t size = manager.live_size(roots);
-          if (size < best) {
-            best = size;
-            best_pos = pos;
-          }
-          if (size > limit) return;  // growth damper: stop this direction
-        }
-      };
-      if (pos <= levels - 1 - pos) {
-        travel(0);
-        if (!stats.interrupted) travel(levels - 1);
-      } else {
-        travel(levels - 1);
-        if (!stats.interrupted) travel(0);
-      }
-      // Always park at the best position, even on interrupt: the journey
-      // above may have left the variable somewhere worse.
-      while (pos != best_pos) {
-        manager.swap_adjacent_levels(pos < best_pos ? pos : pos - 1);
-        ++stats.swaps;
-        pos += pos < best_pos ? 1 : -1;
-      }
-      current = best;
-      // Reclaim this journey's exploration nodes so the next journey's
-      // swap loops do not drag dead levels around.
-      manager.collect_garbage(roots);
-      if (stats.interrupted) break;
+  for (int v : vars) {
+    if (exhausted()) {
+      stats.interrupted = true;
+      break;
     }
-    if (current >= pass_start) break;  // converged: the pass stopped paying
+    int pos = manager.level_of(v);
+    int best_pos = pos;
+    std::size_t best = current;
+    const std::size_t limit =
+        best +
+        best * static_cast<std::size_t>(options.max_growth_percent) / 100 +
+        2;
+    // One journey: nearer boundary first, then sweep across to the other
+    // one, then settle on the best position seen.
+    auto travel = [&](int target) {
+      while (pos != target) {
+        if (exhausted()) {
+          stats.interrupted = true;
+          return;
+        }
+        manager.swap_adjacent_levels(pos < target ? pos : pos - 1);
+        ++stats.swaps;
+        pos += pos < target ? 1 : -1;
+        const std::size_t size = manager.live_size(roots);
+        if (size < best) {
+          best = size;
+          best_pos = pos;
+        }
+        if (size > limit) return;  // growth damper: stop this direction
+      }
+    };
+    if (pos <= levels - 1 - pos) {
+      travel(0);
+      if (!stats.interrupted) travel(levels - 1);
+    } else {
+      travel(levels - 1);
+      if (!stats.interrupted) travel(0);
+    }
+    // Always park at the best position, even on interrupt: the journey
+    // above may have left the variable somewhere worse.
+    while (pos != best_pos) {
+      manager.swap_adjacent_levels(pos < best_pos ? pos : pos - 1);
+      ++stats.swaps;
+      pos += pos < best_pos ? 1 : -1;
+    }
+    current = best;
+    // Reclaim this journey's exploration nodes so the next journey's
+    // swap loops do not drag dead levels around.
+    manager.collect_garbage(roots);
+    if (stats.interrupted) break;
   }
   stats.size_after = current;
   return stats;

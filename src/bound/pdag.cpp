@@ -31,6 +31,7 @@ class Compiler {
   }
 
   Ref compile(const FtNode* node) {
+    if (node->kind() == NodeKind::kHouse) return constant_true();
     if (node->is_leaf()) return literal(node, /*negated=*/false);
     if (node->gate() == GateKind::kNot) {
       check_internal(node->children().size() == 1 &&
@@ -79,6 +80,22 @@ class Compiler {
   }
 
  private:
+  /// House leaves are constant true and carry no variable: one shared
+  /// empty conjunction, which absorbs to nothing, so an item holding it
+  /// completes as the empty cut set.
+  Ref constant_true() {
+    if (true_ref_ < 0) {
+      PdagGate gate;
+      gate.conjunction = true;
+      gate.disjoint_children = true;
+      gate.ub = 1.0;
+      gate.support.assign(words_, 0);
+      true_ref_ = static_cast<Ref>(pdag_.gates.size());
+      pdag_.gates.push_back(std::move(gate));
+    }
+    return true_ref_;
+  }
+
   Ref literal(const FtNode* leaf, bool negated) {
     auto it = rank_.find(leaf);
     check_internal(it != rank_.end(),
@@ -112,6 +129,7 @@ class Compiler {
   std::size_t words_;
   std::unordered_map<const FtNode*, int> rank_;
   std::unordered_map<const FtNode*, Ref> memo_;
+  Ref true_ref_ = -1;  ///< the constant_true() gate, once built
   /// Lazily-built one-bit supports, indexed by literal id.
   std::vector<std::vector<std::uint64_t>> literal_support_;
 };

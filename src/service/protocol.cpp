@@ -177,14 +177,8 @@ std::variant<WireRequest, WireError> parse_wire_request(
   std::string engine;
   if (!read_string(*json, "engine", &engine, &error)) return fail(error);
   if (!engine.empty()) {
-    if (engine == "micsup") {
-      request.engine = CutSetEngine::kMicsup;
-    } else if (engine == "mocus") {
-      request.engine = CutSetEngine::kMocus;
-    } else if (engine == "zbdd") {
-      request.engine = CutSetEngine::kZbdd;
-    } else if (engine == "bound") {
-      request.engine = CutSetEngine::kBound;
+    if (std::optional<CutSetEngine> parsed = parse_cut_set_engine(engine)) {
+      request.engine = *parsed;
     } else {
       return fail(WireError{WireErrorCode::kBadRequest,
                        "unknown engine '" + engine + "'"});
@@ -200,16 +194,6 @@ std::variant<WireRequest, WireError> parse_wire_request(
     } else {
       return fail(WireError{WireErrorCode::kBadRequest,
                        "unknown order policy '" + order + "'"});
-    }
-  }
-  std::string prob_mode;
-  if (!read_string(*json, "prob_mode", &prob_mode, &error)) return fail(error);
-  if (!prob_mode.empty()) {
-    if (std::optional<ProbMode> mode = parse_prob_mode(prob_mode)) {
-      request.prob_mode = *mode;
-    } else {
-      return fail(WireError{WireErrorCode::kBadRequest,
-                       "unknown prob mode '" + prob_mode + "'"});
     }
   }
 

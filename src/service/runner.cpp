@@ -260,7 +260,6 @@ AnalysisOptions analysis_options(const Exec& exec) {
   analysis.cut_sets.bound_epsilon = exec.request.bound_epsilon;
   analysis.cut_sets.order = exec.request.order;
   analysis.cut_sets.budget = exec.budget;
-  analysis.prob_mode = exec.request.prob_mode;
   return analysis;
 }
 
@@ -695,9 +694,7 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
   cut_set_options.bound_default_probability =
       analysis.probability.default_event_probability;
   // Diagram-native FMEA columns need the ZBDD engine's retained diagram.
-  const bool fmea_diagram = exec.request.prob_mode != ProbMode::kCutSets &&
-                            exec.request.engine == CutSetEngine::kZbdd;
-  cut_set_options.keep_diagram = fmea_diagram;
+  cut_set_options.keep_diagram = exec.request.engine == CutSetEngine::kZbdd;
   // FMEA analyses every top event of one model: prime sharing territory
   // for the cone cache (plus the persistent layer on --cache).
   std::optional<ConeCache> local;
@@ -730,10 +727,9 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
   }
   std::vector<const CutSetAnalysis*> analyses;
   for (const CutSetAnalysis& analysis : cut_sets) analyses.push_back(&analysis);
-  return emit(render_fmea(synthesise_fmea(
-                  trees, analyses, analysis.probability,
-                  fmea_diagram ? ProbMode::kDiagram : ProbMode::kCutSets)),
-              exec);
+  return emit(
+      render_fmea(synthesise_fmea(trees, analyses, analysis.probability)),
+      exec);
 }
 
 int cmd_audit(LoadedModel& loaded, Exec& exec) {
@@ -923,8 +919,7 @@ std::optional<std::string> ServiceRunner::response_key(
       << '\x1f' << request.max_errors << '\x1f' << request.max_depth << '\x1f'
       << request.max_nodes << '\x1f' << static_cast<int>(request.engine)
       << '\x1f' << request.bound_epsilon << '\x1f'
-      << static_cast<int>(request.order) << '\x1f'
-      << static_cast<int>(request.prob_mode);
+      << static_cast<int>(request.order);
   return key.str();
 }
 

@@ -98,11 +98,6 @@ struct ServiceRequest {
   /// families.
   double bound_epsilon = 1e-6;
   OrderPolicy order = OrderPolicy::kStatic;
-  /// Probability/importance mode (CLI --prob-mode, wire "prob_mode").
-  /// kAuto = diagram-native exactly when engine is kZbdd. Part of the
-  /// response-memo key: modes only differ on truncated runs, but they DO
-  /// differ there.
-  ProbMode prob_mode = ProbMode::kAuto;
   bool no_cache = false;
   bool verbose = false;
   /// Daemon: a budget armed at admission (so queue wait counts against

@@ -155,6 +155,29 @@ TEST(BoundFrontier, ConvergesToExactOnSmallTree) {
   EXPECT_GT(analysis.frontier_stats->rounds, 0u);
 }
 
+TEST(BoundFrontier, HouseLeavesAreConstantTrue) {
+  // AND drops a house; an OR it reaches is true, so the top below has the
+  // empty cut set as its whole family. The set engine is the reference.
+  FaultTree tree("houses");
+  FtNode* a = tree.add_basic(Symbol("a"), 0.1, "", "");
+  FtNode* b = tree.add_basic(Symbol("b"), 0.2, "", "");
+  FtNode* house = tree.add_house(Symbol("h"), "");
+  FtNode* guarded = tree.add_gate(GateKind::kAnd, "", {house, a});
+  tree.set_top(tree.add_gate(GateKind::kAnd, "", {guarded, b}));
+  CutSetOptions options;
+  options.engine = CutSetEngine::kBound;
+  options.bound_epsilon = -1.0;
+  const CutSetAnalysis both = compute_cut_sets(tree, options);
+  EXPECT_EQ(both.to_string(), compute_cut_sets(tree).to_string());
+  EXPECT_EQ(both.to_string(), "{a, b}\n");
+
+  tree.set_top(tree.add_gate(GateKind::kOr, "", {house, guarded}));
+  const CutSetAnalysis always = compute_cut_sets(tree, options);
+  EXPECT_EQ(always.to_string(), compute_cut_sets(tree).to_string());
+  ASSERT_TRUE(always.p_lower.has_value());
+  EXPECT_DOUBLE_EQ(*always.p_lower, 1.0);
+}
+
 TEST(BoundFrontier, ExhaustedRunMatchesExactEnginesByteIdentically) {
   FaultTree tree = small_tree();
   CutSetOptions exact_options;

@@ -460,6 +460,21 @@ TEST_F(CliTest, UnknownOrderPolicyRejected) {
                  "--order", "bogus"}),
             2);
   EXPECT_NE(err_.str().find("unknown --order 'bogus'"), std::string::npos);
+  // sift-converge was retired: it printed the same bytes as sift, slower.
+  EXPECT_EQ(run({"analyse", model_path_, "--top", "Omission-brake_force_fl",
+                 "--order", "sift-converge"}),
+            2);
+  EXPECT_NE(err_.str().find("(expected static or sift)"), std::string::npos);
+}
+
+TEST_F(CliTest, RetiredProbModeFlagIsUsageError) {
+  // The zbdd engine always evaluates its diagram when extraction
+  // truncates; there is no mode left to choose.
+  EXPECT_EQ(run({"analyse", model_path_, "--engine", "zbdd", "--prob-mode",
+                 "cutsets"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown option '--prob-mode'"),
+            std::string::npos);
 }
 
 TEST_F(CliTest, OrderPoliciesAreByteIdentical) {
@@ -469,7 +484,7 @@ TEST_F(CliTest, OrderPoliciesAreByteIdentical) {
             0);
   const std::string reference = out_.str();
   ASSERT_FALSE(reference.empty());
-  for (const std::string policy : {"static", "sift", "sift-converge"}) {
+  for (const std::string policy : {"static", "sift"}) {
     for (const std::string jobs : {"1", "4"}) {
       ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
                      "--no-cache", "--order", policy, "--jobs", jobs}),

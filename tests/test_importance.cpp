@@ -30,7 +30,7 @@ class ImportanceTest : public ::testing::Test {
 
 TEST_F(ImportanceTest, RanksDominantEventFirst) {
   std::vector<ImportanceEntry> ranking =
-      importance_ranking(tree_, analysis_, options_);
+      analyse_reliability(tree_, analysis_, options_).importance;
   ASSERT_EQ(ranking.size(), 3u);
   EXPECT_EQ(ranking[0].event, frequent_);
   EXPECT_GT(ranking[0].fussell_vesely, 0.99);
@@ -42,7 +42,7 @@ TEST_F(ImportanceTest, RanksDominantEventFirst) {
 TEST_F(ImportanceTest, FussellVeselySumsOverContainingCutSets) {
   // rare1 appears in exactly one of the two cut sets.
   std::vector<ImportanceEntry> ranking =
-      importance_ranking(tree_, analysis_, options_);
+      analyse_reliability(tree_, analysis_, options_).importance;
   const double total = rare_event_bound(analysis_, options_);
   for (const ImportanceEntry& entry : ranking) {
     if (entry.event != rare1_) continue;
@@ -60,7 +60,7 @@ TEST_F(ImportanceTest, FussellVeselySumsOverContainingCutSets) {
 TEST_F(ImportanceTest, BirnbaumMatchesClosedForm) {
   // For top = f OR (r1 AND r2): dP/dp_f = 1 - p_r1 * p_r2.
   std::vector<ImportanceEntry> ranking =
-      importance_ranking(tree_, analysis_, options_);
+      analyse_reliability(tree_, analysis_, options_).importance;
   const double p1 = event_probability(*rare1_, options_);
   const double p2 = event_probability(*rare2_, options_);
   const double pf = event_probability(*frequent_, options_);
@@ -76,7 +76,7 @@ TEST_F(ImportanceTest, BirnbaumMatchesClosedForm) {
 
 TEST_F(ImportanceTest, RawAndRrwMatchClosedForms) {
   std::vector<ImportanceEntry> ranking =
-      importance_ranking(tree_, analysis_, options_);
+      analyse_reliability(tree_, analysis_, options_).importance;
   const double pf = event_probability(*frequent_, options_);
   const double p1 = event_probability(*rare1_, options_);
   const double p2 = event_probability(*rare2_, options_);
@@ -100,7 +100,7 @@ TEST_F(ImportanceTest, RawAndRrwMatchClosedForms) {
 
 TEST_F(ImportanceTest, RenderProducesTable) {
   std::vector<ImportanceEntry> ranking =
-      importance_ranking(tree_, analysis_, options_);
+      analyse_reliability(tree_, analysis_, options_).importance;
   const std::string table = render_importance(ranking);
   EXPECT_NE(table.find("frequent"), std::string::npos);
   EXPECT_NE(table.find("Birnbaum"), std::string::npos);
@@ -109,8 +109,8 @@ TEST_F(ImportanceTest, RenderProducesTable) {
 TEST(Importance, EmptyTree) {
   FaultTree tree("t");
   CutSetAnalysis analysis = minimal_cut_sets(tree);
-  EXPECT_TRUE(
-      importance_ranking(tree, analysis, ProbabilityOptions{}).empty());
+  EXPECT_TRUE(analyse_reliability(tree, analysis, ProbabilityOptions{})
+                  .importance.empty());
 }
 
 }  // namespace

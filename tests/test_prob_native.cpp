@@ -1,4 +1,6 @@
-// Diagram-native probability and importance (--prob-mode).
+// Diagram-native probability and importance: the ZBDD engine keeps its
+// minimal-family diagram, and the reliability stage evaluates it whenever
+// extraction is cut short.
 //
 // The contract under test has three legs:
 //
@@ -9,24 +11,23 @@
 //      of random AND/OR/NOT DAGs. Likewise the one-pass Birnbaum sweep
 //      against the per-variable restricted evaluations it replaced.
 //
-//   2. Regimes: on a CLEAN run the report must be byte-identical across
-//      --prob-mode cutsets/diagram/auto (both paths evaluate the same
-//      extracted family); on a TRUNCATED run diagram mode must deliver
-//      the numbers of the untruncated reference exactly, and a deadline
-//      that fires mid-sweep must degrade back to the family-derived
-//      partials instead of reporting garbage.
+//   2. Regimes: on a CLEAN run the report must be byte-identical with
+//      the diagram present and with keep_diagram=false (both paths
+//      evaluate the same extracted family); on a TRUNCATED run the
+//      diagram must deliver the numbers of the untruncated reference
+//      exactly, and a deadline that fires mid-sweep must degrade back to
+//      the family-derived partials instead of reporting garbage.
 //
-//   3. Plumbing: the prob-mode parser and its wire field, and the cone
-//      cache's diagram records -- cones whose family outgrows
-//      kMaxCachedSets round-trip through disk as serialised diagrams
-//      (byte-identical warm runs), while the set-based engines count an
-//      oversize skip for the same cone.
+//   3. Plumbing: the retired prob_mode wire field, and the cone cache's
+//      diagram records -- cones whose family outgrows kMaxCachedSets
+//      round-trip through disk as serialised diagrams (byte-identical
+//      warm runs), while the set-based engines count an oversize skip for
+//      the same cone.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
-#include <optional>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -132,51 +133,78 @@ FaultTree replicated_tree(int channels, int stages) {
   return Synthesiser(keep_alive.back()).synthesise("Omission-sink");
 }
 
-// -- Prob-mode parsing and wire plumbing --------------------------------------
+// -- The retired prob_mode wire field -----------------------------------------
 
-TEST(ProbModeTest, ParseAndRenderRoundTrip) {
-  for (ProbMode mode :
-       {ProbMode::kCutSets, ProbMode::kDiagram, ProbMode::kAuto}) {
-    const std::optional<ProbMode> parsed = parse_prob_mode(to_string(mode));
-    ASSERT_TRUE(parsed.has_value()) << to_string(mode);
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_EQ(parse_prob_mode("cutsets"), ProbMode::kCutSets);
-  EXPECT_EQ(parse_prob_mode("diagram"), ProbMode::kDiagram);
-  EXPECT_EQ(parse_prob_mode("auto"), ProbMode::kAuto);
-}
-
-TEST(ProbModeTest, ParseRejectsUnknown) {
-  EXPECT_FALSE(parse_prob_mode("").has_value());
-  EXPECT_FALSE(parse_prob_mode("bdd").has_value());
-  EXPECT_FALSE(parse_prob_mode("Diagram").has_value());
+/// Parses `line`, which must be a valid request.
+service::ServiceRequest parse_ok(const std::string& line) {
+  const auto parsed = service::parse_wire_request(line);
+  const auto* wire = std::get_if<service::WireRequest>(&parsed);
+  EXPECT_NE(wire, nullptr) << line;
+  return wire != nullptr ? wire->request : service::ServiceRequest{};
 }
 
 TEST(ProbModeWireTest, ParsesEveryModeAndDefaultsToAuto) {
+  // Every former mode value still parses, into exactly the request a
+  // line without the field gives: there is one evaluation path, the one
+  // the old default (auto) chose.
+  const std::string head =
+      R"({"command":"analyse","model":"m.mdl","engine":"zbdd",)"
+      R"("deadline_ms":1000)";
+  const service::ServiceRequest plain = parse_ok(head + "}");
   for (const char* mode : {"cutsets", "diagram", "auto"}) {
-    const auto parsed = service::parse_wire_request(
-        R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
-        R"("prob_mode":")" + std::string(mode) + R"("})");
-    ASSERT_TRUE(std::holds_alternative<service::WireRequest>(parsed)) << mode;
-    EXPECT_EQ(std::get<service::WireRequest>(parsed).request.prob_mode,
-              *parse_prob_mode(mode));
+    const service::ServiceRequest request =
+        parse_ok(head + R"(,"prob_mode":")" + mode + R"("})");
+    EXPECT_EQ(request.command, plain.command) << mode;
+    EXPECT_EQ(request.model_path, plain.model_path) << mode;
+    EXPECT_EQ(request.engine, plain.engine) << mode;
+    EXPECT_EQ(request.order, plain.order) << mode;
+    EXPECT_EQ(request.deadline_ms, plain.deadline_ms) << mode;
   }
-  const auto plain = service::parse_wire_request(
-      R"({"command":"analyse","model":"m.mdl","deadline_ms":1000})");
-  ASSERT_TRUE(std::holds_alternative<service::WireRequest>(plain));
-  EXPECT_EQ(std::get<service::WireRequest>(plain).request.prob_mode,
-            ProbMode::kAuto);
+  EXPECT_EQ(plain.engine, CutSetEngine::kZbdd);
 }
 
 TEST(ProbModeWireTest, RejectsUnknownMode) {
-  const auto parsed = service::parse_wire_request(
+  // prob_mode is no longer a field, so no value of it is rejected; an
+  // unknown mode of a field that remains (order, engine) still is.
+  const service::ServiceRequest ignored = parse_ok(
       R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
       R"("prob_mode":"exact"})");
-  ASSERT_TRUE(std::holds_alternative<service::WireError>(parsed));
-  const service::WireError& error = std::get<service::WireError>(parsed);
-  EXPECT_EQ(error.code, service::WireErrorCode::kBadRequest);
-  EXPECT_NE(error.message.find("prob mode"), std::string::npos)
-      << error.message;
+  EXPECT_EQ(ignored.command, "analyse");
+  for (const char* line :
+       {R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
+        R"("order":"sift-converge"})",
+        R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
+        R"("engine":"exact"})"}) {
+    const auto parsed = service::parse_wire_request(line);
+    const auto* error = std::get_if<service::WireError>(&parsed);
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->code, service::WireErrorCode::kBadRequest) << line;
+    EXPECT_NE(error->message.find("unknown"), std::string::npos)
+        << error->message;
+  }
+}
+
+/// analyse_tree with the ZBDD diagram withheld (keep_diagram=false): the
+/// cut-set reference path, every number evaluated over the extracted
+/// family.
+TreeAnalysis analyse_without_diagram(const FaultTree& tree,
+                                     const AnalysisOptions& options) {
+  TreeAnalysis analysis;
+  analysis.top_event = tree.top_description();
+  analysis.tree_stats = tree.stats();
+  CutSetOptions cut_options = options.cut_sets;
+  cut_options.keep_diagram = false;
+  analysis.cut_sets = compute_cut_sets(tree, cut_options);
+  analysis.common_cause = analyse_common_cause(tree, analysis.cut_sets);
+  ReliabilitySummary reliability =
+      analyse_reliability(tree, analysis.cut_sets, options.probability);
+  analysis.importance = std::move(reliability.importance);
+  analysis.p_rare_event = reliability.p_rare_event;
+  analysis.p_esary_proschan = reliability.p_esary_proschan;
+  analysis.p_mcub = reliability.p_mcub;
+  analysis.p_exact = reliability.p_exact;
+  analysis.diagram_native = reliability.diagram_native;
+  return analysis;
 }
 
 // -- Differential: diagram sweeps vs family enumeration -----------------------
@@ -299,27 +327,25 @@ TEST(BirnbaumSweepFuzz, MatchesPerVariableEvaluation) {
 // -- Regimes: clean runs, truncated runs, deadline degradation ----------------
 
 TEST(ProbModeFuzz, CleanRunRendersByteIdenticalAcrossModes) {
+  // The diagram present (analyse_tree under zbdd) vs withheld
+  // (keep_diagram=false): clean runs render the same bytes.
   for (int seed = 1; seed <= 4; ++seed) {
     std::mt19937 rng(static_cast<unsigned>(seed) * 69069u + 7u);
     for (int t = 0; t < 4; ++t) {
       FaultTree tree = random_tree(rng, seed * 100 + t);
       AnalysisOptions options;
       options.cut_sets.engine = CutSetEngine::kZbdd;
-      options.prob_mode = ProbMode::kCutSets;
-      const TreeAnalysis reference = analyse_tree(tree, options);
+      const TreeAnalysis reference = analyse_without_diagram(tree, options);
       ASSERT_FALSE(reference.cut_sets.truncated);
       EXPECT_FALSE(reference.diagram_native);
       const std::string expected = render(tree, reference, options);
 
-      for (ProbMode mode : {ProbMode::kDiagram, ProbMode::kAuto}) {
-        options.prob_mode = mode;
-        const TreeAnalysis analysis = analyse_tree(tree, options);
-        // Clean run: even diagram mode evaluates the extracted family.
-        EXPECT_FALSE(analysis.diagram_native);
-        EXPECT_EQ(render(tree, analysis, options), expected)
-            << "seed=" << seed << " tree=" << t
-            << " mode=" << to_string(mode);
-      }
+      const TreeAnalysis analysis = analyse_tree(tree, options);
+      // Clean run: even with the diagram present the extracted family is
+      // evaluated.
+      EXPECT_FALSE(analysis.diagram_native);
+      EXPECT_EQ(render(tree, analysis, options), expected)
+          << "seed=" << seed << " tree=" << t;
     }
   }
 }
@@ -329,14 +355,13 @@ TEST(DiagramNativeTest, TruncatedRunKeepsExactNumbers) {
 
   AnalysisOptions reference_options;
   reference_options.cut_sets.engine = CutSetEngine::kZbdd;
-  reference_options.prob_mode = ProbMode::kCutSets;
-  const TreeAnalysis reference = analyse_tree(tree, reference_options);
+  const TreeAnalysis reference =
+      analyse_without_diagram(tree, reference_options);
   ASSERT_FALSE(reference.cut_sets.truncated);
   ASSERT_GT(reference.cut_sets.cut_sets.size(), 1000u);
 
   AnalysisOptions truncated_options = reference_options;
   truncated_options.cut_sets.max_sets = 256;
-  truncated_options.prob_mode = ProbMode::kDiagram;
   const TreeAnalysis truncated = analyse_tree(tree, truncated_options);
   ASSERT_TRUE(truncated.cut_sets.truncated);
   EXPECT_TRUE(truncated.diagram_native);
@@ -364,10 +389,10 @@ TEST(DiagramNativeTest, TruncatedRunKeepsExactNumbers) {
         << entry.event->name().str();
   }
 
-  // The same truncated run in cut-set mode reports the partial sums: the
-  // sampled listing carries strictly less mass than the full family.
-  truncated_options.prob_mode = ProbMode::kCutSets;
-  const TreeAnalysis partial = analyse_tree(tree, truncated_options);
+  // The same truncated run without the diagram reports the partial sums:
+  // the truncated listing carries strictly less mass than the full family.
+  const TreeAnalysis partial =
+      analyse_without_diagram(tree, truncated_options);
   EXPECT_FALSE(partial.diagram_native);
   EXPECT_LT(partial.p_rare_event, reference.p_rare_event);
 }
@@ -392,13 +417,16 @@ TEST(DiagramNativeTest, DeadlineMidSweepFallsBackToFamily) {
   EXPECT_FALSE(measures.complete);
 
   // ...and the reliability stage degrades to the family-derived partials
-  // instead of using them.
+  // instead of using them: the numbers of the same listing without the
+  // diagram.
   const ReliabilitySummary degraded =
-      analyse_reliability(tree, analysis, expired, ProbMode::kDiagram);
+      analyse_reliability(tree, analysis, expired);
   EXPECT_FALSE(degraded.diagram_native);
+  CutSetAnalysis listing = analysis;
+  listing.diagram.reset();
   ProbabilityOptions fresh;
   const ReliabilitySummary family =
-      analyse_reliability(tree, analysis, fresh, ProbMode::kCutSets);
+      analyse_reliability(tree, listing, fresh);
   EXPECT_EQ(degraded.p_rare_event, family.p_rare_event);
   EXPECT_EQ(degraded.p_esary_proschan, family.p_esary_proschan);
   ASSERT_EQ(degraded.importance.size(), family.importance.size());

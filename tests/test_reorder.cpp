@@ -115,20 +115,6 @@ TEST(ReorderSift, ShrinksTheGroupedProductFamily) {
   EXPECT_EQ(family_of(zbdd, family), sets_before);
 }
 
-TEST(ReorderSift, ConvergeNeverLosesToASinglePass) {
-  Zbdd single_pass;
-  Zbdd converge;
-  Zbdd::Ref f1 = grouped_product_family(single_pass, 7);
-  Zbdd::Ref f2 = grouped_product_family(converge, 7);
-  SiftStats s1 = single_pass.sift({f1});
-  SiftOptions options;
-  options.converge = true;
-  SiftStats s2 = converge.sift({f2}, options);
-  EXPECT_LE(s2.size_after, s1.size_after);
-  EXPECT_GE(s2.passes, s1.passes);
-  EXPECT_EQ(family_of(converge, f2), family_of(single_pass, f1));
-}
-
 TEST(ReorderSift, BddSiftKeepsProbabilityAndSatCount) {
   Bdd bdd;
   const int vars = 8;
@@ -243,14 +229,13 @@ TEST(ReorderEngine, AdversarialVotersPinnedNodeCounts) {
   CutSetOptions options;
   options.engine = CutSetEngine::kZbdd;
   CutSetAnalysis with_static = compute_cut_sets(tree, options);
-  options.order = OrderPolicy::kSiftConverge;
-  CutSetAnalysis converged = compute_cut_sets(tree, options);
+  options.order = OrderPolicy::kSift;
+  CutSetAnalysis sifted = compute_cut_sets(tree, options);
   ASSERT_TRUE(with_static.reorder.has_value());
-  ASSERT_TRUE(converged.reorder.has_value());
-  EXPECT_LE(converged.reorder->root_nodes * 2,
-            with_static.reorder->root_nodes);
-  EXPECT_LE(converged.reorder->root_nodes, 40u);  // per-stage interleaving
-  EXPECT_EQ(with_static.to_string(), converged.to_string());
+  ASSERT_TRUE(sifted.reorder.has_value());
+  EXPECT_LE(sifted.reorder->root_nodes * 2, with_static.reorder->root_nodes);
+  EXPECT_LE(sifted.reorder->root_nodes, 40u);  // per-stage interleaving
+  EXPECT_EQ(with_static.to_string(), sifted.to_string());
   EXPECT_EQ(with_static.cut_sets.size(), 243u);  // 3^5 voter pair choices
 }
 
@@ -261,8 +246,7 @@ TEST(ReorderEngine, PoliciesAgreeWithTheSetEngineOnEveryFixture) {
     CutSetOptions options;
     CutSetAnalysis micsup = compute_cut_sets(tree, options);
     options.engine = CutSetEngine::kZbdd;
-    for (OrderPolicy policy : {OrderPolicy::kStatic, OrderPolicy::kSift,
-                               OrderPolicy::kSiftConverge}) {
+    for (OrderPolicy policy : {OrderPolicy::kStatic, OrderPolicy::kSift}) {
       options.order = policy;
       EXPECT_EQ(compute_cut_sets(tree, options).to_string(),
                 micsup.to_string())
@@ -289,7 +273,7 @@ TEST(ReorderEngine, WarmConeCacheStaysByteIdenticalAcrossPolicies) {
   EXPECT_EQ(compute_cut_sets(tree, options).to_string(), baseline);  // cold
   options.order = OrderPolicy::kStatic;
   EXPECT_EQ(compute_cut_sets(tree, options).to_string(), baseline);  // warm
-  options.order = OrderPolicy::kSiftConverge;
+  options.order = OrderPolicy::kSift;
   EXPECT_EQ(compute_cut_sets(tree, options).to_string(), baseline);  // warm
   EXPECT_GT(cache.stats().hits, 0u);
 }

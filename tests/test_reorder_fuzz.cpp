@@ -2,7 +2,7 @@
 //
 // A seeded generator produces random AND/OR/NOT fault trees (shared
 // subtrees included, so they are DAGs); every tree is analysed by all
-// four engines (micsup, mocus, zbdd, bound) under every --order policy,
+// four engines (micsup, mocus, zbdd, bound) under both --order policies,
 // and with a cold and a warm cone cache. All renderings must be
 // byte-identical: the canonical minimal cut-set family is order-,
 // engine- and cache-invariant. Ground truth does not rest on the engines
@@ -67,6 +67,14 @@ FaultTree random_tree(std::mt19937& rng, int tag) {
   for (int i = 0; i < nots; ++i)
     pool.push_back(tree.add_gate(GateKind::kNot, "not gate",
                                  {pool[leaf_pick(rng)]}));
+  // Up to two house leaves (constant true, no variable): an AND drops
+  // them, an OR they reach becomes true, and a top they reach through ORs
+  // alone has the empty cut set as its whole family.
+  std::uniform_int_distribution<int> house_count(0, 2);
+  const int houses = house_count(rng);
+  for (int i = 0; i < houses; ++i)
+    pool.push_back(tree.add_house(Symbol("h" + std::to_string(i)),
+                                  "fuzz house"));
 
   // Internal gates draw children from everything built so far, so shared
   // subtrees (DAG structure) arise naturally.
@@ -97,7 +105,8 @@ FaultTree random_tree(std::mt19937& rng, int tag) {
 }
 
 /// Ground truth by exhaustion over the reachable basic events (at most 10
-/// in these trees, so at most 1024 assignments).
+/// in these trees, so at most 1024 assignments). House leaves are true in
+/// every row.
 struct BruteForce {
   double probability = 0.0;  ///< exact P(top), summed over satisfying rows
   bool coherent = true;      ///< no NOT gate: the family below is meaningful
@@ -137,6 +146,10 @@ BruteForce brute_force(const FaultTree& tree) {
       const FtNode* node = order[i];
       if (node->kind() == NodeKind::kBasic) {
         value[i] = (mask >> bit.at(node)) & 1u;
+        continue;
+      }
+      if (node->kind() == NodeKind::kHouse) {
+        value[i] = 1;
         continue;
       }
       const std::vector<FtNode*>& children = node->children();
@@ -219,8 +232,7 @@ TEST_P(DifferentialFuzz, EnginesOrdersAndCachesAgree) {
         << "mocus diverged; seed=" << seed << " tree=" << t;
 
     options.engine = CutSetEngine::kZbdd;
-    for (OrderPolicy policy : {OrderPolicy::kStatic, OrderPolicy::kSift,
-                               OrderPolicy::kSiftConverge}) {
+    for (OrderPolicy policy : {OrderPolicy::kStatic, OrderPolicy::kSift}) {
       options.order = policy;
       EXPECT_EQ(compute_cut_sets(tree, options).to_string(), expected)
           << "zbdd/" << to_string(policy) << " diverged; seed=" << seed
@@ -288,7 +300,7 @@ TEST_P(DifferentialFuzz, EnginesOrdersAndCachesAgree) {
   }
 }
 
-// 25 seeds x 10 trees = 250 random DAGs per CI run, each analysed ten
+// 25 seeds x 10 trees = 250 random DAGs per CI run, each analysed nine
 // ways (including two bound-engine runs checked against the exact BDD
 // probability) and checked against the brute-force oracle. The
 // acceptance floor is 200 trees.

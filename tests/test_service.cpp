@@ -230,7 +230,7 @@ TEST(ServiceProtocol, ParsesEveryRequestField) {
     "tops": ["Omission-a", "Commission-b"], "time_hours": 1000,
     "tree": true, "strict": true, "max_errors": 7, "max_depth": 99,
     "max_nodes": 1234, "no_cache": true, "verbose": true,
-    "engine": "zbdd", "order": "sift-converge", "deadline_ms": 2500
+    "engine": "zbdd", "order": "sift", "deadline_ms": 2500
   })");
   const WireRequest* wire = std::get_if<WireRequest>(&parsed);
   ASSERT_NE(wire, nullptr);
@@ -248,8 +248,18 @@ TEST(ServiceProtocol, ParsesEveryRequestField) {
   EXPECT_TRUE(request.no_cache);
   EXPECT_TRUE(request.verbose);
   EXPECT_EQ(request.engine, CutSetEngine::kZbdd);
-  EXPECT_EQ(request.order, OrderPolicy::kSiftConverge);
+  EXPECT_EQ(request.order, OrderPolicy::kSift);
   EXPECT_EQ(request.deadline_ms, 2500);
+
+  // The retired sift-converge policy is a bad request, not a silent sift.
+  const auto retired = service::parse_wire_request(
+      R"({"command":"analyse","model":"m.mdl","order":"sift-converge",)"
+      R"("deadline_ms":1000})");
+  const WireError* error = std::get_if<WireError>(&retired);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, WireErrorCode::kBadRequest);
+  EXPECT_NE(error->message.find("unknown order policy 'sift-converge'"),
+            std::string::npos);
 }
 
 TEST(ServiceProtocol, ParsesBoundEngineAndEpsilon) {
@@ -625,6 +635,20 @@ TEST_F(ServiceDaemonTest, MalformedAndUnbudgetedRequestsDegradePerRequest) {
   EXPECT_EQ(roundtrip(R"({"command":"ping"})").find("output")->as_string(),
             "pong");
   EXPECT_GE(server_->stats().bad_requests, 2u);
+}
+
+TEST_F(ServiceDaemonTest, RetiredProbModeFieldIsIgnored) {
+  // Unknown request fields are ignored, so a client that still sends the
+  // retired "prob_mode" gets exactly the bytes of a request without it.
+  start(base_options());
+  const Json plain = analyse_request(model_path_, "zbdd");
+  const std::string reference = roundtrip(plain.dump()).dump();
+  EXPECT_NE(reference.find("minimal cut sets:"), std::string::npos);
+  for (const char* mode : {"cutsets", "diagram", "auto", "bogus"}) {
+    Json request = plain;
+    request.set("prob_mode", Json::string(mode));
+    EXPECT_EQ(roundtrip(request.dump()).dump(), reference) << mode;
+  }
 }
 
 TEST_F(ServiceDaemonTest, ConcurrentMixedEngineTrafficIsByteIdentical) {

@@ -77,18 +77,10 @@ options:
                      run to exhaustion or budget expiry. With --max-nodes N
                      the bound engine caps total frontier expansions at N.
   --order POL        variable-order policy for the zbdd engine: static
-                     (default; the fixed DFS-occurrence heuristic), sift
-                     (Rudell sifting on unique-table pressure), or
-                     sift-converge (sift until a pass stops paying). Every
-                     policy emits identical output; sift keeps the diagram
-                     small on adversarially shaped models.
-  --prob-mode MODE   probability/importance computation for analyse/fmea/
-                     report: cutsets (evaluate the extracted cut-set list),
-                     diagram (evaluate the zbdd engine's diagram directly:
-                     identical output on clean runs, EXACT probabilities
-                     and importance even when the cut-set listing is
-                     truncated), or auto (default: diagram exactly when
-                     --engine zbdd)
+                     (default; the fixed DFS-occurrence heuristic) or sift
+                     (Rudell sifting on unique-table pressure). Both emit
+                     identical output; sift keeps the diagram small on
+                     adversarially shaped models.
   --cache DIR        persist per-cone cut-set results in DIR and reuse them
                      on later runs of analyse/fmea/report (incremental
                      re-analysis: after an edit only affected cones are
@@ -237,14 +229,8 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
     } else if (arg == "--engine") {
       auto v = value();
       if (!v) return std::nullopt;
-      if (*v == "micsup") {
-        options.request.engine = CutSetEngine::kMicsup;
-      } else if (*v == "mocus") {
-        options.request.engine = CutSetEngine::kMocus;
-      } else if (*v == "zbdd") {
-        options.request.engine = CutSetEngine::kZbdd;
-      } else if (*v == "bound") {
-        options.request.engine = CutSetEngine::kBound;
+      if (std::optional<CutSetEngine> engine = parse_cut_set_engine(*v)) {
+        options.request.engine = *engine;
       } else {
         err << "error: unknown --engine '" << *v
             << "' (expected micsup, mocus, zbdd or bound)\n";
@@ -266,17 +252,7 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
         options.request.order = *policy;
       } else {
         err << "error: unknown --order '" << *v
-            << "' (expected static, sift or sift-converge)\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--prob-mode") {
-      auto v = value();
-      if (!v) return std::nullopt;
-      if (std::optional<ProbMode> mode = parse_prob_mode(*v)) {
-        options.request.prob_mode = *mode;
-      } else {
-        err << "error: unknown --prob-mode '" << *v
-            << "' (expected cutsets, diagram or auto)\n";
+            << "' (expected static or sift)\n";
         return std::nullopt;
       }
     } else if (arg == "--cache") {
@@ -394,22 +370,12 @@ service::Json build_wire_request(const Options& options) {
     json.set("max_nodes", Json::number(static_cast<double>(request.max_nodes)));
   if (request.no_cache) json.set("no_cache", Json::boolean(true));
   if (request.verbose) json.set("verbose", Json::boolean(true));
-  if (request.engine == CutSetEngine::kMocus) {
-    json.set("engine", Json::string("mocus"));
-  } else if (request.engine == CutSetEngine::kZbdd) {
-    json.set("engine", Json::string("zbdd"));
-  } else if (request.engine == CutSetEngine::kBound) {
-    json.set("engine", Json::string("bound"));
-  }
+  if (request.engine != CutSetEngine::kMicsup)
+    json.set("engine", Json::string(to_string(request.engine)));
   if (request.bound_epsilon != 1e-6)
     json.set("bound_epsilon", Json::number(request.bound_epsilon));
-  if (request.order == OrderPolicy::kSift) {
-    json.set("order", Json::string("sift"));
-  } else if (request.order == OrderPolicy::kSiftConverge) {
-    json.set("order", Json::string("sift-converge"));
-  }
-  if (request.prob_mode != ProbMode::kAuto)
-    json.set("prob_mode", Json::string(to_string(request.prob_mode)));
+  if (request.order != OrderPolicy::kStatic)
+    json.set("order", Json::string(to_string(request.order)));
   const long deadline_ms =
       request.deadline_ms > 0 ? request.deadline_ms : 60000;
   json.set("deadline_ms", Json::number(static_cast<double>(deadline_ms)));

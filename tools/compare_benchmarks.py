@@ -166,7 +166,7 @@ def prob_report(path: str, metric: str, min_speedup: float) -> int:
     BM_Analyse<Fixture>Diagram counterpart. The truncated fixtures (where
     extraction dominates and the diagram path skips it) carry the
     --min-speedup bar; the Bbw pair is the honesty axis -- a clean run
-    costs the same in both modes by construction -- and is report-only.
+    costs the same on both arms by construction -- and is report-only.
     """
     times = load_benchmarks(path, metric)
     pattern = re.compile(r"^BM_Analyse(.*?)(Cutsets|Diagram)$")

@@ -152,22 +152,11 @@ def main() -> int:
                     ["analyse", model, "--engine", engine, "--order", order],
                 )
             )
-    # Explicit prob modes: diagram-native evaluation (zbdd) and forced
-    # cut-set evaluation, both byte-identical to the serial CLI.
-    for prob_mode in ("diagram", "cutsets"):
-        workload.append(
-            (
-                {"command": "analyse", "model": model, "engine": "zbdd",
-                 "prob_mode": prob_mode},
-                ["analyse", model, "--engine", "zbdd",
-                 "--prob-mode", prob_mode],
-            )
-        )
+    # FMEA on the zbdd engine, which keeps its diagram for the columns.
     workload.append(
         (
-            {"command": "fmea", "model": model, "engine": "zbdd",
-             "prob_mode": "diagram"},
-            ["fmea", model, "--engine", "zbdd", "--prob-mode", "diagram"],
+            {"command": "fmea", "model": model, "engine": "zbdd"},
+            ["fmea", model, "--engine", "zbdd"],
         )
     )
     # The anytime bound engine: default convergence target, an explicit
