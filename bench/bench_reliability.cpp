@@ -31,7 +31,8 @@ void BM_RareEventBound(benchmark::State& state) {
   ProbabilityOptions options;
   options.mission_time_hours = 1000.0;
   double p = 0.0;
-  for (auto _ : state) p = rare_event_bound(fixture().cut_sets, options);
+  for (auto _ : state)
+    p = rare_event_bound(cut_set_probabilities(fixture().cut_sets, options));
   state.counters["p"] = p;
 }
 BENCHMARK(BM_RareEventBound);
@@ -40,7 +41,10 @@ void BM_EsaryProschanBound(benchmark::State& state) {
   ProbabilityOptions options;
   options.mission_time_hours = 1000.0;
   double p = 0.0;
-  for (auto _ : state) p = esary_proschan_bound(fixture().cut_sets, options);
+  for (auto _ : state) {
+    p = esary_proschan_bound(
+        cut_set_probabilities(fixture().cut_sets, options));
+  }
   state.counters["p"] = p;
 }
 BENCHMARK(BM_EsaryProschanBound);
@@ -76,7 +80,8 @@ void BM_UnavailabilityVsMissionTime(benchmark::State& state) {
   double rare = 0.0;
   for (auto _ : state) {
     exact = exact_probability(fixture().tree, options);
-    rare = rare_event_bound(fixture().cut_sets, options);
+    rare =
+        rare_event_bound(cut_set_probabilities(fixture().cut_sets, options));
   }
   state.counters["t_hours"] = options.mission_time_hours;
   state.counters["p_exact"] = exact;

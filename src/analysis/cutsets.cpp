@@ -4,8 +4,10 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -54,9 +56,10 @@ namespace {
 // -- Interned-bitset working sets ---------------------------------------------
 //
 // Every (event, polarity) literal of the tree under analysis is interned
-// once into a dense id (2 * event_rank + negated, event ranks in
-// depth-first occurrence order -- the same order the decision diagrams
-// use), so a working cut set is a fixed-width word-array bitset. The two
+// once into a dense id (2 * event_rank + negated), so a working cut set is
+// a fixed-width word-array bitset. micsup and mocus rank events by name,
+// which makes set_less the canonical output order; zbdd, bdd and bound
+// rank them in their variable order (see Context::intern). The two
 // derived fields make the subsumption hot loop cheap:
 //
 //   * count: cached popcount -- a set can only be subsumed by a set with
@@ -69,6 +72,18 @@ struct Set {
   std::uint32_t count = 0;       ///< popcount over all words
   std::uint64_t signature = 0;   ///< OR of all words
 };
+
+/// Calls `visit(literal)` for every literal of `set`, ascending.
+template <typename Visit>
+void for_each_literal(const Set& set, Visit&& visit) {
+  for (std::size_t w = 0; w < set.words.size(); ++w) {
+    std::uint64_t bits = set.words[w];
+    while (bits != 0) {
+      visit(static_cast<int>(w * 64) + std::countr_zero(bits));
+      bits &= bits - 1;
+    }
+  }
+}
 
 void set_insert(Set& set, int literal) {
   std::uint64_t& word = set.words[static_cast<std::size_t>(literal) >> 6];
@@ -142,9 +157,14 @@ class Context {
 
   /// Interns `events` (their rank is their listing index); every
   /// literal_id() lookup and bitset width derives from this table, so it
-  /// must run before any set is built. Pass the depth-first occurrence
-  /// order (analysis/ordering.h) for the canonical id assignment.
-  void intern(std::vector<const FtNode*> events) {
+  /// must run before any set is built. zbdd, bdd and bound pass their
+  /// variable order, since a literal id is a diagram variable or PDAG
+  /// literal; finish() then sorts by name rank. micsup and mocus use
+  /// intern_by_name.
+  /// `original` is the caller's tree: finish() points every literal at
+  /// its equally-named leaf there (the engines run on a normalised copy
+  /// whose nodes die with the run).
+  void intern(std::vector<const FtNode*> events, const FaultTree& original) {
     events_ = std::move(events);
     event_index_.reserve(events_.size());
     name_index_.reserve(events_.size());
@@ -153,6 +173,34 @@ class Context {
       name_index_.emplace(events_[i]->name(), static_cast<int>(i));
     }
     words_ = (2 * events_.size() + 63) / 64;
+    std::vector<int> by_name(events_.size());
+    std::iota(by_name.begin(), by_name.end(), 0);
+    const auto name_less = [&](int a, int b) {
+      return events_[static_cast<std::size_t>(a)]->name() <
+             events_[static_cast<std::size_t>(b)]->name();
+    };
+    if (!std::is_sorted(by_name.begin(), by_name.end(), name_less))
+      std::stable_sort(by_name.begin(), by_name.end(), name_less);
+    rank_.resize(events_.size());
+    leaves_.resize(events_.size());
+    for (std::size_t r = 0; r < by_name.size(); ++r) {
+      const auto i = static_cast<std::size_t>(by_name[r]);
+      rank_[i] = static_cast<int>(r);
+      leaves_[r] = original.find_event(events_[i]->name());
+      if (i != r) ids_by_name_ = false;
+    }
+  }
+
+  /// Interns `events` in name order: literal ids then order like the
+  /// (name, polarity) literals they stand for, so set_less IS the
+  /// canonical cut-set order and finish() emits minimise()'s output as is.
+  void intern_by_name(std::vector<const FtNode*> events,
+                      const FaultTree& original) {
+    std::sort(events.begin(), events.end(),
+              [](const FtNode* a, const FtNode* b) {
+                return a->name() < b->name();
+              });
+    intern(std::move(events), original);
   }
 
   /// Amortised deadline probe for the engines' hot loops. Once it fires
@@ -191,6 +239,12 @@ class Context {
     return events_[static_cast<std::size_t>(literal / 2)];
   }
 
+  /// The original tree's leaf for interned event `index`; null when the
+  /// normalised copy invented the event.
+  const FtNode* original_leaf(std::size_t index) const {
+    return leaves_[static_cast<std::size_t>(rank_[index])];
+  }
+
   /// True while no limit or deadline has bitten: results so far are exact,
   /// so they are safe to publish into a cone cache.
   bool clean() const noexcept { return !truncated_ && !deadline_exceeded_; }
@@ -223,52 +277,94 @@ class Context {
     }
     if (kept.size() > options_.max_sets) {
       truncated_ = true;
-      // minimise() sorted canonically already when used on its result;
-      // sort defensively so the kept prefix is the smallest sets.
-      std::sort(kept.begin(), kept.end(), set_less);
+      // The kept prefix is the first max_sets sets of the listing order,
+      // whatever the engine.
+      sort_canonical(kept);
       kept.resize(options_.max_sets);
     }
     return kept;
   }
 
+  /// Sorts `sets` into the canonical (size, name, polarity) order that
+  /// finish() lists. Under name-ranked ids that is set_less (a no-op on
+  /// minimise() output); otherwise it sorts on each set's name_keys.
+  void sort_canonical(std::vector<Set>& sets) const {
+    if (ids_by_name_) {
+      if (!std::is_sorted(sets.begin(), sets.end(), set_less))
+        std::sort(sets.begin(), sets.end(), set_less);
+      return;
+    }
+    std::vector<std::pair<std::vector<int>, Set>> keyed;
+    keyed.reserve(sets.size());
+    for (Set& set : sets) keyed.emplace_back(name_keys(set), std::move(set));
+    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+      return keys_less(a.first, b.first);
+    });
+    for (std::size_t i = 0; i < sets.size(); ++i)
+      sets[i] = std::move(keyed[i].second);
+  }
+
+  /// Lists `sets` in the canonical (size, name, polarity) order, every
+  /// literal pointing into the original tree. Name-ranked ids in set_less
+  /// order -- every clean micsup or mocus run -- are that order already
+  /// and are emitted in one pass. Otherwise (zbdd, bdd, bound, partial
+  /// runs) each set becomes its sorted `2 * name_rank + negated` keys and
+  /// the keys are sorted once: integers only, never names.
   CutSetAnalysis finish(std::vector<Set> sets) const {
     CutSetAnalysis analysis;
     analysis.truncated = truncated_;
     analysis.deadline_exceeded = deadline_exceeded_;
     analysis.peak_sets = peak_sets_;
     analysis.cut_sets.reserve(sets.size());
-    for (const Set& set : sets) {
-      CutSet cs;
-      cs.reserve(set.count);
-      for (std::size_t w = 0; w < set.words.size(); ++w) {
-        std::uint64_t bits = set.words[w];
-        while (bits != 0) {
-          const int lit = static_cast<int>(w * 64) + std::countr_zero(bits);
-          bits &= bits - 1;
-          cs.push_back({events_[static_cast<std::size_t>(lit / 2)],
-                        (lit & 1) != 0});
-        }
+    const auto literal = [&](int key) {
+      const FtNode* leaf = leaves_[static_cast<std::size_t>(key / 2)];
+      if (leaf == nullptr) {
+        const auto index = static_cast<std::size_t>(
+            std::find(rank_.begin(), rank_.end(), key / 2) - rank_.begin());
+        check_internal(false, "normalised tree invented leaf '" +
+                                  events_[index]->name().str() + "'");
       }
-      std::sort(cs.begin(), cs.end(), [](const CutLiteral& a,
-                                         const CutLiteral& b) {
-        if (a.event->name() != b.event->name())
-          return a.event->name() < b.event->name();
-        return a.negated < b.negated;
-      });
+      return CutLiteral{leaf, (key & 1) != 0};
+    };
+    if (ids_by_name_ && std::is_sorted(sets.begin(), sets.end(), set_less)) {
+      for (const Set& set : sets) {
+        CutSet cs;
+        cs.reserve(set.count);
+        for_each_literal(set, [&](int lit) { cs.push_back(literal(lit)); });
+        analysis.cut_sets.push_back(std::move(cs));
+      }
+      return analysis;
+    }
+    std::vector<std::vector<int>> keyed;
+    keyed.reserve(sets.size());
+    for (const Set& set : sets) keyed.push_back(name_keys(set));
+    std::sort(keyed.begin(), keyed.end(), keys_less);
+    for (const std::vector<int>& keys : keyed) {
+      CutSet cs;
+      cs.reserve(keys.size());
+      for (int key : keys) cs.push_back(literal(key));
       analysis.cut_sets.push_back(std::move(cs));
     }
-    std::sort(analysis.cut_sets.begin(), analysis.cut_sets.end(),
-              [](const CutSet& a, const CutSet& b) {
-                if (a.size() != b.size()) return a.size() < b.size();
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                  if (a[i].event->name() != b[i].event->name())
-                    return a[i].event->name() < b[i].event->name();
-                  if (a[i].negated != b[i].negated)
-                    return a[i].negated < b[i].negated;
-                }
-                return false;
-              });
     return analysis;
+  }
+
+  /// `set` as its ascending `2 * name_rank + negated` keys.
+  std::vector<int> name_keys(const Set& set) const {
+    std::vector<int> keys;
+    keys.reserve(set.count);
+    for_each_literal(set, [&](int lit) {
+      keys.push_back(2 * rank_[static_cast<std::size_t>(lit / 2)] +
+                     (lit & 1));
+    });
+    if (!ids_by_name_) std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// The canonical order on name_keys: size first, then lexicographic.
+  static bool keys_less(const std::vector<int>& a,
+                        const std::vector<int>& b) {
+    if (a.size() != b.size()) return a.size() < b.size();
+    return a < b;
   }
 
   void track_peak(std::size_t size) noexcept {
@@ -283,6 +379,9 @@ class Context {
   std::unordered_map<const FtNode*, int> event_index_;
   std::unordered_map<Symbol, int> name_index_;
   std::vector<const FtNode*> events_;
+  std::vector<int> rank_;               ///< interned index -> name rank
+  std::vector<const FtNode*> leaves_;   ///< name rank -> original leaf
+  bool ids_by_name_ = true;             ///< rank_ is the identity
   std::size_t words_ = 0;
   bool truncated_ = false;
   bool deadline_exceeded_ = false;
@@ -290,10 +389,11 @@ class Context {
 };
 
 /// Removes non-minimal, duplicate and contradictory sets; result is sorted
-/// canonically (set_less). The subsumption pass is quadratic in the worst
-/// case, so on large batches it probes the deadline (when a context is
-/// given) and returns the partially-minimised prefix on expiry. Two
-/// observations cut the constant far below the naive scan:
+/// canonically (set_less). Input already in that order (merged or
+/// minimised families) skips the sort. The subsumption pass is quadratic
+/// in the worst case, so on large batches it probes the deadline (when a
+/// context is given) and returns the partially-minimised prefix on
+/// expiry. Two observations cut the constant far below the naive scan:
 ///
 ///   * popcount bucketing -- after the canonical sort candidates arrive in
 ///     ascending popcount order, duplicates are adjacent (removed up
@@ -307,7 +407,8 @@ class Context {
 ///     the survivors. Bucket entries carry (count, signature) so the scan
 ///     stays in one dense array until a signature actually passes.
 std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
-  std::sort(sets.begin(), sets.end(), set_less);
+  if (!std::is_sorted(sets.begin(), sets.end(), set_less))
+    std::sort(sets.begin(), sets.end(), set_less);
   sets.erase(std::unique(sets.begin(), sets.end(), set_equal), sets.end());
   if (sets.empty()) return {};
   // The empty set sorts first and absorbs every other set. It also has no
@@ -391,7 +492,8 @@ ConeCache* usable_cache(const CutSetOptions& options,
   return cache;
 }
 
-/// Cached family -> local bitsets, canonically sorted. nullopt when some
+/// Cached family -> local bitsets, canonically sorted (a family stored by
+/// this engine under name-ranked ids arrives sorted). nullopt when some
 /// event name is outside this analysis's universe (possible only for a
 /// foreign/corrupt persistent entry; treated as a miss).
 std::optional<std::vector<Set>> sets_from_family(const ConeFamily& family,
@@ -407,7 +509,8 @@ std::optional<std::vector<Set>> sets_from_family(const ConeFamily& family,
     }
     sets.push_back(std::move(set));
   }
-  std::sort(sets.begin(), sets.end(), set_less);
+  if (!std::is_sorted(sets.begin(), sets.end(), set_less))
+    std::sort(sets.begin(), sets.end(), set_less);
   return sets;
 }
 
@@ -420,15 +523,9 @@ ConeFamily family_from_sets(const std::vector<Set>& sets,
   for (const Set& set : sets) {
     std::vector<ConeLiteral> literals;
     literals.reserve(set.count);
-    for (std::size_t w = 0; w < set.words.size(); ++w) {
-      std::uint64_t bits = set.words[w];
-      while (bits != 0) {
-        const int lit = static_cast<int>(w * 64) + std::countr_zero(bits);
-        bits &= bits - 1;
-        literals.push_back(
-            {context.event_of(lit)->name(), (lit & 1) != 0});
-      }
-    }
+    for_each_literal(set, [&](int lit) {
+      literals.push_back({context.event_of(lit)->name(), (lit & 1) != 0});
+    });
     family.sets.push_back(std::move(literals));
   }
   return family;
@@ -477,8 +574,17 @@ class BottomUp {
         hashes_(hashes) {}
 
   std::vector<Set> run() {
-    if (tree_.top() == nullptr) return {};
-    return resolve(tree_.top());
+    const FtNode* top = tree_.top();
+    if (top == nullptr) return {};
+    // Every AND/OR edge is one use of its child's family; the caller's
+    // use of the top's is one more.
+    tree_.for_each_reachable([&](const FtNode& node) {
+      if (node.kind() != NodeKind::kGate || node.gate() == GateKind::kNot)
+        return;
+      for (const FtNode* child : node.children()) ++uses_[child];
+    });
+    ++uses_[top];
+    return take(top);
   }
 
   /// Publishes every memoised gate family into the cone cache. Call only
@@ -486,6 +592,8 @@ class BottomUp {
   /// limit is partial and must never be reused.
   void store_cones() {
     if (cone_cache_ == nullptr) return;
+    for (std::size_t i = 0; i < released_oversize_; ++i)
+      cone_cache_->note_oversize_skip();
     for (const auto& [node, sets] : memo_) {
       if (!cacheable_cone(node)) continue;
       if (sets.size() > ConeCache::kMaxCachedSets) {
@@ -503,7 +611,7 @@ class BottomUp {
   /// move on rehash). A cache hit on a diamond-shaped DAG used to copy the
   /// whole intermediate set list on every revisit; callers now copy only
   /// what they combine.
-  const std::vector<Set>& resolve(const FtNode* node) {
+  std::vector<Set>& resolve(const FtNode* node) {
     if (auto it = memo_.find(node); it != memo_.end()) return it->second;
     if (cone_cache_ != nullptr && cacheable_cone(node)) {
       if (const std::shared_ptr<const ConeFamily> family =
@@ -518,6 +626,32 @@ class BottomUp {
     std::vector<Set> result = resolve_uncached(node);
     context_.track_peak(result.size());
     return memo_.emplace(node, std::move(result)).first->second;
+  }
+
+  /// Counts one use of `node`'s memoised family off. True when that was
+  /// the last use and store_cones would never publish the family (no
+  /// cache, a leaf, or too many sets): the entry may then leave the memo.
+  bool last_use(const FtNode* node, std::size_t size) {
+    if (--uses_.at(node) != 0) return false;
+    if (cone_cache_ == nullptr || !cacheable_cone(node)) return true;
+    if (size <= ConeCache::kMaxCachedSets) return false;
+    ++released_oversize_;  // store_cones still reports the skip
+    return true;
+  }
+
+  /// One use of `node`'s family, as a value: moved out of the memo on its
+  /// last use (see last_use), copied otherwise.
+  std::vector<Set> take(const FtNode* node) {
+    std::vector<Set>& sets = resolve(node);
+    if (!last_use(node, sets.size())) return sets;
+    std::vector<Set> out = std::move(sets);
+    memo_.erase(node);
+    return out;
+  }
+
+  /// Ends a use of `node`'s family made through resolve().
+  void release(const FtNode* node) {
+    if (last_use(node, memo_.at(node).size())) memo_.erase(node);
   }
 
   std::vector<Set> resolve_uncached(const FtNode* node) {
@@ -537,19 +671,32 @@ class BottomUp {
                      "cut sets need a normalised tree (NOT over leaf)");
       return {context_.literal_set(context_.literal_id(child, true))};
     }
+    // Child families arrive minimal and in set_less order. OR merges them
+    // (minimise() then only screens); AND minimises after every operand,
+    // which is exact -- min(min(A x B) x C) = min(A x B x C) -- and keeps
+    // the next cross product small.
+    const bool is_or = node->gate() == GateKind::kOr;
     std::vector<Set> acc;
     bool first = true;
     // kPand is quantified by analysis/temporal.h; for cut-set purposes the
     // *event sets* are those of the AND (a conservative upper bound).
     for (const FtNode* child : node->children()) {
       if (context_.deadline_hit()) break;  // keep the partial accumulation
-      const std::vector<Set>& sets = resolve(child);
-      if (node->gate() == GateKind::kOr) {
-        acc.insert(acc.end(), sets.begin(), sets.end());
-      } else if (first) {
-        acc = sets;
+      if (first) {
+        acc = take(child);
+      } else if (is_or) {
+        std::vector<Set> sets = take(child);
+        std::vector<Set> merged;
+        merged.reserve(acc.size() + sets.size());
+        std::merge(std::make_move_iterator(acc.begin()),
+                   std::make_move_iterator(acc.end()),
+                   std::make_move_iterator(sets.begin()),
+                   std::make_move_iterator(sets.end()),
+                   std::back_inserter(merged), set_less);
+        acc = std::move(merged);
       } else {
         // AND: cross product, dropping contradictions as they appear.
+        const std::vector<Set>& sets = resolve(child);
         std::vector<Set> product;
         product.reserve(acc.size() * sets.size());
         for (const Set& a : acc) {
@@ -563,14 +710,18 @@ class BottomUp {
             product = context_.clamp(minimise(std::move(product), &context_));
           }
         }
-        acc = std::move(product);
+        release(child);
+        context_.track_peak(product.size());
+        // Past the deadline keep the raw partial product (see below).
+        acc = context_.deadline_hit() ? std::move(product)
+                                      : minimise(std::move(product), &context_);
       }
       first = false;
       context_.track_peak(acc.size());
     }
     // Past the deadline the result is partial anyway; skip the O(n^2)
     // minimisation so the whole engine unwinds in O(n log n).
-    if (context_.deadline_hit()) return context_.clamp(std::move(acc));
+    if (context_.deadline_hit() || !is_or) return context_.clamp(std::move(acc));
     return context_.clamp(minimise(std::move(acc), &context_));
   }
 
@@ -579,6 +730,10 @@ class BottomUp {
   ConeCache* cone_cache_;      ///< not owned; null = no cross-tree reuse
   const NodeHashes* hashes_;   ///< set exactly when cone_cache_ is
   std::unordered_map<const FtNode*, std::vector<Set>> memo_;
+  /// Remaining uses of each node's family (run() counts them).
+  std::unordered_map<const FtNode*, std::size_t> uses_;
+  /// Oversize cacheable families dropped from the memo before store_cones.
+  std::size_t released_oversize_ = 0;
 };
 
 // -- Top-down MOCUS engine -------------------------------------------------------
@@ -686,21 +841,6 @@ class Mocus {
   const NodeHashes* hashes_;   ///< set exactly when cone_cache_ is
 };
 
-/// The engines run on a temporary normalised copy of the tree; its nodes
-/// die with it. Remap every literal to the equally-named leaf of the
-/// original tree before returning.
-void remap_events(CutSetAnalysis& analysis, const FaultTree& original) {
-  for (CutSet& cs : analysis.cut_sets) {
-    for (CutLiteral& literal : cs) {
-      const FtNode* mapped = original.find_event(literal.event->name());
-      check_internal(mapped != nullptr,
-                     "normalised tree invented leaf '" +
-                         literal.event->name().str() + "'");
-      literal.event = mapped;
-    }
-  }
-}
-
 }  // namespace
 
 ConeKeyspace cone_keyspace(const CutSetOptions& options) {
@@ -736,7 +876,7 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
                                 const CutSetOptions& options) {
   FaultTree flat = normalise(tree);
   Context context(options);
-  context.intern(dfs_variable_order(flat));
+  context.intern_by_name(dfs_variable_order(flat), tree);
   ConeCache* cache = usable_cache(options, "micsup");
   NodeHashes hashes;
   if (cache != nullptr && flat.top() != nullptr)
@@ -744,16 +884,14 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
   BottomUp engine(flat, context, cache, &hashes);
   std::vector<Set> sets = engine.run();
   if (cache != nullptr && context.clean()) engine.store_cones();
-  CutSetAnalysis analysis = context.finish(std::move(sets));
-  remap_events(analysis, tree);
-  return analysis;
+  return context.finish(std::move(sets));
 }
 
 CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
                               const CutSetOptions& options) {
   FaultTree flat = normalise(tree);
   Context context(options);
-  context.intern(dfs_variable_order(flat));
+  context.intern_by_name(dfs_variable_order(flat), tree);
   ConeCache* cache = usable_cache(options, "mocus");
   NodeHashes hashes;
   if (cache != nullptr && flat.top() != nullptr)
@@ -769,9 +907,7 @@ CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
       cache->note_oversize_skip();
     }
   }
-  CutSetAnalysis analysis = context.finish(std::move(sets));
-  remap_events(analysis, tree);
-  return analysis;
+  return context.finish(std::move(sets));
 }
 
 CutSetAnalysis compute_cut_sets(const FaultTree& tree,
@@ -810,13 +946,7 @@ std::vector<std::vector<int>> minimise_literal_sets(
   for (const Set& set : minimise(std::move(packed))) {
     std::vector<int> literals;
     literals.reserve(set.count);
-    for (std::size_t w = 0; w < set.words.size(); ++w) {
-      std::uint64_t bits = set.words[w];
-      while (bits != 0) {
-        literals.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
+    for_each_literal(set, [&](int lit) { literals.push_back(lit); });
     out.push_back(std::move(literals));
   }
   return out;
@@ -829,7 +959,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   FaultTree flat = normalise(tree);
   Context context(options);
   std::vector<const FtNode*> order = dfs_variable_order(flat);
-  context.intern(order);
+  context.intern(order, tree);
   if (flat.top() == nullptr) return context.finish({});
 
   ConeCache* cache = usable_cache(options, "zbdd");
@@ -839,7 +969,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
           cached_root_analysis(flat, hashes, cache, context)) {
     // The whole tree's family is cached: skip the diagram entirely (and
     // the ordering policy with it -- there is no diagram to reorder).
-    remap_events(*hit, tree);
     return std::move(*hit);
   }
 
@@ -1095,14 +1224,14 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       extract(extract, root);
     } else {
       // Truncated family: the listing is a bounded sample. Sample it
-      // CANONICALLY -- smallest sets first, set_less within one order --
-      // instead of in diagram order: diagram order follows the variable
-      // order, which dynamic reordering moves, and stdout must not depend
-      // on it. Per-node order bounds prune each sweep to the subgraphs
-      // that can hold a set of the wanted size; the enumeration ceiling
-      // bounds the boundary order's cost (a sample past the ceiling keeps
-      // the enumeration prefix -- the documented residual,
-      // docs/FORMATS.md).
+      // CANONICALLY -- smallest sets first, by name within one order, as
+      // every engine's clamp() keeps them -- instead of in diagram order:
+      // diagram order follows the variable order, which dynamic
+      // reordering moves, and stdout must not depend on it. Per-node
+      // order bounds prune each sweep to the subgraphs that can hold a
+      // set of the wanted size; the enumeration ceiling bounds the
+      // boundary order's cost (a sample past the ceiling keeps the
+      // enumeration prefix -- the documented residual, docs/FORMATS.md).
       truncated_paths = true;
       constexpr std::size_t kNoSets = std::numeric_limits<std::size_t>::max();
       std::unordered_map<Zbdd::Ref, std::pair<std::size_t, std::size_t>>
@@ -1157,7 +1286,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
            !stop && k <= k_hi && sets.size() < extract_cap; ++k) {
         order_sets.clear();
         if (!enumerate(enumerate, root, k)) stop = true;
-        std::sort(order_sets.begin(), order_sets.end(), set_less);
+        context.sort_canonical(order_sets);
         for (Set& set : order_sets) {
           if (sets.size() >= extract_cap) break;
           sets.push_back(std::move(set));
@@ -1275,7 +1404,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
 
   CutSetAnalysis analysis = context.finish(context.clamp(std::move(sets)));
   analysis.reorder = std::move(report);
-  remap_events(analysis, tree);
 
   if (options.keep_diagram) {
     // The manager outlives this frame inside the handle: detach the
@@ -1286,12 +1414,12 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     diagram_handle->root = root;
     diagram_handle->exact = conversion_complete;
     diagram_handle->events.reserve(order.size());
-    // Same remap as cut-set literals: variable 2r/2r+1 -> the original
+    // Same leaves as the cut-set literals: variable 2r/2r+1 -> the original
     // tree's equally-named leaf (null only for a leaf the normalised copy
-    // invented, which remap_events above would have rejected for any
-    // literal actually reachable).
-    for (const FtNode* event : order)
-      diagram_handle->events.push_back(tree.find_event(event->name()));
+    // invented, which finish() above would have rejected for any literal
+    // actually reachable).
+    for (std::size_t r = 0; r < order.size(); ++r)
+      diagram_handle->events.push_back(context.original_leaf(r));
     analysis.diagram = std::move(diagram_handle);
   }
   return analysis;
@@ -1384,7 +1512,7 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
 
   BddEncoding encoding = encode_bdd(tree);
   Context context(options);
-  context.intern(encoding.events);
+  context.intern(encoding.events, tree);
   if (tree.top() == nullptr) return context.finish({});
 
   MinimalSolutions engine(encoding.bdd);
@@ -1426,11 +1554,9 @@ CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
   enumerate(enumerate, solutions);
   if (truncated_paths) context.mark_truncated();
 
-  CutSetAnalysis analysis = context.finish(
-      context.deadline_hit() ? std::move(sets)
-                             : minimise(std::move(sets), &context));
-  remap_events(analysis, tree);
-  return analysis;
+  return context.finish(context.deadline_hit()
+                            ? std::move(sets)
+                            : minimise(std::move(sets), &context));
 }
 
 // -- Anytime bound engine --------------------------------------------------------
@@ -1440,7 +1566,7 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   FaultTree flat = normalise(tree);
   Context context(options);
   std::vector<const FtNode*> order = dfs_variable_order(flat);
-  context.intern(order);
+  context.intern(order, tree);
 
   // The frontier is probability-driven, so the basic probabilities enter
   // here rather than at the reporting stage; polarity adjustment happens
@@ -1489,7 +1615,6 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   stats.subsumed = outcome.stats.subsumed;
   stats.deferred = outcome.stats.deferred;
   analysis.frontier_stats = stats;
-  remap_events(analysis, tree);
   return analysis;
 }
 

@@ -27,13 +27,18 @@
 //     fixed budget always buys a guaranteed interval.
 //
 // The set-based engines share an interned-bitset kernel: every (event,
-// polarity) literal of the normalised tree is mapped once to a dense id in
-// depth-first occurrence order (analysis/ordering.h -- the same order the
-// decision diagrams use), and a working cut set is a word-array bitset
-// with a cached popcount and a 64-bit membership signature. Subsumption is
-// a `(a & ~b) == 0` word loop behind a signature pre-filter, and the
+// polarity) literal of the normalised tree is mapped once to the dense id
+// 2 * rank + negated, and a working cut set is a word-array bitset with a
+// cached popcount and a 64-bit membership signature. Subsumption is a
+// `(a & ~b) == 0` word loop behind a signature pre-filter, and the
 // minimisation pass buckets candidates by popcount so a candidate is only
-// screened against strictly smaller survivors.
+// screened against strictly smaller survivors. micsup and mocus rank
+// events by name, so the kernel's working order is the canonical output
+// order: minimised families are merged at OR gates and listed as they
+// are, with no re-sort. zbdd, bdd and bound keep their variable order
+// (depth-first occurrence, analysis/ordering.h), because there a literal
+// id is a diagram variable or PDAG literal; their listings are sorted
+// once on integer name-rank keys.
 //
 // All engines return the same canonical result: cut sets sorted by
 // (order, lexicographic event names). Negated literals (from NOT gates)

@@ -86,10 +86,13 @@ std::vector<FmeaRow> synthesise_fmea(
       // partial) family numbers, the classic degradation.
     }
 
-    const double total = rare_event_bound(analysis, options);
+    const std::vector<double> set_probs =
+        cut_set_probabilities(analysis, options);
+    const double total = rare_event_bound(set_probs);
 
-    for (const CutSet& cs : analysis.cut_sets) {
-      const double p = cut_set_probability(cs, options);
+    for (std::size_t s = 0; s < analysis.cut_sets.size(); ++s) {
+      const CutSet& cs = analysis.cut_sets[s];
+      const double p = set_probs[s];
       for (const CutLiteral& literal : cs) {
         if (literal.negated) continue;  // an inhibitor is not a failure mode
         if (literal.event->kind() != NodeKind::kBasic) continue;

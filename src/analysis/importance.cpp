@@ -110,13 +110,17 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     }
   } else {
     // Classic path: Fussell-Vesely, counts and orders from the extracted
-    // family; bounds from probability.h.
-    out.p_rare_event = rare_event_bound(analysis, options);
-    out.p_esary_proschan = esary_proschan_bound(analysis, options);
-    out.p_mcub = mcub_bound(analysis, options);
+    // family; bounds from probability.h. Each set's probability is
+    // computed once and feeds every sum.
+    const std::vector<double> set_probs =
+        cut_set_probabilities(analysis, options);
+    out.p_rare_event = rare_event_bound(set_probs);
+    out.p_esary_proschan = esary_proschan_bound(set_probs);
+    out.p_mcub = mcub_bound(set_probs);
     std::vector<double> literal_probs;
-    for (const CutSet& cs : analysis.cut_sets) {
-      const double p = cut_set_probability(cs, options);
+    for (std::size_t s = 0; s < analysis.cut_sets.size(); ++s) {
+      const CutSet& cs = analysis.cut_sets[s];
+      const double p = set_probs[s];
       for (const CutLiteral& literal : cs) {
         auto it = entries.find(literal.event);
         if (it == entries.end()) continue;  // undeveloped / loop leaves

@@ -39,27 +39,39 @@ double cut_set_probability(const CutSet& cut_set,
   return p;
 }
 
-double rare_event_bound(const CutSetAnalysis& analysis,
-                        const ProbabilityOptions& options) {
+std::vector<double> cut_set_probabilities(const CutSetAnalysis& analysis,
+                                          const ProbabilityOptions& options) {
+  std::unordered_map<const FtNode*, double> event_probabilities;
+  std::vector<double> out;
+  out.reserve(analysis.cut_sets.size());
+  for (const CutSet& cs : analysis.cut_sets) {
+    // The same product cut_set_probability forms, literal by literal.
+    double p = 1.0;
+    for (const CutLiteral& literal : cs) {
+      auto [it, inserted] = event_probabilities.try_emplace(literal.event);
+      if (inserted) it->second = event_probability(*literal.event, options);
+      p *= literal.negated ? (1.0 - it->second) : it->second;
+    }
+    out.push_back(p);
+  }
+  return out;
+}
+
+double rare_event_bound(const std::vector<double>& set_probabilities) {
   double sum = 0.0;
-  for (const CutSet& cs : analysis.cut_sets)
-    sum += cut_set_probability(cs, options);
+  for (const double p : set_probabilities) sum += p;
   return sum;
 }
 
-double esary_proschan_bound(const CutSetAnalysis& analysis,
-                            const ProbabilityOptions& options) {
+double esary_proschan_bound(const std::vector<double>& set_probabilities) {
   double product = 1.0;
-  for (const CutSet& cs : analysis.cut_sets)
-    product *= 1.0 - cut_set_probability(cs, options);
+  for (const double p : set_probabilities) product *= 1.0 - p;
   return 1.0 - product;
 }
 
-double mcub_bound(const CutSetAnalysis& analysis,
-                  const ProbabilityOptions& options) {
+double mcub_bound(const std::vector<double>& set_probabilities) {
   double log_q = 0.0;  // log prod (1 - P(cs)), accumulated without rounding
-  for (const CutSet& cs : analysis.cut_sets) {
-    const double p = cut_set_probability(cs, options);
+  for (const double p : set_probabilities) {
     if (p >= 1.0) return 1.0;  // a certain cut set saturates the bound
     log_q += std::log1p(-p);
   }

@@ -39,15 +39,19 @@ double event_probability(const FtNode& event, const ProbabilityOptions& options)
 double cut_set_probability(const CutSet& cut_set,
                            const ProbabilityOptions& options);
 
+/// cut_set_probability of every cut set of `analysis`, in listing order.
+/// Each distinct event's probability is computed once.
+std::vector<double> cut_set_probabilities(const CutSetAnalysis& analysis,
+                                          const ProbabilityOptions& options);
+
 /// Sum of cut-set probabilities. Upper bound; accurate when all cut sets
-/// are rare.
-double rare_event_bound(const CutSetAnalysis& analysis,
-                        const ProbabilityOptions& options);
+/// are rare. Every bound below takes the cut_set_probabilities of an
+/// analysis, so one pass over the family feeds them all.
+double rare_event_bound(const std::vector<double>& set_probabilities);
 
 /// 1 - prod(1 - P(cs)). Exact for independent cut sets; an upper bound for
 /// coherent trees with shared events (Esary-Proschan).
-double esary_proschan_bound(const CutSetAnalysis& analysis,
-                            const ProbabilityOptions& options);
+double esary_proschan_bound(const std::vector<double>& set_probabilities);
 
 /// The minimal-cut-set upper bound (MCUB): the same product bound as
 /// Esary-Proschan, evaluated in log space as -expm1(sum log1p(-P(cs))).
@@ -56,8 +60,7 @@ double esary_proschan_bound(const CutSetAnalysis& analysis,
 /// rounds each factor 1 - P(cs) to 1 and collapses to 0 long before the
 /// sum of masses does. Reported as its own figure so the reader can see
 /// when the two evaluations of the bound part ways.
-double mcub_bound(const CutSetAnalysis& analysis,
-                  const ProbabilityOptions& options);
+double mcub_bound(const std::vector<double>& set_probabilities);
 
 /// Inclusion-exclusion over cut-set unions, truncated after `max_terms`
 /// intersection orders (exact when max_terms >= number of cut sets).

@@ -217,7 +217,8 @@ TEST_F(BbwTest, EveryTopEventHasANonTrivialQuantifiedTree) {
     EXPECT_GT(analysis.p_exact, 0.0) << top;
     EXPECT_LT(analysis.p_exact, 1.0) << top;
     EXPECT_LE(analysis.p_exact,
-              rare_event_bound(analysis.cut_sets, options_.probability) +
+              rare_event_bound(cut_set_probabilities(analysis.cut_sets,
+                                                     options_.probability)) +
                   1e-12)
         << top;
   }

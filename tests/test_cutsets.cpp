@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
@@ -210,9 +214,18 @@ TEST_P(CutSetEngines, AgreeOnRandomTrees) {
   ProbabilityOptions probability;
   probability.mission_time_hours = 1.0;
   const double exact = exact_probability(tree, probability);
-  EXPECT_LE(exact, rare_event_bound(bottom_up, probability) + 1e-12);
-  EXPECT_LE(esary_proschan_bound(bottom_up, probability),
-            rare_event_bound(bottom_up, probability) + 1e-12);
+  // The per-set probabilities the bounds are summed from are exactly the
+  // sets' own cut_set_probability values.
+  const std::vector<double> set_probs =
+      cut_set_probabilities(bottom_up, probability);
+  ASSERT_EQ(set_probs.size(), bottom_up.cut_sets.size());
+  for (std::size_t i = 0; i < set_probs.size(); ++i) {
+    EXPECT_EQ(set_probs[i],
+              cut_set_probability(bottom_up.cut_sets[i], probability));
+  }
+  EXPECT_LE(exact, rare_event_bound(set_probs) + 1e-12);
+  EXPECT_LE(esary_proschan_bound(set_probs),
+            rare_event_bound(set_probs) + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CutSetEngines, ::testing::Range(0, 30));
@@ -392,6 +405,169 @@ TEST(CutSetEngines, AgreeOnCaseStudyModels) {
   EXPECT_FALSE(reference.truncated);
   EXPECT_FALSE(symbolic.truncated);
   EXPECT_EQ(symbolic.to_string(), reference.to_string());
+}
+
+/// (name, polarity) of every literal: the canonical order's key, built
+/// from the names themselves rather than from any engine's ids.
+std::vector<std::pair<std::string, bool>> literal_keys(const CutSet& cs) {
+  std::vector<std::pair<std::string, bool>> keys;
+  for (const CutLiteral& literal : cs)
+    keys.emplace_back(literal.event->name().str(), literal.negated);
+  return keys;
+}
+
+/// Asserts `analysis` lists its sets in the canonical (size, name,
+/// polarity) order -- literals within a set ascending, sets by size then
+/// lexicographically -- with every literal a leaf of the caller's `tree`.
+void expect_canonical(const CutSetAnalysis& analysis, const FaultTree& tree,
+                      const std::string& label) {
+  const std::vector<CutSet>& sets = analysis.cut_sets;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const auto keys = literal_keys(sets[i]);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << label << " #" << i;
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+        << label << " #" << i;
+    for (const CutLiteral& literal : sets[i]) {
+      EXPECT_EQ(tree.find_event(literal.event->name()), literal.event)
+          << label << ": literal outside the caller's tree";
+    }
+    if (i == 0) continue;
+    const auto previous = literal_keys(sets[i - 1]);
+    const bool in_order = previous.size() != keys.size()
+                              ? previous.size() < keys.size()
+                              : previous <= keys;
+    EXPECT_TRUE(in_order) << label << " #" << i;
+  }
+}
+
+/// Leaves z, y, x, ... are met depth-first in the reverse of their name
+/// order, so an engine that listed sets in its interning order would print
+/// them backwards. NOT leaves make both polarities of y and z circulate.
+FaultTree reverse_named_tree() {
+  FaultTree tree("reverse");
+  FtNode* z = basic(tree, "z");
+  FtNode* y = basic(tree, "y");
+  FtNode* x = basic(tree, "x");
+  FtNode* w = basic(tree, "w");
+  FtNode* v = basic(tree, "v");
+  FtNode* u = basic(tree, "u");
+  FtNode* not_y = tree.add_gate(GateKind::kNot, "", {y});
+  FtNode* not_z = tree.add_gate(GateKind::kNot, "", {z});
+  FtNode* first = tree.add_gate(GateKind::kOr, "", {z, not_y, x});
+  FtNode* second = tree.add_gate(GateKind::kOr, "", {w, not_z, v});
+  FtNode* third = tree.add_gate(GateKind::kOr, "", {u, y, x});
+  FtNode* product = tree.add_gate(GateKind::kAnd, "", {first, second, third});
+  tree.set_top(tree.add_gate(GateKind::kOr, "", {product, tree.add_gate(
+      GateKind::kAnd, "", {v, u})}));
+  return tree;
+}
+
+TEST(CanonicalOrder, EveryEngineListsByOrderNameAndPolarity) {
+  FaultTree reverse = reverse_named_tree();
+  synthetic::ReplicatedConfig config;
+  config.channels = 3;
+  config.stages = 6;
+  const Model model = synthetic::build_replicated(config);
+  Synthesiser synthesiser(model);
+  FaultTree replicated = synthesiser.synthesise("Omission-sink");
+  ASSERT_NE(replicated.top(), nullptr);
+  for (const FaultTree* tree : {&reverse, &replicated}) {
+    for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kMocus,
+                                CutSetEngine::kZbdd, CutSetEngine::kBound}) {
+      CutSetOptions options;
+      options.engine = engine;
+      options.bound_epsilon = -1.0;  // the bound engine runs to exhaustion
+      const CutSetAnalysis analysis = compute_cut_sets(*tree, options);
+      const std::string label = tree->name() + "/" + to_string(engine);
+      EXPECT_FALSE(analysis.truncated) << label;
+      EXPECT_FALSE(analysis.cut_sets.empty()) << label;
+      expect_canonical(analysis, *tree, label);
+    }
+  }
+}
+
+TEST(CanonicalOrder, TruncatedAndPartialListingsStayCanonical) {
+  // max_sets truncation keeps a canonical listing.
+  synthetic::ReplicatedConfig config;
+  config.channels = 3;
+  config.stages = 6;
+  const Model model = synthetic::build_replicated(config);
+  Synthesiser synthesiser(model);
+  FaultTree replicated = synthesiser.synthesise("Omission-sink");
+  ASSERT_NE(replicated.top(), nullptr);
+  const CutSetAnalysis clean = minimal_cut_sets(replicated);
+  ASSERT_GT(clean.cut_sets.size(), 20u);
+  for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kMocus,
+                              CutSetEngine::kZbdd, CutSetEngine::kBound}) {
+    CutSetOptions limited;
+    limited.engine = engine;
+    limited.max_sets = 20;
+    limited.bound_epsilon = -1.0;
+    const CutSetAnalysis truncated = compute_cut_sets(replicated, limited);
+    const std::string label = "max_sets/" + to_string(engine);
+    EXPECT_TRUE(truncated.truncated) << label;
+    ASSERT_EQ(truncated.cut_sets.size(), 20u) << label;
+    expect_canonical(truncated, replicated, label);
+    if (engine != CutSetEngine::kZbdd) continue;
+    // zbdd samples the complete family, so it keeps exactly the clean
+    // listing's first 20 sets: ties at the cut-off size go by name.
+    for (std::size_t i = 0; i < 20; ++i) {
+      EXPECT_EQ(literal_keys(truncated.cut_sets[i]),
+                literal_keys(clean.cut_sets[i]))
+          << label << " #" << i;
+    }
+  }
+
+  // A deadline-partial run returns unminimised products in no particular
+  // order; the listing must still come out canonical. The deadline is
+  // doubled until one bites mid-expansion with sets in hand.
+  FaultTree lanes("lanes");
+  std::vector<FtNode*> ors;
+  for (int g = 0; g < 8; ++g) {
+    std::vector<FtNode*> leaves;
+    for (int e = 9; e >= 0; --e) {
+      FtNode* leaf = basic(
+          lanes, ("e" + std::to_string(e) + "g" + std::to_string(g)).c_str());
+      leaves.push_back(e % 3 == 0 ? lanes.add_gate(GateKind::kNot, "", {leaf})
+                                  : leaf);
+    }
+    ors.push_back(lanes.add_gate(GateKind::kOr, "", std::move(leaves)));
+  }
+  lanes.set_top(lanes.add_gate(GateKind::kAnd, "", std::move(ors)));
+  bool partial_seen = false;
+  for (long ms = 1; ms <= 256 && !partial_seen; ms *= 2) {
+    CutSetOptions options;
+    options.max_sets = 1u << 14;  // keeps the post-expiry unwind cheap
+    options.budget.set_deadline_ms(ms);
+    const CutSetAnalysis analysis = minimal_cut_sets(lanes, options);
+    expect_canonical(analysis, lanes, "deadline " + std::to_string(ms));
+    partial_seen = analysis.deadline_exceeded && !analysis.cut_sets.empty();
+  }
+  EXPECT_TRUE(partial_seen);
+}
+
+TEST(CutSets, AndOperandsAbsorbPairwise) {
+  // Four lanes, each OR(cc1, cc2, five own events): the full cross product
+  // has 7^4 = 2401 sets, but absorbing after every operand keeps at most
+  // 127 x 7 = 889 products alive. The minimal family: the two common
+  // causes plus 5^4 one-event-per-lane sets.
+  FaultTree tree("lanes");
+  FtNode* cc1 = basic(tree, "cc1");
+  FtNode* cc2 = basic(tree, "cc2");
+  std::vector<FtNode*> lanes;
+  for (int lane = 0; lane < 4; ++lane) {
+    std::vector<FtNode*> causes{cc1, cc2};
+    for (int e = 0; e < 5; ++e) {
+      causes.push_back(basic(
+          tree, ("l" + std::to_string(lane) + "e" + std::to_string(e)).c_str()));
+    }
+    lanes.push_back(tree.add_gate(GateKind::kOr, "", std::move(causes)));
+  }
+  tree.set_top(tree.add_gate(GateKind::kAnd, "", std::move(lanes)));
+  const CutSetAnalysis analysis = minimal_cut_sets(tree);
+  EXPECT_EQ(analysis.cut_sets.size(), 2u + 625u);
+  EXPECT_LT(analysis.peak_sets, 2401u);
+  expect_canonical(analysis, tree, "lanes");
 }
 
 TEST(MinimiseLiteralSets, KernelDedupsAbsorbsAndDropsContradictions) {

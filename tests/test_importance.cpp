@@ -43,7 +43,8 @@ TEST_F(ImportanceTest, FussellVeselySumsOverContainingCutSets) {
   // rare1 appears in exactly one of the two cut sets.
   std::vector<ImportanceEntry> ranking =
       analyse_reliability(tree_, analysis_, options_).importance;
-  const double total = rare_event_bound(analysis_, options_);
+  const double total =
+      rare_event_bound(cut_set_probabilities(analysis_, options_));
   for (const ImportanceEntry& entry : ranking) {
     if (entry.event != rare1_) continue;
     double expected = 0.0;
