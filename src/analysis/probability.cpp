@@ -164,12 +164,16 @@ BddEncoding encode_bdd(const FaultTree& tree) {
   BddEncoding encoding;
   if (tree.top() == nullptr) return encoding;
 
-  std::unordered_map<const FtNode*, int> var_of;
+  // Both tables are indexed by tree node id.
+  std::vector<int> var_of(tree.nodes().size(), -1);
+  auto var_of_node = [&](const FtNode* node) {
+    return var_of[static_cast<std::size_t>(node->id())];
+  };
   // Declare variables in leaf id order: `events` indexes stay stable no
   // matter which variable order the diagram uses internally.
   for (const FtNode* leaf : tree.leaves()) {
     if (leaf->kind() == NodeKind::kHouse) continue;
-    var_of.emplace(leaf, encoding.bdd.new_var());
+    var_of[static_cast<std::size_t>(leaf->id())] = encoding.bdd.new_var();
     encoding.events.push_back(leaf);
   }
 
@@ -177,10 +181,10 @@ BddEncoding encode_bdd(const FaultTree& tree) {
   // diagram's level order; leaves the synthesis kept but the top never
   // reaches fill the remaining levels in declaration order.
   std::vector<int> order;
-  order.reserve(var_of.size());
-  std::vector<char> placed(var_of.size(), 0);
+  order.reserve(encoding.events.size());
+  std::vector<char> placed(encoding.events.size(), 0);
   for (const FtNode* leaf : dfs_variable_order(tree)) {
-    const int v = var_of.at(leaf);
+    const int v = var_of_node(leaf);
     order.push_back(v);
     placed[static_cast<std::size_t>(v)] = 1;
   }
@@ -189,9 +193,12 @@ BddEncoding encode_bdd(const FaultTree& tree) {
   }
   encoding.bdd.set_order(order);
 
-  std::unordered_map<const FtNode*, Bdd::Ref> memo;
+  constexpr Bdd::Ref kUnbuilt = UINT32_MAX;
+  std::vector<Bdd::Ref> memo(tree.nodes().size(), kUnbuilt);
   auto build = [&](auto&& self, const FtNode* node) -> Bdd::Ref {
-    if (auto it = memo.find(node); it != memo.end()) return it->second;
+    if (const Bdd::Ref built = memo[static_cast<std::size_t>(node->id())];
+        built != kUnbuilt)
+      return built;
     Bdd::Ref result = Bdd::kFalse;
     switch (node->kind()) {
       case NodeKind::kHouse:
@@ -200,7 +207,7 @@ BddEncoding encode_bdd(const FaultTree& tree) {
       case NodeKind::kBasic:
       case NodeKind::kUndeveloped:
       case NodeKind::kLoop:
-        result = encoding.bdd.var(var_of.at(node));
+        result = encoding.bdd.var(var_of_node(node));
         break;
       case NodeKind::kGate: {
         if (node->gate() == GateKind::kNot) {
@@ -220,7 +227,7 @@ BddEncoding encode_bdd(const FaultTree& tree) {
         break;
       }
     }
-    memo.emplace(node, result);
+    memo[static_cast<std::size_t>(node->id())] = result;
     return result;
   };
   encoding.root = build(build, tree.top());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/error.h"
@@ -9,10 +10,27 @@
 namespace ftsynth {
 
 namespace {
+
 constexpr int kTerminalVar = INT_MAX;
+constexpr std::size_t kInitialCapacity = 64;  // both tables; a power of two
+
+/// Hash of a 96-bit key: a multiply-xorshift finaliser, so that the low
+/// bits -- the ones a power-of-two table indexes by -- depend on every
+/// input bit.
+std::size_t mix(std::uint32_t x, std::uint32_t y, std::uint32_t z) noexcept {
+  std::uint64_t h = (static_cast<std::uint64_t>(x) << 32 | y) *
+                        0x9E3779B97F4A7C15ull ^
+                    z;
+  h ^= h >> 32;
+  h *= 0xD6E8FEB86659FD93ull;
+  h ^= h >> 32;
+  return static_cast<std::size_t>(h);
+}
+
 }  // namespace
 
-Bdd::Bdd() {
+Bdd::Bdd()
+    : unique_(kInitialCapacity, 0), cache_(kInitialCapacity) {
   nodes_.push_back({kTerminalVar, kFalse, kFalse});  // 0: false
   nodes_.push_back({kTerminalVar, kTrue, kTrue});    // 1: true
 }
@@ -56,10 +74,96 @@ int Bdd::node_level(Ref a) const noexcept {
                              : level_of_[static_cast<std::size_t>(var)];
 }
 
+std::size_t Bdd::unique_slot(int var, Ref low, Ref high) const noexcept {
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t slot = mix(static_cast<std::uint32_t>(var), low, high) & mask;
+  for (;; slot = (slot + 1) & mask) {
+    const Ref ref = unique_[slot];
+    if (ref == 0) return slot;
+    const Node& n = nodes_[ref];
+    if (n.var == var && n.low == low && n.high == high) return slot;
+  }
+}
+
+void Bdd::unique_insert(Ref ref) {
+  if ((unique_count_ + 1) * 2 > unique_.size()) {
+    std::vector<Ref> old;
+    old.swap(unique_);
+    unique_rebuild(old.size() * 2, old);
+  }
+  const Node& n = nodes_[ref];
+  unique_[unique_slot(n.var, n.low, n.high)] = ref;
+  ++unique_count_;
+}
+
+void Bdd::unique_erase(Ref ref) {
+  const Node& n = nodes_[ref];
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t hole = unique_slot(n.var, n.low, n.high);
+  check_internal(unique_[hole] == ref, "BDD node missing from unique table");
+  for (std::size_t slot = (hole + 1) & mask; unique_[slot] != 0;
+       slot = (slot + 1) & mask) {
+    const Node& m = nodes_[unique_[slot]];
+    const std::size_t home =
+        mix(static_cast<std::uint32_t>(m.var), m.low, m.high) & mask;
+    // The entry may fill the hole unless its home lies cyclically in
+    // (hole, slot]: then the hole is before its probe run starts.
+    if (((slot - home) & mask) >= ((slot - hole) & mask)) {
+      unique_[hole] = unique_[slot];
+      hole = slot;
+    }
+  }
+  unique_[hole] = 0;
+  --unique_count_;
+}
+
+void Bdd::unique_rebuild(std::size_t capacity, const std::vector<Ref>& refs) {
+  unique_.assign(capacity, 0);
+  unique_count_ = 0;
+  for (Ref ref : refs) {
+    if (ref == 0) continue;
+    const Node& n = nodes_[ref];
+    unique_[unique_slot(n.var, n.low, n.high)] = ref;
+    ++unique_count_;
+  }
+}
+
+Bdd::Ref Bdd::cache_find(Op op, Ref a, Ref b) const noexcept {
+  const std::size_t mask = cache_.size() - 1;
+  for (std::size_t slot = mix(static_cast<std::uint32_t>(op), a, b) & mask;;
+       slot = (slot + 1) & mask) {
+    const OpEntry& entry = cache_[slot];
+    if (entry.op == Op::kEmpty) return kNoRef;
+    if (entry.op == op && entry.a == a && entry.b == b) return entry.result;
+  }
+}
+
+void Bdd::cache_insert(Op op, Ref a, Ref b, Ref result) {
+  if ((cache_count_ + 1) * 2 > cache_.size()) {
+    std::vector<OpEntry> old(cache_.size() * 2);
+    old.swap(cache_);
+    cache_count_ = 0;
+    for (const OpEntry& entry : old)
+      if (entry.op != Op::kEmpty)
+        cache_insert(entry.op, entry.a, entry.b, entry.result);
+  }
+  const std::size_t mask = cache_.size() - 1;
+  std::size_t slot = mix(static_cast<std::uint32_t>(op), a, b) & mask;
+  while (cache_[slot].op != Op::kEmpty) slot = (slot + 1) & mask;
+  cache_[slot] = {a, b, result, op};
+  ++cache_count_;
+}
+
+void Bdd::cache_clear() {
+  if (cache_count_ == 0) return;  // sifting clears once per swap
+  std::fill(cache_.begin(), cache_.end(), OpEntry{});
+  cache_count_ = 0;
+}
+
 Bdd::Ref Bdd::make(int var, Ref low, Ref high) {
   if (low == high) return low;  // reduction rule
-  const UniqueKey key{var, low, high};
-  if (auto it = unique_.find(key); it != unique_.end()) return it->second;
+  const std::size_t slot = unique_slot(var, low, high);
+  if (unique_[slot] != 0) return unique_[slot];
   Ref ref;
   if (!free_.empty()) {
     ref = free_.back();
@@ -70,7 +174,12 @@ Bdd::Ref Bdd::make(int var, Ref low, Ref high) {
     ref = static_cast<Ref>(nodes_.size());
     nodes_.push_back({var, low, high});
   }
-  unique_.emplace(key, ref);
+  if ((unique_count_ + 1) * 2 <= unique_.size()) {
+    unique_[slot] = ref;  // the probe above already found its place
+    ++unique_count_;
+  } else {
+    unique_insert(ref);
+  }
   var_refs_[static_cast<std::size_t>(var)].push_back(ref);
   return ref;
 }
@@ -88,11 +197,11 @@ Bdd::Ref Bdd::nvar(int v) {
 Bdd::Ref Bdd::apply_not(Ref a) {
   if (a == kFalse) return kTrue;
   if (a == kTrue) return kFalse;
-  const OpKey key{Op::kNot, a, 0};
-  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
+  if (const Ref cached = cache_find(Op::kNot, a, 0); cached != kNoRef)
+    return cached;
   const Node n = node(a);
   Ref result = make(n.var, apply_not(n.low), apply_not(n.high));
-  cache_.emplace(key, result);
+  cache_insert(Op::kNot, a, 0, result);
   return result;
 }
 
@@ -118,12 +227,12 @@ Bdd::Ref Bdd::apply(Op op, Ref a, Ref b) {
       if (b == kTrue) return apply_not(a);
       break;
     case Op::kNot:
+    case Op::kEmpty:
       check_internal(false, "kNot goes through apply_not");
   }
   // Commutative ops: canonicalise the operand order for the cache.
   if (a > b) std::swap(a, b);
-  const OpKey key{op, a, b};
-  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
+  if (const Ref cached = cache_find(op, a, b); cached != kNoRef) return cached;
 
   // Copy: recursive calls may grow nodes_ and invalidate references.
   const int la = node_level(a);
@@ -136,7 +245,7 @@ Bdd::Ref Bdd::apply(Op op, Ref a, Ref b) {
   const Ref b_low = lb <= la ? nb.low : b;
   const Ref b_high = lb <= la ? nb.high : b;
   Ref result = make(v, apply(op, a_low, b_low), apply(op, a_high, b_high));
-  cache_.emplace(key, result);
+  cache_insert(op, a, b, result);
   return result;
 }
 
@@ -204,7 +313,7 @@ void Bdd::swap_adjacent_levels(int level) {
   const int v = var_at_level_[static_cast<std::size_t>(level)];
   const int w = var_at_level_[static_cast<std::size_t>(level + 1)];
   // Op-cache results bake in the old level comparisons.
-  cache_.clear();
+  cache_clear();
   // make(v, ...) below appends rebuilt cofactor nodes to var_refs_[v], so
   // move the worklist out first; v-nodes independent of w go back in at the
   // end (they simply ride down one level, their structure untouched).
@@ -237,18 +346,19 @@ void Bdd::swap_adjacent_levels(int level) {
     split(n.high, h0, h1);
     // <v, L, H> = <w, <v, l0, h0>, <v, l1, h1>> once w is above v. The
     // rewrite is in place so every external ref to r keeps its meaning.
-    unique_.erase(UniqueKey{n.var, n.low, n.high});
+    unique_erase(r);
     const Ref nlow = make(v, l0, h0);
     const Ref nhigh = make(v, l1, h1);
     // nlow != nhigh: r depends on w (a reduced child decides it), so its
     // two w-cofactors are distinct functions and make() is canonical.
     check_internal(nlow != nhigh, "BDD level swap collapsed a node");
-    nodes_[r] = {w, nlow, nhigh};
-    const bool inserted = unique_.emplace(UniqueKey{w, nlow, nhigh}, r).second;
     // Canonicity argument: distinct allocated nodes denote distinct
     // functions, the rewrite preserves r's function, and every other
     // <w, ., .> node denotes some other function -- so no collision.
-    check_internal(inserted, "BDD level swap produced a duplicate node");
+    check_internal(unique_[unique_slot(w, nlow, nhigh)] == 0,
+                   "BDD level swap produced a duplicate node");
+    nodes_[r] = {w, nlow, nhigh};
+    unique_insert(r);
     var_refs_[static_cast<std::size_t>(w)].push_back(r);
   }
   auto& v_refs = var_refs_[static_cast<std::size_t>(v)];
@@ -267,7 +377,7 @@ std::size_t Bdd::level_width(int level) const {
 }
 
 void Bdd::collect_garbage(const std::vector<Ref>& roots) {
-  cache_.clear();  // cached results may reference nodes about to die
+  cache_clear();  // cached results may reference nodes about to die
   std::vector<bool> marked(nodes_.size(), false);
   std::vector<Ref> stack;
   for (Ref r : roots)
@@ -287,20 +397,21 @@ void Bdd::collect_garbage(const std::vector<Ref>& roots) {
   // Only entries still in the unique table are allocated; previously freed
   // slots are already on free_ and must not be pushed twice.
   std::vector<Ref> dead;
-  for (auto it = unique_.begin(); it != unique_.end();) {
-    if (!marked[it->second]) {
-      dead.push_back(it->second);
-      it = unique_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  for (Ref r : unique_)
+    if (r != 0 && !marked[r]) dead.push_back(r);
   std::sort(dead.begin(), dead.end());
   free_.insert(free_.end(), dead.begin(), dead.end());
+  std::vector<Ref> live;
   for (auto& refs : var_refs_) refs.clear();
   for (Ref r = 2; r < nodes_.size(); ++r)
-    if (marked[r])
+    if (marked[r]) {
+      live.push_back(r);
       var_refs_[static_cast<std::size_t>(nodes_[r].var)].push_back(r);
+    }
+  // The table shrinks back to fit the survivors.
+  std::size_t capacity = kInitialCapacity;
+  while (live.size() * 2 > capacity) capacity *= 2;
+  unique_rebuild(capacity, live);
 }
 
 std::size_t Bdd::live_size(const std::vector<Ref>& roots) const {

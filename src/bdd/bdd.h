@@ -7,24 +7,26 @@
 // the paper's tool chain) shipped exactly this pairing of a classical
 // cut-set engine with an exact evaluator.
 //
-// Implementation: classic ROBDD with a unique table and an operation cache.
-// No complement edges. Variables are ordered by creation index by default;
-// set_order() installs an explicit order (e.g. the depth-first-occurrence
-// heuristic of analysis/ordering.h) before any node is built, and every
-// ordering-sensitive operation -- apply, sat_count, the restrictions in
-// bdd_prob -- compares variables by their level under that order. The order
-// may also change dynamically: swap_adjacent_levels() is the in-place
-// Rudell primitive and sift() (bdd/sifting.h) drives it; swaps preserve
-// every Ref's meaning, so only collect_garbage() invalidates refs (and only
-// unreachable ones).
+// Implementation: classic ROBDD with a unique table and an operation cache,
+// both flat open-addressing arrays (power-of-two capacity, linear probing,
+// grown at half load) and both lossless, so Ref numbering depends only on
+// the sequence of operations. No complement edges. Variables are ordered by
+// creation index by default; set_order() installs an explicit order (e.g.
+// the depth-first-occurrence heuristic of analysis/ordering.h) before any
+// node is built, and every ordering-sensitive operation -- apply,
+// sat_count, the conditionals in bdd_prob -- compares variables by their
+// level under that order. The order may also change dynamically:
+// swap_adjacent_levels() is the in-place Rudell primitive and sift()
+// (bdd/sifting.h) drives it; swaps preserve every Ref's meaning, so only
+// collect_garbage() invalidates refs (and only unreachable ones).
 //
 // A manager is single-threaded: every tree is analysed on one thread
 // (DESIGN.md section 12), so a manager is never shared between workers.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/sifting.h"
@@ -86,7 +88,7 @@ class Bdd {
 
   /// Live unique-table entries (every allocated node that has not been
   /// garbage collected).
-  std::size_t table_size() const noexcept { return unique_.size(); }
+  std::size_t table_size() const noexcept { return unique_count_; }
 
   /// Evaluates under a full assignment (indexed by variable).
   bool evaluate(Ref a, const std::vector<bool>& assignment) const;
@@ -139,40 +141,34 @@ class Bdd {
  private:
   Ref make(int var, Ref low, Ref high);
 
-  enum class Op : std::uint8_t { kAnd, kOr, kXor, kNot };
+  enum class Op : std::uint8_t { kAnd, kOr, kXor, kNot, kEmpty };
 
-  struct UniqueKey {
-    int var;
-    Ref low;
-    Ref high;
-    friend bool operator==(const UniqueKey& a, const UniqueKey& b) noexcept {
-      return a.var == b.var && a.low == b.low && a.high == b.high;
-    }
+  /// One operation-cache slot; `op == kEmpty` marks a free slot.
+  struct OpEntry {
+    Ref a = 0;
+    Ref b = 0;
+    Ref result = 0;
+    Op op = Op::kEmpty;
   };
-  struct UniqueHash {
-    std::size_t operator()(const UniqueKey& k) const noexcept {
-      std::size_t h = static_cast<std::size_t>(k.var);
-      h = h * 1000003u ^ k.low;
-      h = h * 1000003u ^ k.high;
-      return h;
-    }
-  };
-  struct OpKey {
-    Op op;
-    Ref a;
-    Ref b;
-    friend bool operator==(const OpKey& x, const OpKey& y) noexcept {
-      return x.op == y.op && x.a == y.a && x.b == y.b;
-    }
-  };
-  struct OpHash {
-    std::size_t operator()(const OpKey& k) const noexcept {
-      std::size_t h = static_cast<std::size_t>(k.op);
-      h = h * 1000003u ^ k.a;
-      h = h * 1000003u ^ k.b;
-      return h;
-    }
-  };
+
+  /// Unique-table probe: the slot holding <var, low, high>, or the empty
+  /// slot where it would go.
+  std::size_t unique_slot(int var, Ref low, Ref high) const noexcept;
+  /// Adds an allocated node known to be absent from the table.
+  void unique_insert(Ref ref);
+  /// Removes an allocated node by backward-shift deletion: the entries of
+  /// the probe run behind it move up, so lookups never meet a tombstone.
+  void unique_erase(Ref ref);
+  /// Empties the table to `capacity` slots (a power of two, more than
+  /// twice the refs) and inserts every nonzero entry of `refs`.
+  void unique_rebuild(std::size_t capacity, const std::vector<Ref>& refs);
+
+  /// The cached result of `op` on (a, b), or kNoRef.
+  Ref cache_find(Op op, Ref a, Ref b) const noexcept;
+  void cache_insert(Op op, Ref a, Ref b, Ref result);
+  void cache_clear();
+
+  static constexpr Ref kNoRef = UINT32_MAX;
 
   Ref apply(Op op, Ref a, Ref b);
 
@@ -180,8 +176,10 @@ class Bdd {
   int node_level(Ref a) const noexcept;
 
   std::vector<Node> nodes_;
-  std::unordered_map<UniqueKey, Ref, UniqueHash> unique_;
-  std::unordered_map<OpKey, Ref, OpHash> cache_;
+  std::vector<Ref> unique_;  ///< node refs by hash; 0 (a terminal) = empty
+  std::size_t unique_count_ = 0;
+  std::vector<OpEntry> cache_;
+  std::size_t cache_count_ = 0;
   std::vector<int> level_of_;      ///< level_of_[var]; identity by default
   std::vector<int> var_at_level_;  ///< inverse of level_of_
   /// Every allocated (not yet collected) ref whose node decides this

@@ -8,11 +8,11 @@
 // BddProbabilityEngine is the batched form: one probability memo shared
 // across every query of an analysis (probability, conditionals, Birnbaum),
 // plus the O(N) all-variables Birnbaum sweep that replaces the per-variable
-// restrict-and-reevaluate loop (O(V*N) -> O(N)).
+// conditional loop (O(V*N) -> O(N)).
 
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -25,42 +25,43 @@ double bdd_probability(const Bdd& bdd, Bdd::Ref f,
                        const std::vector<double>& probabilities);
 
 /// Birnbaum importance of variable `v`: P[f | v=1] - P[f | v=0], computed
-/// exactly on the BDD. Non-const: restriction may allocate nodes (existing
-/// references remain valid).
-double bdd_birnbaum(Bdd& bdd, Bdd::Ref f,
+/// exactly on the BDD.
+double bdd_birnbaum(const Bdd& bdd, Bdd::Ref f,
                     const std::vector<double>& probabilities, int v);
 
 /// Exact P[f | v = value] (conditional probability with the variable
-/// pinned). Non-const for the same reason as bdd_birnbaum.
-double bdd_probability_given(Bdd& bdd, Bdd::Ref f,
+/// pinned).
+double bdd_probability_given(const Bdd& bdd, Bdd::Ref f,
                              const std::vector<double>& probabilities, int v,
                              bool value);
 
 /// Batches probability queries over one BDD under one fixed probability
 /// vector, sharing a single probability memo across every call -- N
 /// importance queries reuse each other's subresults instead of recomputing
-/// the full bottom-up pass per variable.
+/// the full bottom-up pass per variable. Nothing here builds a node: the
+/// conditionals are evaluated on the diagram as it stands.
 ///
-/// Reordering audit: the shared probability memo maps Ref -> P[function],
-/// which swaps preserve, but restrict-based queries depend on the level
-/// order; the engine must not be used across a sift() of its diagram.
-/// (In practice the probability BDD is built under a static order and
-/// never sifted.) Restriction may allocate nodes; existing Refs -- and
-/// therefore memo entries -- remain valid.
+/// The memos are arrays indexed by Ref, grown to the manager's size on
+/// each query. Reordering audit: the shared probability memo maps Ref ->
+/// P[function], which swaps preserve, but the conditional queries depend on
+/// the level order, and collect_garbage() recycles Refs; the engine must
+/// not be used across a sift() of its diagram. (In practice the
+/// probability BDD is built under a static order and never sifted.)
 class BddProbabilityEngine {
  public:
   /// `probabilities` must cover every variable appearing in any queried
   /// function; it is copied (queries must see a stable vector).
-  BddProbabilityEngine(Bdd& bdd, std::vector<double> probabilities);
+  BddProbabilityEngine(const Bdd& bdd, std::vector<double> probabilities);
 
   /// Exact P[f = true]; memoised across all queries on this engine.
   double probability(Bdd::Ref f);
 
-  /// Exact P[f | v = value]. The restriction memo is per-call (it is
-  /// order-dependent); the probability memo is shared.
+  /// Exact P[f | v = value]. The conditional memo is per-call (it is
+  /// order-dependent) and reset by a generation stamp; the probability
+  /// memo is shared.
   double probability_given(Bdd::Ref f, int v, bool value);
 
-  /// Birnbaum importance of `v`: P[f | v=1] - P[f | v=0]. Both restricted
+  /// Birnbaum importance of `v`: P[f | v=1] - P[f | v=0]. Both conditional
   /// evaluations share the engine's probability memo.
   double birnbaum(Bdd::Ref f, int v);
 
@@ -71,7 +72,7 @@ class BddProbabilityEngine {
   ///
   ///   BM(v) = sum over nodes n labelled v of R[n] * (P[high] - P[low])
   ///
-  /// -- exact, equal to the restrict-based definition, and O(N) total
+  /// -- exact, equal to the conditional definition, and O(N) total
   /// instead of O(V*N). The returned vector is indexed by variable and
   /// sized like the probability vector; variables not in `f` get 0.
   /// Traversal and summation order are structure-determined (postorder,
@@ -84,9 +85,22 @@ class BddProbabilityEngine {
   }
 
  private:
-  Bdd& bdd_;
+  /// One memo entry: `value` is current when `stamp` matches the memo's.
+  struct Slot {
+    double value = 0.0;
+    std::uint32_t stamp = 0;
+  };
+
+  double probability_rec(Bdd::Ref f);
+  double conditional_rec(Bdd::Ref f, int v, int v_level, bool value);
+  /// Grows both memos to cover every Ref the manager has allocated.
+  void fit();
+
+  const Bdd& bdd_;
   std::vector<double> probabilities_;
-  std::unordered_map<Bdd::Ref, double> memo_;
+  std::vector<Slot> memo_;         ///< P[f]; stamp 1 = known
+  std::vector<Slot> conditional_;  ///< P[f | v = value] of the current call
+  std::uint32_t generation_ = 0;   ///< conditional_'s current stamp
 };
 
 }  // namespace ftsynth

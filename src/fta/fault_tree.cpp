@@ -114,7 +114,7 @@ FtNode* FaultTree::find_event(Symbol name) const noexcept {
 void FaultTree::for_each_reachable(
     const std::function<void(const FtNode&)>& visit) const {
   if (top_ == nullptr) return;
-  std::unordered_set<const FtNode*> seen;
+  std::vector<bool> seen(nodes_.size(), false);  // by node id
   // Iterative postorder over the DAG.
   std::vector<std::pair<const FtNode*, bool>> stack{{top_, false}};
   while (!stack.empty()) {
@@ -124,7 +124,11 @@ void FaultTree::for_each_reachable(
       visit(*node);
       continue;
     }
-    if (!seen.insert(node).second) continue;
+    const auto id = static_cast<std::size_t>(node->id());
+    check_internal(id < nodes_.size() && nodes_[id].get() == node,
+                   "fault tree node owned by another tree");
+    if (seen[id]) continue;
+    seen[id] = true;
     stack.push_back({node, true});
     for (const FtNode* child : node->children())
       stack.push_back({child, false});

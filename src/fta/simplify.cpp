@@ -170,7 +170,7 @@ FaultTree deduplicate(const FaultTree& tree) {
     }
   };
   std::unordered_map<GateKey, FtNode*, GateKeyHash> interned;
-  std::unordered_map<const FtNode*, FtNode*> rebuilt;
+  std::vector<FtNode*> rebuilt(tree.nodes().size(), nullptr);  // by node id
 
   tree.for_each_reachable([&](const FtNode& node) {
     FtNode* copy = nullptr;
@@ -198,7 +198,7 @@ FaultTree deduplicate(const FaultTree& tree) {
         std::vector<FtNode*> children;
         children.reserve(node.children().size());
         for (const FtNode* child : node.children()) {
-          FtNode* mapped = rebuilt.at(child);
+          FtNode* mapped = rebuilt[static_cast<std::size_t>(child->id())];
           // Drop duplicate children inside one gate (X OR X == X).
           if (ordered || std::find(children.begin(), children.end(),
                                    mapped) == children.end())
@@ -220,9 +220,9 @@ FaultTree deduplicate(const FaultTree& tree) {
         break;
       }
     }
-    rebuilt.emplace(&node, copy);
+    rebuilt[static_cast<std::size_t>(node.id())] = copy;
   });
-  out.set_top(rebuilt.at(tree.top()));
+  out.set_top(rebuilt[static_cast<std::size_t>(tree.top()->id())]);
   return out;
 }
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -41,6 +41,9 @@ struct KeyHash {
     return h;
   }
 };
+
+/// Dense per-Run number of a Key: the index of its Target.
+using Id = std::uint32_t;
 
 /// One synthesise() invocation. Builds a single FaultTree.
 ///
@@ -358,6 +361,36 @@ class Run {
     return resolve_output(*connection->from, range, cls);
   }
 
+  struct Replay;
+
+  /// Traversal state of one (port, channels, class) target.
+  struct Target {
+    FtNode* memo = nullptr;  ///< the result, once `memoised`
+    bool memoised = false;
+    std::size_t stack_slot = kOffStack;  ///< position on stack_
+    const Replay* replay = nullptr;      ///< latest recorded tainted result
+  };
+  static constexpr std::size_t kOffStack = SIZE_MAX;
+
+  /// The target's dense id: the one hash lookup of a resolution.
+  Id intern(const Key& key) {
+    const auto [it, inserted] =
+        ids_.try_emplace(key, static_cast<Id>(targets_.size()));
+    if (inserted) targets_.emplace_back();
+    return it->second;
+  }
+
+  void mark_memoised(const FtNode* node) {
+    const auto id = static_cast<std::size_t>(node->id());
+    if (id >= memoised_nodes_.size()) memoised_nodes_.resize(id + 1, false);
+    memoised_nodes_[id] = true;
+  }
+
+  bool is_memoised(const FtNode* node) const {
+    const auto id = static_cast<std::size_t>(node->id());
+    return id < memoised_nodes_.size() && memoised_nodes_[id];
+  }
+
   /// Resolves a deviation at output port `port` against the block producing
   /// it. Memoised; cycles are cut here; loop-tainted results are replayed.
   FtNode* resolve_output(const Port& port, ChannelRange range,
@@ -379,21 +412,20 @@ class Run {
                         stats_.budget.truncated);
     }
 
-    Key key{&port, range.concrete(port.width()), cls};
+    const ChannelRange concrete = range.concrete(port.width());
+    const Id id = intern(Key{&port, concrete, cls});
     ++stats_.resolutions;
     deepest_ = std::max(deepest_, stack_.size());
 
-    if (options_.memoise) {
-      if (auto it = memo_.find(key); it != memo_.end()) {
-        ++stats_.cache_hits;
-        return it->second;
-      }
+    if (options_.memoise && targets_[id].memoised) {
+      ++stats_.cache_hits;
+      return targets_[id].memo;
     }
-    if (auto it = on_stack_.find(key); it != on_stack_.end()) {
+    if (const std::size_t slot = targets_[id].stack_slot; slot != kOffStack) {
       // Feedback loop: cut at the repeated target.
       ++stats_.loops_cut;
-      taint_floor_ = std::min(taint_floor_, it->second);
-      if (options_.memoise) log_.push_back({key, it->second, nullptr});
+      taint_floor_ = std::min(taint_floor_, slot);
+      if (options_.memoise) log_.push_back({id, slot, nullptr});
       if (options_.loops == SynthesisOptions::LoopPolicy::kPrune)
         return nullptr;
       Deviation d{cls, port.name()};
@@ -403,38 +435,39 @@ class Run {
           port.owner().path());
     }
     if (options_.memoise) {
-      if (auto it = replay_.find(key); it != replay_.end() &&
-                                       replayable(*it->second)) {
+      if (const Replay* entry = targets_[id].replay;
+          entry != nullptr && replayable(*entry)) {
         ++stats_.cache_hits;
-        return replay(*it->second);
+        return replay(*entry);
       }
     }
 
     const std::size_t index = stack_.size();
-    stack_.push_back(key);
-    on_stack_.emplace(key, index);
+    stack_.push_back(id);
+    targets_[id].stack_slot = index;
     const std::size_t log_start = log_.size();
     const std::size_t deepest_before = std::exchange(deepest_, index);
     const std::size_t loops_before = stats_.loops_cut;
     const std::size_t unreplayable_before = unreplayable_;
     const bool entry_tainted = taint_floor_ != SIZE_MAX;
 
-    FtNode* result = resolve_output_uncached(port, key.range, cls);
+    FtNode* result = resolve_output_uncached(port, concrete, cls);
 
     stack_.pop_back();
-    on_stack_.erase(key);
+    targets_[id].stack_slot = kOffStack;
     const bool tainted = index >= taint_floor_;
     if (stack_.size() <= taint_floor_) taint_floor_ = SIZE_MAX;
     const Replay* entry = nullptr;
     if (options_.memoise && !tainted) {
-      memo_.emplace(key, result);
-      if (result != nullptr) memoised_nodes_.insert(result);
+      targets_[id].memo = result;
+      targets_[id].memoised = true;
+      if (result != nullptr) mark_memoised(result);
     } else if (options_.memoise && unreplayable_ == unreplayable_before) {
-      Replay* recorded = record(key, result, log_start, index);
+      Replay* recorded = record(id, result, log_start, index);
       recorded->entry_tainted = entry_tainted;
       recorded->depth = deepest_ - index;
       recorded->loops_cut = stats_.loops_cut - loops_before;
-      replay_.insert_or_assign(key, recorded);
+      targets_[id].replay = recorded;
       entry = recorded;
     }
     deepest_ = std::max(deepest_before, deepest_);
@@ -468,12 +501,12 @@ class Run {
   /// records form a DAG, so the dependencies of a loop region are stored
   /// once however many frames enclose it.
   struct Replay {
-    Key key;
+    Id key;
     FtNode* shared = nullptr;  ///< result re-expansion returns as is
     GateKind gate = GateKind::kOr;  ///< else a fresh gate, as it completed
     std::string description;
     std::vector<FtNode*> children;  ///< empty: the result is `shared`
-    std::vector<Key> cuts;  ///< cut at below the frame: must be on the stack
+    std::vector<Id> cuts;  ///< cut at below the frame: must be on the stack
     std::vector<const Replay*> nested;  ///< tainted resolutions directly inside
     bool entry_tainted = false;
     std::size_t depth = 0;      ///< deepest stack slot reached, frame-relative
@@ -487,18 +520,18 @@ class Run {
   /// on return the slice is replaced by the frame's own summary, so a
   /// slice holds only direct facts and the log empties with the stack.
   struct Fact {
-    Key key;
+    Id key;
     std::size_t cut_index;
     const Replay* nested;
   };
 
-  Replay* record(const Key& key, FtNode* result, std::size_t log_start,
+  Replay* record(Id key, FtNode* result, std::size_t log_start,
                  std::size_t index) {
     records_.push_back(std::make_unique<Replay>());
     Replay& entry = *records_.back();
     entry.key = key;
     if (result != nullptr && result->kind() == NodeKind::kGate &&
-        !memoised_nodes_.contains(result)) {
+        !is_memoised(result)) {
       // A gate this expansion built. Snapshot it now: a consumer may still
       // extend or relabel it.
       entry.gate = result->gate();
@@ -530,8 +563,8 @@ class Run {
   /// itself.
   void summarise(const Replay& entry) {
     if (stack_.empty()) return;  // no enclosing frame
-    for (const Key& cut : entry.cuts)
-      log_.push_back({cut, on_stack_.at(cut), nullptr});
+    for (Id cut : entry.cuts)
+      log_.push_back({cut, targets_[cut].stack_slot, nullptr});
     log_.push_back({entry.key, 0, &entry});
   }
 
@@ -541,8 +574,8 @@ class Run {
   bool replayable(const Replay& entry) {
     if (entry.entry_tainted != (taint_floor_ != SIZE_MAX)) return false;
     if (stack_.size() + entry.depth >= budget_.max_depth) return false;
-    for (const Key& key : entry.cuts) {
-      if (!on_stack_.contains(key)) return false;
+    for (Id key : entry.cuts) {
+      if (targets_[key].stack_slot == kOffStack) return false;
     }
     // Every tainted resolution inside must be expanded again: its target
     // neither on the stack (it would be cut) nor memoised (it would hit).
@@ -553,8 +586,8 @@ class Run {
       pending.pop_back();
       if (nested->visited == walk_) continue;
       nested->visited = walk_;
-      if (on_stack_.contains(nested->key) || memo_.contains(nested->key))
-        return false;
+      const Target& target = targets_[nested->key];
+      if (target.stack_slot != kOffStack || target.memoised) return false;
       pending.insert(pending.end(), nested->nested.begin(),
                      nested->nested.end());
     }
@@ -562,8 +595,8 @@ class Run {
   }
 
   FtNode* replay(const Replay& entry) {
-    for (const Key& cut : entry.cuts)
-      taint_floor_ = std::min(taint_floor_, on_stack_.at(cut));
+    for (Id cut : entry.cuts)
+      taint_floor_ = std::min(taint_floor_, targets_[cut].stack_slot);
     stats_.loops_cut += entry.loops_cut;
     deepest_ = std::max(deepest_, stack_.size() + entry.depth);
     summarise(entry);
@@ -618,8 +651,7 @@ class Run {
     // when re-expansion would have built it here.
     const bool owned_gate = node != nullptr &&
                             node->kind() == NodeKind::kGate &&
-                            node->id() >= first_id &&
-                            !memoised_nodes_.contains(node);
+                            node->id() >= first_id && !is_memoised(node);
     const bool owned_or_gate =
         owned_gate && node->gate() == GateKind::kOr &&
         (node->description().rfind("causes at", 0) == 0 ||
@@ -763,12 +795,12 @@ class Run {
   Budget budget_;  ///< run-local copy: the deadline tick is per-traversal
   FailureClass omission_;
 
-  std::unordered_map<Key, FtNode*, KeyHash> memo_;
-  std::unordered_set<const FtNode*> memoised_nodes_;  ///< memo_'s values
-  std::vector<std::unique_ptr<Replay>> records_;  ///< replay_ may drop them
-  std::unordered_map<Key, const Replay*, KeyHash> replay_;
-  std::vector<Key> stack_;
-  std::unordered_map<Key, std::size_t, KeyHash> on_stack_;
+  std::unordered_map<Key, Id, KeyHash> ids_;
+  std::vector<Target> targets_;  ///< by Id
+  /// By tree node id: the node is some target's memoised result.
+  std::vector<bool> memoised_nodes_;
+  std::vector<std::unique_ptr<Replay>> records_;  ///< targets may drop them
+  std::vector<Id> stack_;
   std::size_t taint_floor_ = SIZE_MAX;
   std::vector<Fact> log_;
   std::size_t deepest_ = 0;       ///< deepest stack slot a resolution reached

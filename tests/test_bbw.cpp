@@ -6,7 +6,10 @@
 
 #include <algorithm>
 
+#include "analysis/probability.h"
 #include "analysis/report.h"
+#include "bdd/bdd_prob.h"
+#include "bdd_prob_reference.h"
 #include "casestudy/setta.h"
 #include "core/error.h"
 #include "fta/synthesis.h"
@@ -221,6 +224,22 @@ TEST_F(BbwTest, EveryTopEventHasANonTrivialQuantifiedTree) {
                                                      options_.probability)) +
                   1e-12)
         << top;
+  }
+}
+
+TEST_F(BbwTest, ProbabilityKernelsMatchTheMapMemoReference) {
+  // Every top's exact probability, both conditionals of every event and
+  // the Birnbaum sweep, == against the map-memo kernels they replaced.
+  Synthesiser synthesiser(*full_);
+  for (const std::string& top : setta::bbw_top_events()) {
+    FaultTree tree = synthesiser.synthesise(top);
+    ASSERT_NE(tree.top(), nullptr) << top;
+    BddEncoding encoding = encode_bdd(tree);
+    BddProbabilityEngine engine(encoding.bdd,
+                                encoding.probabilities(options_.probability));
+    SCOPED_TRACE(top);
+    testing_reference::expect_matches_reference(engine, encoding.bdd,
+                                                encoding.root);
   }
 }
 

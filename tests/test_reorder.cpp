@@ -97,6 +97,81 @@ TEST(ReorderSwap, BddSwapPreservesFunctions) {
   }
 }
 
+TEST(ReorderSwap, BddTablesStayCanonicalUnderSwapsAndCollection) {
+  // Random functions, then random adjacent swaps and collections. After
+  // every step: each live node is found again by its (var, low, high)
+  // (the unique table misses nothing, so backward-shift deletion kept
+  // every probe run intact), collection leaves exactly the live nodes in
+  // the table, and every function keeps its truth table.
+  const int vars = 9;
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    std::mt19937 rng(seed);
+    Bdd bdd;
+    for (int i = 0; i < vars; ++i) bdd.new_var();
+    std::uniform_int_distribution<int> pick_var(0, vars - 1);
+    std::uniform_int_distribution<int> pick_op(0, 3);
+    std::vector<Bdd::Ref> roots;
+    for (int i = 0; i < vars; ++i) roots.push_back(bdd.var(i));
+    for (int i = 0; i < 40; ++i) {
+      std::uniform_int_distribution<std::size_t> pick(0, roots.size() - 1);
+      const Bdd::Ref a = roots[pick(rng)];
+      const Bdd::Ref b = roots[pick(rng)];
+      switch (pick_op(rng)) {
+        case 0: roots.push_back(bdd.apply_and(a, b)); break;
+        case 1: roots.push_back(bdd.apply_or(a, b)); break;
+        case 2: roots.push_back(bdd.apply_xor(a, b)); break;
+        default: roots.push_back(bdd.apply_not(a)); break;
+      }
+    }
+    auto truth_table = [&](Bdd::Ref ref) {
+      std::vector<bool> bits;
+      std::vector<bool> assignment(vars);
+      for (int m = 0; m < (1 << vars); ++m) {
+        for (int v = 0; v < vars; ++v) assignment[v] = (m >> v) & 1;
+        bits.push_back(bdd.evaluate(ref, assignment));
+      }
+      return bits;
+    };
+    std::vector<std::vector<bool>> tables;
+    for (Bdd::Ref root : roots) tables.push_back(truth_table(root));
+    auto live_nodes = [&]() {
+      std::vector<Bdd::Ref> out;
+      std::vector<bool> seen(bdd.size(), false);
+      std::vector<Bdd::Ref> stack(roots.begin(), roots.end());
+      while (!stack.empty()) {
+        const Bdd::Ref ref = stack.back();
+        stack.pop_back();
+        if (bdd.is_terminal(ref) || seen[ref]) continue;
+        seen[ref] = true;
+        out.push_back(ref);
+        stack.push_back(bdd.node(ref).low);
+        stack.push_back(bdd.node(ref).high);
+      }
+      return out;
+    };
+    for (int step = 0; step < 120; ++step) {
+      const bool collect = step % 7 == 6;
+      if (collect) {
+        bdd.collect_garbage(roots);
+        EXPECT_EQ(bdd.table_size(), bdd.live_size(roots))
+            << "seed " << seed << " step " << step;
+      } else {
+        bdd.swap_adjacent_levels(pick_var(rng) % (vars - 1));
+      }
+      for (Bdd::Ref ref : live_nodes()) {
+        const Bdd::Node n = bdd.node(ref);
+        // ite(x, high, low) ends in a lookup of exactly <x, low, high>.
+        ASSERT_EQ(bdd.ite(bdd.var(n.var), n.high, n.low), ref)
+            << "seed " << seed << " step " << step;
+      }
+      for (std::size_t i = 0; i < roots.size(); ++i) {
+        ASSERT_EQ(truth_table(roots[i]), tables[i])
+            << "seed " << seed << " step " << step << " function " << i;
+      }
+    }
+  }
+}
+
 TEST(ReorderSift, ShrinksTheGroupedProductFamily) {
   Zbdd zbdd;
   const int pairs = 8;

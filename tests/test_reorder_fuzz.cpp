@@ -35,6 +35,7 @@
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
 #include "bdd/bdd_prob.h"
+#include "bdd_prob_reference.h"
 #include "casestudy/synthetic.h"
 #include "core/symbol.h"
 #include "fta/fault_tree.h"
@@ -263,6 +264,9 @@ TEST_P(DifferentialFuzz, EnginesOrdersAndCachesAgree) {
               1e-12 * std::max(std::abs(exact), std::abs(truth.probability)))
         << "BDD probability " << exact << " vs brute force "
         << truth.probability << "; seed=" << seed << " tree=" << t;
+    // The array-memo kernels against the map-memo reference, bit for bit.
+    testing_reference::expect_matches_reference(prob_engine, encoding.bdd,
+                                                encoding.root);
     if (truth.coherent) {
       EXPECT_EQ(expected, truth.minimal_family)
           << "engines' family differs from brute force; seed=" << seed
