@@ -8,14 +8,60 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "casestudy/setta.h"
 #include "failure/expr_parser.h"
 #include "casestudy/synthetic.h"
 #include "fta/synthesis.h"
 
+// -- Heap allocation counter --------------------------------------------------
+//
+// This binary replaces the global operator new (and its matching deletes)
+// with malloc/free plus a counter, so a benchmark can report how many heap
+// allocations one iteration makes. Unlike a time, the count is the same on
+// every run and does not move with machine load (only with the standard
+// library), which makes it a noise-free regression guard for the
+// synthesis kernel's string and table churn.
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs inlined `new` expressions with these frees and warns of a
+// mismatch; both ends are the replacements below, so it is a false alarm.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 namespace {
 
 using namespace ftsynth;
+
+std::size_t allocations_so_far() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// Reports `made` heap allocations, counted inside the loop body only (the
+/// harness's own bookkeeping stays out), as the per-iteration "allocs"
+/// counter.
+void report_allocations(benchmark::State& state, std::size_t made) {
+  state.counters["allocs"] = benchmark::Counter(
+      static_cast<double>(made), benchmark::Counter::kAvgIterations);
+}
 
 void BM_SynthesiseChain(benchmark::State& state) {
   Model model = synthetic::build_chain(static_cast<int>(state.range(0)));
@@ -119,13 +165,21 @@ void BM_SynthesiseBbwAllTopEvents(benchmark::State& state) {
   Synthesiser synthesiser(model);
   const std::vector<std::string> tops = setta::bbw_top_events();
   std::size_t total_nodes = 0;
+  // One untimed pass interns every name and fills the gate-name table
+  // first, so each timed iteration makes the same allocations however few
+  // of them run.
+  for (const std::string& top : tops) synthesiser.synthesise(top);
+  std::size_t allocations = 0;
   for (auto _ : state) {
+    const std::size_t before = allocations_so_far();
     total_nodes = 0;
     for (const std::string& top : tops) {
       FaultTree tree = synthesiser.synthesise(top);
       total_nodes += tree.stats().node_count;
     }
+    allocations += allocations_so_far() - before;
   }
+  report_allocations(state, allocations);
   state.counters["top_events"] = static_cast<double>(tops.size());
   state.counters["total_tree_nodes"] = static_cast<double>(total_nodes);
 }
@@ -146,7 +200,12 @@ void BM_ProbeBbwAllCandidates(benchmark::State& state) {
   }
   std::size_t derivable = 0;
   std::size_t resolutions = 0;
+  // Untimed warm-up, as in BM_SynthesiseBbwAllTopEvents.
+  for (const Deviation& candidate : candidates)
+    Synthesiser(model, prune).synthesise(candidate);
+  std::size_t allocations = 0;
   for (auto _ : state) {
+    const std::size_t before = allocations_so_far();
     derivable = 0;
     resolutions = 0;
     for (const Deviation& candidate : candidates) {
@@ -154,7 +213,9 @@ void BM_ProbeBbwAllCandidates(benchmark::State& state) {
       if (probe.synthesise(candidate).top() != nullptr) ++derivable;
       resolutions += probe.stats().resolutions;
     }
+    allocations += allocations_so_far() - before;
   }
+  report_allocations(state, allocations);
   state.counters["candidates"] = static_cast<double>(candidates.size());
   state.counters["derivable"] = static_cast<double>(derivable);
   state.counters["resolutions"] = static_cast<double>(resolutions);

@@ -75,9 +75,10 @@ class Tracer {
           }
         }
         const Block* proxy = block.find_child(output.name());
-        check_internal(
-            proxy != nullptr && proxy->kind() == BlockKind::kOutport,
-            "missing Outport proxy for " + output.qualified_name());
+        if (proxy == nullptr || proxy->kind() != BlockKind::kOutport) {
+          fail(ErrorKind::kInternal,
+               "missing Outport proxy for " + output.qualified_name());
+        }
         input_rec(*proxy->inputs().front());
         return;
       }

@@ -28,12 +28,8 @@ ParseError::ParseError(const std::string& message, int line, int column)
       line_(line),
       column_(column) {}
 
-void require(bool condition, ErrorKind kind, const std::string& message) {
-  if (!condition) throw Error(kind, message);
-}
-
-void check_internal(bool condition, const std::string& message) {
-  if (!condition) throw Error(ErrorKind::kInternal, message);
+void fail(ErrorKind kind, std::string_view message) {
+  throw Error(kind, std::string(message));
 }
 
 }  // namespace ftsynth

@@ -57,10 +57,21 @@ class ParseError : public Error {
   int column_;
 };
 
-/// Throws Error{kind} with `message` unless `condition` holds.
-void require(bool condition, ErrorKind kind, const std::string& message);
+/// Throws Error{kind} with `message`. Out of line, so the checks below
+/// inline to a compare and a branch; a call site whose message is a
+/// concatenation writes `if (!condition) fail(kind, a + b)` so the message
+/// is built only on failure.
+[[noreturn]] void fail(ErrorKind kind, std::string_view message);
+
+/// Throws Error{kind} with `message` unless `condition` holds. Taking a
+/// view, a literal message costs nothing on the passing path.
+inline void require(bool condition, ErrorKind kind, std::string_view message) {
+  if (!condition) [[unlikely]] fail(kind, message);
+}
 
 /// require() specialised for internal invariants (ErrorKind::kInternal).
-void check_internal(bool condition, const std::string& message);
+inline void check_internal(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] fail(ErrorKind::kInternal, message);
+}
 
 }  // namespace ftsynth

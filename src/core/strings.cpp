@@ -46,6 +46,15 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::string concat(std::span<const std::string_view> parts) {
+  std::size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out += part;
+  return out;
+}
+
 bool iequals(std::string_view text, std::string_view other) noexcept {
   if (text.size() != other.size()) return false;
   for (std::size_t i = 0; i < text.size(); ++i) {

@@ -4,6 +4,8 @@
 
 #pragma once
 
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +21,12 @@ std::vector<std::string> split(std::string_view text, char separator);
 /// Joins `parts` with `separator` ("a", "b" -> "a<sep>b").
 std::string join(const std::vector<std::string>& parts,
                  std::string_view separator);
+
+/// The concatenation of `parts`, allocated once at its final size.
+std::string concat(std::span<const std::string_view> parts);
+inline std::string concat(std::initializer_list<std::string_view> parts) {
+  return concat(std::span(parts.begin(), parts.size()));
+}
 
 /// True if `text` equals `other` ignoring ASCII case.
 bool iequals(std::string_view text, std::string_view other) noexcept;

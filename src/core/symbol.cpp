@@ -7,16 +7,27 @@ namespace ftsynth {
 
 namespace {
 
+/// Transparent hash: the table is probed with a string_view, so a lookup
+/// builds no std::string.
+struct TextHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
 /// Process-wide intern table. Node-based so element addresses are stable.
 /// Sharded by string hash: parallel synthesis interns heavily (every event
 /// and gate name), and a single mutex serialises the whole fleet.
 class Interner {
  public:
+  /// Find first: almost every call is a hit (synthesis re-interns the same
+  /// event names for every top), and only a miss allocates the node.
   const std::string* intern(std::string_view text) {
-    Shard& shard = shards_[std::hash<std::string_view>{}(text) % kShards];
+    Shard& shard = shards_[TextHash{}(text) % kShards];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto [it, inserted] = shard.table.emplace(text);
-    return &*it;
+    if (auto it = shard.table.find(text); it != shard.table.end()) return &*it;
+    return &*shard.table.emplace(text).first;
   }
 
   static Interner& instance() {
@@ -28,7 +39,7 @@ class Interner {
   static constexpr std::size_t kShards = 64;
   struct Shard {
     std::mutex mutex;
-    std::unordered_set<std::string> table;
+    std::unordered_set<std::string, TextHash, std::equal_to<>> table;
   };
   Shard shards_[kShards];
 };

@@ -45,6 +45,21 @@ void FtNode::add_child(FtNode* child) {
   children_.push_back(child);
 }
 
+namespace {
+
+/// The interned name "G<number>". Every tree numbers its gates from 1, so
+/// a per-thread table indexed by number serves them all without the
+/// interner's lock; it grows to the largest tree the thread has built.
+Symbol gate_name(int number) {
+  thread_local std::vector<Symbol> names;  // names[n - 1] is "G<n>"
+  const auto index = static_cast<std::size_t>(number - 1);
+  while (names.size() <= index)
+    names.emplace_back(concat({"G", std::to_string(names.size() + 1)}));
+  return names[index];
+}
+
+}  // namespace
+
 FaultTree::FaultTree(std::string name) : name_(std::move(name)) {}
 
 FtNode* FaultTree::add_node(NodeKind kind, GateKind gate, Symbol name) {
@@ -58,8 +73,10 @@ FtNode* FaultTree::add_node(NodeKind kind, GateKind gate, Symbol name) {
 FtNode* FaultTree::add_basic(Symbol name, double rate,
                              std::string description, std::string origin) {
   if (FtNode* existing = find_event(name)) {
-    check_internal(existing->kind() == NodeKind::kBasic,
-                   "event '" + name.str() + "' reused with a different kind");
+    if (existing->kind() != NodeKind::kBasic) {
+      fail(ErrorKind::kInternal,
+           "event '" + name.str() + "' reused with a different kind");
+    }
     return existing;
   }
   FtNode* node = add_node(NodeKind::kBasic, GateKind::kOr, name);
@@ -99,10 +116,12 @@ FtNode* FaultTree::add_gate(GateKind kind, std::string description,
   check_internal(!children.empty(), "gate needs at least one child");
   check_internal(kind != GateKind::kNot || children.size() == 1,
                  "NOT gate needs exactly one child");
-  FtNode* node = add_node(NodeKind::kGate, kind,
-                          Symbol("G" + std::to_string(next_gate_number_++)));
+  FtNode* node =
+      add_node(NodeKind::kGate, kind, gate_name(next_gate_number_++));
   node->set_description(std::move(description));
-  for (FtNode* child : children) node->add_child(child);
+  for (const FtNode* child : children)
+    check_internal(child != nullptr, "null fault tree child");
+  node->children_ = std::move(children);
   return node;
 }
 

@@ -93,6 +93,8 @@ class FtNode {
   void set_origin(std::string origin) { origin_ = std::move(origin); }
 
  private:
+  friend class FaultTree;  // add_gate hands its child list over whole
+
   int id_;
   NodeKind kind_;
   GateKind gate_;

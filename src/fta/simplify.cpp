@@ -171,6 +171,10 @@ FaultTree deduplicate(const FaultTree& tree) {
   };
   std::unordered_map<GateKey, FtNode*, GateKeyHash> interned;
   std::vector<FtNode*> rebuilt(tree.nodes().size(), nullptr);  // by node id
+  // Reused per gate: a gate that collapses or is already interned costs no
+  // allocation; a new one copies them at their final size.
+  GateKey key{GateKind::kOr, {}};
+  std::vector<FtNode*> children;
 
   tree.for_each_reachable([&](const FtNode& node) {
     FtNode* copy = nullptr;
@@ -194,9 +198,7 @@ FaultTree deduplicate(const FaultTree& tree) {
       case NodeKind::kGate: {
         // PAND is order-significant: keep duplicates and child order.
         const bool ordered = node.gate() == GateKind::kPand;
-        GateKey key{node.gate(), {}};
-        std::vector<FtNode*> children;
-        children.reserve(node.children().size());
+        children.clear();
         for (const FtNode* child : node.children()) {
           FtNode* mapped = rebuilt[static_cast<std::size_t>(child->id())];
           // Drop duplicate children inside one gate (X OR X == X).
@@ -208,15 +210,18 @@ FaultTree deduplicate(const FaultTree& tree) {
           copy = children.front();
           break;
         }
-        for (const FtNode* child : children) key.children.push_back(child->id());
+        key.kind = node.gate();
+        key.children.clear();
+        for (const FtNode* child : children)
+          key.children.push_back(child->id());
         if (!ordered) std::sort(key.children.begin(), key.children.end());
         if (auto it = interned.find(key); it != interned.end()) {
           copy = it->second;
           break;
         }
         copy = out.add_gate(node.gate(), node.description(),
-                            std::move(children));
-        interned.emplace(std::move(key), copy);
+                            {children.begin(), children.end()});
+        interned.emplace(key, copy);
         break;
       }
     }

@@ -1,11 +1,14 @@
 #include "fta/synthesis.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +16,7 @@
 
 #include "core/error.h"
 #include "core/parallel.h"
+#include "core/strings.h"
 #include "core/thread_pool.h"
 #include "failure/expr_parser.h"
 #include "fta/simplify.h"
@@ -59,18 +63,7 @@ class Run {
         stats_(stats),
         tree_(tree),
         budget_(options.budget),
-        omission_(model.registry().omission()) {
-    // One model walk up front turns every per-port lookup into O(1); the
-    // naive connection scan made synthesis quadratic on flat models.
-    model_.for_each_block([&](const Block& block) {
-      if (block.is_subsystem()) {
-        for (const Connection& connection : block.connections())
-          feed_.emplace(connection.to, &connection);
-      }
-      if (block.kind() == BlockKind::kDataStoreWrite)
-        writers_[block.store_name()].push_back(&block);
-    });
-  }
+        omission_(model.registry().omission()) {}
 
   /// Entry point: resolve a deviation at a boundary output of `subsystem`
   /// (used for the model root, and internally when crossing nested
@@ -79,18 +72,20 @@ class Run {
                                    ChannelRange range, FailureClass cls) {
     // Inner propagation: through the Outport proxy of the same name.
     const Block* proxy = subsystem.find_child(port.name());
-    if (options_.sink != nullptr &&
-        (proxy == nullptr || proxy->kind() != BlockKind::kOutport ||
-         proxy->inputs().size() != 1)) {
+    const bool is_proxy =
+        proxy != nullptr && proxy->kind() == BlockKind::kOutport;
+    const Port* proxy_input = is_proxy ? sole_input(*proxy) : nullptr;
+    if (options_.sink != nullptr && proxy_input == nullptr) {
       // Partial model (recovered parse): the proxy is missing or mangled.
       return degraded(Deviation{cls, port.name()}, subsystem.path(),
                       "missing Outport proxy for " + port.qualified_name());
     }
-    check_internal(proxy != nullptr && proxy->kind() == BlockKind::kOutport,
-                   "missing Outport proxy for " + port.qualified_name());
-    std::vector<Port*> proxy_inputs = proxy->inputs();
-    check_internal(proxy_inputs.size() == 1, "malformed Outport proxy");
-    FtNode* inner = resolve_input(*proxy_inputs.front(), range, cls);
+    if (!is_proxy) {
+      fail(ErrorKind::kInternal,
+           "missing Outport proxy for " + port.qualified_name());
+    }
+    check_internal(proxy_input != nullptr, "malformed Outport proxy");
+    FtNode* inner = resolve_input(*proxy_input, range, cls);
 
     // Enclosing-level (hardware / environment) common cause: Figure 3.
     FtNode* common = nullptr;
@@ -98,8 +93,8 @@ class Run {
       bool any_row = false;
       common = convert_rows(subsystem, Deviation{cls, port.name()}, any_row);
     }
-    return make_or({inner, common},
-                   describe(cls, port.name(), subsystem.path()));
+    FtNode* const pair[] = {inner, common};
+    return make_or(pair, [&] { return describe(cls, port.name(), subsystem); });
   }
 
  private:
@@ -110,46 +105,160 @@ class Run {
   }
 
   FtNode* house() {
-    return tree_.add_house(Symbol("always"), "condition fixed true");
+    static const Symbol kAlways("always");
+    if (FtNode* existing = existing_leaf(kAlways, NodeKind::kHouse))
+      return existing;
+    return tree_.add_house(kAlways, "condition fixed true");
   }
 
-  FtNode* make_or(std::vector<FtNode*> children, std::string description) {
-    std::vector<FtNode*> kept;
-    for (FtNode* child : children) {
+  /// A frame of the operand stack the recursive converters share: a
+  /// converter pushes its children's results above the stack's size at
+  /// construction and builds its gate from view(); the destructor truncates
+  /// back. Frames nest strictly, so no converter allocates a child list.
+  /// Never hold a view() across a push: the stack may reallocate.
+  class Operands {
+   public:
+    explicit Operands(std::vector<FtNode*>& stack)
+        : stack_(stack), base_(stack.size()) {}
+    Operands(const Operands&) = delete;
+    Operands& operator=(const Operands&) = delete;
+    ~Operands() { stack_.resize(base_); }
+
+    void push(FtNode* node) { stack_.push_back(node); }
+    std::size_t size() const noexcept { return stack_.size() - base_; }
+    FtNode* operator[](std::size_t i) const noexcept {
+      return stack_[base_ + i];
+    }
+    std::span<FtNode* const> view() const noexcept {
+      return {stack_.data() + base_, size()};
+    }
+
+   private:
+    std::vector<FtNode*>& stack_;
+    std::size_t base_;
+  };
+
+  // The gate builders take a describer, a callable returning the gate's
+  // description, and call it only when they really add a gate: most calls
+  // collapse to a single child or a constant.
+
+  template <class Describe>
+  FtNode* make_or(std::span<FtNode* const> children, Describe&& describe) {
+    FtNode* single = nullptr;
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      FtNode* child = children[i];
       if (child == nullptr) continue;
       if (is_house(child)) return child;
-      if (std::find(kept.begin(), kept.end(), child) == kept.end())
-        kept.push_back(child);
+      if (!seen_before(children, i)) {
+        single = child;
+        ++distinct;
+      }
     }
-    if (kept.empty()) return nullptr;
-    if (kept.size() == 1) return kept.front();
-    return tree_.add_gate(GateKind::kOr, std::move(description),
-                          std::move(kept));
+    if (distinct <= 1) return single;
+    return tree_.add_gate(GateKind::kOr, describe(),
+                          distinct_children(children, distinct));
   }
 
-  FtNode* make_and(std::vector<FtNode*> children, std::string description) {
-    std::vector<FtNode*> kept;
-    for (FtNode* child : children) {
+  template <class Describe>
+  FtNode* make_and(std::span<FtNode* const> children, Describe&& describe) {
+    FtNode* single = nullptr;
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      FtNode* child = children[i];
       if (child == nullptr) return nullptr;
       if (is_house(child)) continue;
-      if (std::find(kept.begin(), kept.end(), child) == kept.end())
-        kept.push_back(child);
+      if (!seen_before(children, i)) {
+        single = child;
+        ++distinct;
+      }
     }
-    if (kept.empty()) return house();
-    if (kept.size() == 1) return kept.front();
-    return tree_.add_gate(GateKind::kAnd, std::move(description),
-                          std::move(kept));
+    if (distinct == 0) return house();
+    if (distinct == 1) return single;
+    return tree_.add_gate(GateKind::kAnd, describe(),
+                          distinct_children(children, distinct));
   }
 
-  FtNode* make_not(FtNode* child, std::string description) {
+  template <class Describe>
+  FtNode* make_not(FtNode* child, Describe&& describe) {
     if (child == nullptr) return house();
     if (is_house(child)) return nullptr;
-    return tree_.add_gate(GateKind::kNot, std::move(description), {child});
+    return tree_.add_gate(GateKind::kNot, describe(), {child});
+  }
+
+  /// True when children[i] already occurs in children[0, i).
+  static bool seen_before(std::span<FtNode* const> children, std::size_t i) {
+    const auto end = children.begin() + static_cast<std::ptrdiff_t>(i);
+    return std::find(children.begin(), end, children[i]) != end;
+  }
+
+  /// The `count` distinct proper children (no null, no house) in first
+  /// occurrence order: a gate's child list.
+  static std::vector<FtNode*> distinct_children(
+      std::span<FtNode* const> children, std::size_t count) {
+    std::vector<FtNode*> kept;
+    kept.reserve(count);
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      if (children[i] != nullptr && !is_house(children[i]) &&
+          !seen_before(children, i))
+        kept.push_back(children[i]);
+    }
+    return kept;
+  }
+
+  /// "<Class>-<port> at <block path>", the description of a deviation's
+  /// gate, in pieces.
+  static std::array<std::string_view, 5> description_parts(
+      FailureClass cls, Symbol port, const Block& where) noexcept {
+    return {cls.view(), "-", port.view(), " at ", where.path()};
   }
 
   static std::string describe(FailureClass cls, Symbol port,
-                              const std::string& where) {
-    return Deviation{cls, port}.to_string() + " at " + where;
+                              const Block& where) {
+    return concat(description_parts(cls, port, where));
+  }
+
+  /// describe(cls, port, where) == text, without building the former.
+  static bool describes(std::string_view text, FailureClass cls, Symbol port,
+                        const Block& where) {
+    for (std::string_view part : description_parts(cls, port, where)) {
+      if (text.substr(0, part.size()) != part) return false;
+      text.remove_prefix(part.size());
+    }
+    return text.empty();
+  }
+
+  // -- Leaves -----------------------------------------------------------------
+
+  /// Interns the concatenation of `parts`, built in a reused buffer: a name
+  /// already interned allocates nothing.
+  Symbol name_of(std::initializer_list<std::string_view> parts) {
+    name_buffer_.clear();
+    for (std::string_view part : parts) name_buffer_ += part;
+    return Symbol(name_buffer_);
+  }
+
+  /// The leaf FaultTree::add_<kind>(name, ...) would return unchanged, or
+  /// nullptr: a repeated leaf's description and origin are never built.
+  FtNode* existing_leaf(Symbol name, NodeKind kind) const {
+    FtNode* existing = tree_.find_event(name);
+    // add_basic rejects a name taken by another kind; let it say so.
+    if (existing != nullptr && kind == NodeKind::kBasic &&
+        existing->kind() != kind)
+      return nullptr;
+    return existing;
+  }
+
+  /// The single input of a proxy, demux or store writer, or nullptr when it
+  /// has none or several (a partial model).
+  static const Port* sole_input(const Block& block) noexcept {
+    const Port* input = nullptr;
+    for (const auto& port : block.ports()) {
+      if (!port->is_input()) continue;
+      if (input != nullptr) return nullptr;
+      input = port.get();
+    }
+    return input;
   }
 
   // -- Degraded mode and resource budget ---------------------------------------
@@ -206,17 +315,20 @@ class Run {
       case ExprOp::kTrue:
         return house();
       case ExprOp::kMalfunction: {
-        Symbol name = expr.malfunction();
+        const Symbol malfunction = expr.malfunction();
+        const Symbol name = name_of({block.path(), ".", malfunction.view()});
+        if (FtNode* existing = existing_leaf(name, NodeKind::kBasic))
+          return existing;
         double rate = 0.0;
         std::string description;
-        if (auto malfunction = block.annotation().find_malfunction(name)) {
-          rate = malfunction->rate;
-          description = malfunction->description;
+        if (auto found = block.annotation().find_malfunction(malfunction)) {
+          rate = found->rate;
+          description = std::move(found->description);
         }
         if (description.empty())
           description = "malfunction of " + block.path();
-        return tree_.add_basic(Symbol(block.path() + "." + name.str()), rate,
-                               std::move(description), block.path());
+        return tree_.add_basic(name, rate, std::move(description),
+                               block.path());
       }
       case ExprOp::kDeviation: {
         const Deviation& d = expr.deviation();
@@ -242,52 +354,46 @@ class Run {
       }
       case ExprOp::kNot:
         return make_not(convert(*expr.children().front(), block),
-                        "NOT at " + block.path());
+                        [&] { return "NOT at " + block.path(); });
       case ExprOp::kAtLeast: {
         // Expand the k-of-N vote into the OR of all k-subsets; every
         // downstream engine then works unchanged. N is the handful of
         // redundant channels a voter sees, so C(N, k) stays small.
-        std::vector<FtNode*> resolved;
-        resolved.reserve(expr.children().size());
+        Operands resolved(operands_);
         for (const ExprPtr& child : expr.children())
-          resolved.push_back(convert(*child, block));
+          resolved.push(convert(*child, block));
         const int n = static_cast<int>(resolved.size());
         const int k = expr.threshold();
-        std::vector<FtNode*> alternatives;
-        std::vector<int> pick;
+        Operands alternatives(operands_);
+        std::vector<FtNode*> conjuncts;  // the k-subset being built
         auto choose = [&](auto&& self, int start) -> void {
-          if (static_cast<int>(pick.size()) == k) {
-            std::vector<FtNode*> conjuncts;
-            for (int index : pick) {
-              conjuncts.push_back(resolved[static_cast<std::size_t>(index)]);
-            }
-            alternatives.push_back(
-                make_and(std::move(conjuncts),
-                         std::to_string(k) + "-of-" + std::to_string(n) +
-                             " at " + block.path()));
+          const int picked = static_cast<int>(conjuncts.size());
+          if (picked == k) {
+            alternatives.push(make_and(conjuncts, [&] {
+              return std::to_string(k) + "-of-" + std::to_string(n) + " at " +
+                     block.path();
+            }));
             return;
           }
-          for (int i = start; i <= n - (k - static_cast<int>(pick.size()));
-               ++i) {
-            pick.push_back(i);
+          for (int i = start; i <= n - (k - picked); ++i) {
+            conjuncts.push_back(resolved[static_cast<std::size_t>(i)]);
             self(self, i + 1);
-            pick.pop_back();
+            conjuncts.pop_back();
           }
         };
         choose(choose, 0);
-        return make_or(std::move(alternatives),
-                       "vote causes at " + block.path());
+        return make_or(alternatives.view(),
+                       [&] { return "vote causes at " + block.path(); });
       }
       case ExprOp::kAnd:
       case ExprOp::kOr: {
-        std::vector<FtNode*> children;
-        children.reserve(expr.children().size());
+        Operands children(operands_);
         for (const ExprPtr& child : expr.children())
-          children.push_back(convert(*child, block));
-        std::string description = "causes at " + block.path();
+          children.push(convert(*child, block));
+        auto description = [&] { return "causes at " + block.path(); };
         return expr.op() == ExprOp::kAnd
-                   ? make_and(std::move(children), std::move(description))
-                   : make_or(std::move(children), std::move(description));
+                   ? make_and(children.view(), description)
+                   : make_or(children.view(), description);
       }
     }
     throw Error(ErrorKind::kInternal, "corrupt ExprOp in synthesis");
@@ -301,7 +407,7 @@ class Run {
   FtNode* convert_rows(const Block& block, const Deviation& deviation,
                        bool& any_row) {
     any_row = false;
-    std::vector<FtNode*> alternatives;
+    Operands alternatives(operands_);
     const std::vector<AnnotationRow>& rows = block.annotation().rows();
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const AnnotationRow& row = rows[i];
@@ -316,17 +422,18 @@ class Run {
                 : row.description,
             block.path());
         condition->set_fixed_probability(row.condition_probability);
-        node = make_and({node, condition},
-                        describe(deviation.failure_class, deviation.port,
-                                 block.path()) +
-                            " [data-dependent]");
+        FtNode* const pair[] = {node, condition};
+        node = make_and(pair, [&] {
+          return describe(deviation.failure_class, deviation.port, block) +
+                 " [data-dependent]";
+        });
       }
-      alternatives.push_back(node);
+      alternatives.push(node);
     }
     if (!any_row) return nullptr;
-    return make_or(std::move(alternatives),
-                   describe(deviation.failure_class, deviation.port,
-                            block.path()));
+    return make_or(alternatives.view(), [&] {
+      return describe(deviation.failure_class, deviation.port, block);
+    });
   }
 
   // -- Backward traversal ------------------------------------------------------
@@ -344,19 +451,27 @@ class Run {
       if (options_.environment ==
           SynthesisOptions::EnvironmentPolicy::kPrune)
         return nullptr;
-      Deviation d{cls, port.name()};
-      return tree_.add_basic(Symbol("env:" + d.to_string()), 0.0,
+      const Symbol name =
+          name_of({"env:", cls.view(), "-", port.name().view()});
+      if (FtNode* existing = existing_leaf(name, NodeKind::kBasic))
+        return existing;
+      const Deviation d{cls, port.name()};
+      return tree_.add_basic(name, 0.0,
                              d.to_string() + " at the system boundary",
                              owner.path());
     }
-    auto it = feed_.find(&port);
-    const Connection* connection = it == feed_.end() ? nullptr : it->second;
+    // connect() keeps each subsystem's input -> connection index, and every
+    // connection joins children of the subsystem holding it.
+    const Connection* connection = parent->connection_into(port);
     if (connection == nullptr) {
       // Validation normally rejects this; keep the synthesis total anyway.
-      Deviation d{cls, port.name()};
+      const Symbol name = name_of(
+          {"und:", cls.view(), "-", port.name().view(), "@", owner.path()});
+      if (FtNode* existing = existing_leaf(name, NodeKind::kUndeveloped))
+        return existing;
+      const Deviation d{cls, port.name()};
       return tree_.add_undeveloped(
-          Symbol("und:" + d.to_string() + "@" + owner.path()),
-          d.to_string() + " on unconnected input", owner.path());
+          name, d.to_string() + " on unconnected input", owner.path());
     }
     return resolve_output(*connection->from, range, cls);
   }
@@ -428,10 +543,14 @@ class Run {
       if (options_.memoise) log_.push_back({id, slot, nullptr});
       if (options_.loops == SynthesisOptions::LoopPolicy::kPrune)
         return nullptr;
-      Deviation d{cls, port.name()};
+      const Symbol name = name_of({"loop:", cls.view(), "-",
+                                   port.name().view(), "@",
+                                   port.owner().path()});
+      if (FtNode* existing = existing_leaf(name, NodeKind::kLoop))
+        return existing;
+      const Deviation d{cls, port.name()};
       return tree_.add_loop(
-          Symbol("loop:" + d.to_string() + "@" + port.owner().path()),
-          d.to_string() + " feeds back to itself through a control loop",
+          name, d.to_string() + " feeds back to itself through a control loop",
           port.owner().path());
     }
     if (options_.memoise) {
@@ -501,6 +620,7 @@ class Run {
   /// records form a DAG, so the dependencies of a loop region are stored
   /// once however many frames enclose it.
   struct Replay {
+    std::size_t serial;  ///< creation order: a pointer-free sort key
     Id key;
     FtNode* shared = nullptr;  ///< result re-expansion returns as is
     GateKind gate = GateKind::kOr;  ///< else a fresh gate, as it completed
@@ -529,6 +649,7 @@ class Run {
                  std::size_t index) {
     records_.push_back(std::make_unique<Replay>());
     Replay& entry = *records_.back();
+    entry.serial = records_.size();
     entry.key = key;
     if (result != nullptr && result->kind() == NodeKind::kGate &&
         !is_memoised(result)) {
@@ -542,19 +663,30 @@ class Run {
       // every expansion returns this very pointer.
       entry.shared = result;
     }
+    // Gathered in reused buffers, then copied at their final size: records
+    // live as long as the run.
+    std::vector<Id>& cuts = cuts_buffer_;
+    std::vector<const Replay*>& nested = nested_buffer_;
+    cuts.clear();
+    nested.clear();
     for (std::size_t i = log_start; i < log_.size(); ++i) {
       const Fact& fact = log_[i];
       if (fact.nested != nullptr) {
-        entry.nested.push_back(fact.nested);
+        nested.push_back(fact.nested);
       } else if (fact.cut_index < index &&
-                 std::find(entry.cuts.begin(), entry.cuts.end(), fact.key) ==
-                     entry.cuts.end()) {
-        entry.cuts.push_back(fact.key);
+                 std::find(cuts.begin(), cuts.end(), fact.key) == cuts.end()) {
+        cuts.push_back(fact.key);
       }
     }
-    std::sort(entry.nested.begin(), entry.nested.end());
-    entry.nested.erase(std::unique(entry.nested.begin(), entry.nested.end()),
-                       entry.nested.end());
+    // Creation order, not address order: replayable() then walks the same
+    // way on every run.
+    std::sort(nested.begin(), nested.end(),
+              [](const Replay* a, const Replay* b) {
+                return a->serial < b->serial;
+              });
+    entry.cuts.assign(cuts.begin(), cuts.end());
+    entry.nested.assign(nested.begin(),
+                        std::unique(nested.begin(), nested.end()));
     return &entry;
   }
 
@@ -580,7 +712,8 @@ class Run {
     // Every tainted resolution inside must be expanded again: its target
     // neither on the stack (it would be cut) nor memoised (it would hit).
     ++walk_;
-    std::vector<const Replay*> pending(entry.nested);
+    std::vector<const Replay*>& pending = pending_;
+    pending.assign(entry.nested.begin(), entry.nested.end());
     while (!pending.empty()) {
       const Replay* nested = pending.back();
       pending.pop_back();
@@ -654,8 +787,8 @@ class Run {
                             node->id() >= first_id && !is_memoised(node);
     const bool owned_or_gate =
         owned_gate && node->gate() == GateKind::kOr &&
-        (node->description().rfind("causes at", 0) == 0 ||
-         node->description() == describe(cls, port.name(), block.path()));
+        (node->description().starts_with("causes at") ||
+         describes(node->description(), cls, port.name(), block));
 
     // Triggered blocks: loss of the control signal silences every output.
     if (options_.trigger_omission && cls == omission_) {
@@ -666,15 +799,16 @@ class Run {
             !is_house(trigger_loss)) {
           node->add_child(trigger_loss);
         } else {
-          node = make_or({node, trigger_loss},
-                         describe(cls, port.name(), block.path()));
+          FtNode* const pair[] = {node, trigger_loss};
+          node = make_or(pair,
+                         [&] { return describe(cls, port.name(), block); });
         }
         explained = true;
       }
     }
     if (explained) {
-      if (owned_gate && node->description().rfind("causes at", 0) == 0) {
-        node->set_description(describe(cls, port.name(), block.path()));
+      if (owned_gate && node->description().starts_with("causes at")) {
+        node->set_description(describe(cls, port.name(), block));
       }
       return node;
     }
@@ -693,21 +827,24 @@ class Run {
                         "' has no hazard-analysis row for " +
                         deviation.to_string());
       case SynthesisOptions::UnannotatedPolicy::kPropagate: {
-        std::vector<FtNode*> children;
-        for (const Port* input : block.inputs()) {
-          if (input->is_trigger()) continue;
-          children.push_back(
-              resolve_input(*input, ChannelRange::whole(), cls));
+        Operands children(operands_);
+        for (const auto& input : block.ports()) {
+          if (!input->is_input() || input->is_trigger()) continue;
+          children.push(resolve_input(*input, ChannelRange::whole(), cls));
         }
-        if (children.empty()) break;  // a source block: fall through
-        return make_or(std::move(children),
-                       describe(cls, port.name(), block.path()));
+        if (children.size() == 0) break;  // a source block: fall through
+        return make_or(children.view(),
+                       [&] { return describe(cls, port.name(), block); });
       }
       case SynthesisOptions::UnannotatedPolicy::kUndeveloped:
         break;
     }
+    const Symbol name = name_of(
+        {"und:", cls.view(), "-", port.name().view(), "@", block.path()});
+    if (FtNode* existing = existing_leaf(name, NodeKind::kUndeveloped))
+      return existing;
     return tree_.add_undeveloped(
-        Symbol("und:" + deviation.to_string() + "@" + block.path()),
+        name,
         deviation.to_string() + " not covered by the hazard analysis of " +
             block.path(),
         block.path());
@@ -718,38 +855,41 @@ class Run {
     // A deviation on a slice of the muxed flow is a deviation on any
     // overlapped constituent flow.
     const ChannelRange r = range.concrete(port.width());
-    std::vector<FtNode*> children;
+    Operands children(operands_);
     int offset = 0;
-    for (const Port* input : block.inputs()) {
+    for (const auto& input : block.ports()) {
+      if (!input->is_input()) continue;
       const int lo = std::max(r.lo, offset);
       const int hi = std::min(r.hi, offset + input->width());
       if (lo < hi) {
-        children.push_back(resolve_input(
+        children.push(resolve_input(
             *input, ChannelRange::slice(lo - offset, hi - offset), cls));
       }
       offset += input->width();
     }
-    return make_or(std::move(children),
-                   describe(cls, port.name(), block.path()) + " [channels " +
-                       r.to_string() + "]");
+    return make_or(children.view(), [&] {
+      return describe(cls, port.name(), block) + " [channels " +
+             r.to_string() + "]";
+    });
   }
 
   FtNode* resolve_demux(const Block& block, const Port& port,
                         ChannelRange range, FailureClass cls) {
     const ChannelRange r = range.concrete(port.width());
     int offset = 0;
-    for (const Port* output : block.outputs()) {
-      if (output == &port) break;
+    for (const auto& output : block.ports()) {
+      if (!output->is_output()) continue;
+      if (output.get() == &port) break;
       offset += output->width();
     }
-    std::vector<Port*> inputs = block.inputs();
-    if (options_.sink != nullptr && inputs.size() != 1) {
+    const Port* input = sole_input(block);
+    if (options_.sink != nullptr && input == nullptr) {
       // Partial model: the demux lost its input port during recovery.
       return degraded(Deviation{cls, port.name()}, block.path(),
                       "malformed Demux (expected exactly one input)");
     }
-    check_internal(inputs.size() == 1, "malformed demux");
-    return resolve_input(*inputs.front(),
+    check_internal(input != nullptr, "malformed demux");
+    return resolve_input(*input,
                          ChannelRange::slice(offset + r.lo, offset + r.hi),
                          cls);
   }
@@ -757,35 +897,48 @@ class Run {
   FtNode* resolve_store_read(const Block& block, FailureClass cls) {
     // Data-Store read/write pairs communicate remotely without explicit
     // links (paper, section 3): trace every writer of the store.
-    static const std::vector<const Block*> kNone;
-    auto it = writers_.find(block.store_name());
-    const std::vector<const Block*>& writers =
-        it == writers_.end() ? kNone : it->second;
+    const std::vector<const Block*>& writers = writers_of(block.store_name());
     if (writers.empty()) {
-      Deviation d{cls, Symbol("out")};
+      const Symbol name = name_of(
+          {"und:store:", block.store_name().view(), ":", cls.view(), "-out"});
+      if (FtNode* existing = existing_leaf(name, NodeKind::kUndeveloped))
+        return existing;
       return tree_.add_undeveloped(
-          Symbol("und:store:" + block.store_name().str() + ":" +
-                 d.to_string()),
+          name,
           "store '" + block.store_name().str() + "' read by " + block.path() +
               " is never written",
           block.path());
     }
-    std::vector<FtNode*> children;
+    Operands children(operands_);
     for (const Block* writer : writers) {
-      std::vector<Port*> inputs = writer->inputs();
-      if (options_.sink != nullptr && inputs.size() != 1) {
-        children.push_back(degraded(Deviation{cls, Symbol("in")},
-                                    writer->path(),
-                                    "malformed DataStoreWrite"));
+      const Port* input = sole_input(*writer);
+      if (options_.sink != nullptr && input == nullptr) {
+        children.push(degraded(Deviation{cls, Symbol("in")}, writer->path(),
+                               "malformed DataStoreWrite"));
         continue;
       }
-      check_internal(inputs.size() == 1, "malformed DataStoreWrite");
-      children.push_back(
-          resolve_input(*inputs.front(), ChannelRange::whole(), cls));
+      check_internal(input != nullptr, "malformed DataStoreWrite");
+      children.push(resolve_input(*input, ChannelRange::whole(), cls));
     }
-    return make_or(std::move(children),
-                   std::string(cls.view()) + " of data store '" +
-                       block.store_name().str() + "'");
+    return make_or(children.view(), [&] {
+      return std::string(cls.view()) + " of data store '" +
+             block.store_name().str() + "'";
+    });
+  }
+
+  /// The DataStoreWrite blocks of `store`, in model preorder. The table is
+  /// built when the traversal first meets a DataStoreRead: most never do.
+  const std::vector<const Block*>& writers_of(Symbol store) {
+    if (!writers_built_) {
+      writers_built_ = true;
+      model_.for_each_block([&](const Block& block) {
+        if (block.kind() == BlockKind::kDataStoreWrite)
+          writers_[block.store_name()].push_back(&block);
+      });
+    }
+    static const std::vector<const Block*> kNone;
+    auto it = writers_.find(store);
+    return it == writers_.end() ? kNone : it->second;
   }
 
   const Model& model_;
@@ -806,7 +959,12 @@ class Run {
   std::size_t deepest_ = 0;       ///< deepest stack slot a resolution reached
   std::size_t unreplayable_ = 0;  ///< degraded()/budget_cut() calls so far
   std::size_t walk_ = 0;          ///< replayable() walks so far
-  std::unordered_map<const Port*, const Connection*> feed_;
+  std::vector<const Replay*> pending_;  ///< replayable()'s reused work list
+  std::vector<Id> cuts_buffer_;                ///< record()'s reused buffers
+  std::vector<const Replay*> nested_buffer_;
+  std::vector<FtNode*> operands_;  ///< the Operands frames' shared stack
+  std::string name_buffer_;  ///< name_of()'s reused buffer
+  bool writers_built_ = false;
   std::unordered_map<Symbol, std::vector<const Block*>> writers_;
 };
 
@@ -825,9 +983,12 @@ Synthesiser::Synthesiser(const Model& model, SynthesisOptions options)
 FaultTree Synthesiser::synthesise(const Deviation& top) {
   const Block& root = model_.root();
   const Port* port = root.find_port(top.port);
-  require(port != nullptr && port->is_output(), ErrorKind::kLookup,
-          "model '" + model_.name() + "' has no boundary output port '" +
-              top.port.str() + "' for top event " + top.to_string());
+  if (port == nullptr || !port->is_output()) {
+    fail(ErrorKind::kLookup, "model '" + model_.name() +
+                                 "' has no boundary output port '" +
+                                 top.port.str() + "' for top event " +
+                                 top.to_string());
+  }
 
   stats_ = SynthesisStats{};
   FaultTree tree(model_.name() + "__" + top.to_string());

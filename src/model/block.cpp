@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/error.h"
+#include "core/strings.h"
 
 namespace ftsynth {
 
@@ -30,10 +31,12 @@ std::string_view to_string(BlockKind kind) noexcept {
   return "Unknown";
 }
 
-std::string Block::path() const {
-  if (parent_ == nullptr) return std::string(name_.view());
-  return parent_->path() + "/" + std::string(name_.view());
-}
+Block::Block(Symbol name, BlockKind kind, Block* parent)
+    : name_(name),
+      kind_(kind),
+      parent_(parent),
+      path_(parent == nullptr ? name.str()
+                              : concat({parent->path(), "/", name.view()})) {}
 
 Port& Block::add_port(Symbol name, PortDirection direction, FlowKind flow,
                       int width, bool is_trigger) {
@@ -84,8 +87,10 @@ Port* Block::find_port(Symbol name) const noexcept {
 
 Port& Block::port(Symbol name) const {
   Port* p = find_port(name);
-  require(p != nullptr, ErrorKind::kLookup,
-          "block '" + path() + "' has no port '" + name.str() + "'");
+  if (p == nullptr) {
+    fail(ErrorKind::kLookup,
+         "block '" + path() + "' has no port '" + name.str() + "'");
+  }
   return *p;
 }
 
@@ -109,9 +114,10 @@ Block* Block::find_child(Symbol name) const noexcept {
 
 Block& Block::child(std::string_view name) const {
   Block* c = find_child(Symbol(name));
-  require(c != nullptr, ErrorKind::kLookup,
-          "subsystem '" + path() + "' has no child '" + std::string(name) +
-              "'");
+  if (c == nullptr) {
+    fail(ErrorKind::kLookup, "subsystem '" + path() + "' has no child '" +
+                                 std::string(name) + "'");
+  }
   return *c;
 }
 

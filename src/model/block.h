@@ -42,8 +42,8 @@ std::string_view to_string(BlockKind kind) noexcept;
 /// root is owned by the Model) and are address-stable.
 class Block {
  public:
-  Block(Symbol name, BlockKind kind, Block* parent) noexcept
-      : name_(name), kind_(kind), parent_(parent) {}
+  /// `parent` is fully constructed first, so the path is computed here once.
+  Block(Symbol name, BlockKind kind, Block* parent);
 
   Block(const Block&) = delete;
   Block& operator=(const Block&) = delete;
@@ -57,7 +57,9 @@ class Block {
   }
 
   /// Slash-separated path from the root, e.g. "bbw/pedal_node/filter".
-  std::string path() const;
+  /// Cached: names and parents never change, and synthesis asks for it on
+  /// every event it names.
+  const std::string& path() const noexcept { return path_; }
 
   // -- Ports -----------------------------------------------------------------
 
@@ -134,6 +136,7 @@ class Block {
   Symbol name_;
   BlockKind kind_;
   Block* parent_;
+  std::string path_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::vector<std::unique_ptr<Block>> children_;
   std::vector<Connection> connections_;

@@ -99,8 +99,10 @@ class Evaluator {
   bool eval_subsystem_output(const Block& s, const Port& port, int channel,
                              FailureClass cls) const {
     const Block* proxy = s.find_child(port.name());
-    check_internal(proxy != nullptr && proxy->kind() == BlockKind::kOutport,
-                   "missing Outport proxy for " + port.qualified_name());
+    if (proxy == nullptr || proxy->kind() != BlockKind::kOutport) {
+      fail(ErrorKind::kInternal,
+           "missing Outport proxy for " + port.qualified_name());
+    }
     if (input_true(*proxy->inputs().front(), channel, cls)) return true;
     if (options_.subsystem_common_cause) {
       bool any_row = false;

@@ -30,9 +30,11 @@
 #include "core/budget.h"
 #include "core/diagnostics.h"
 #include "core/parallel.h"
+#include "core/symbol.h"
 #include "core/thread_pool.h"
 #include "failure/expr_parser.h"
 #include "failure/failure_class.h"
+#include "fta/fault_tree.h"
 #include "fta/synthesis.h"
 #include "sim/monte_carlo.h"
 
@@ -268,6 +270,49 @@ TEST(ConcurrencyBudget, ExpiredBudgetPartialFlagsMatchSerialUnderThePool) {
     for (std::size_t d = 0; d < a.diagnostics.size(); ++d) {
       EXPECT_EQ(a.diagnostics[d].to_string(), b.diagnostics[d].to_string())
           << i << ":" << d;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Symbol interning and gate names: per-thread caches over one process table.
+
+TEST(Concurrency, InternIsCanonicalAcrossThreads) {
+  constexpr int kThreads = 8;
+  constexpr int kNames = 1500;
+  std::vector<std::vector<Symbol>> interned(
+      kThreads, std::vector<Symbol>(kNames));
+  std::vector<int> wrong_gates(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every thread interns the same names from a different start, so
+      // first insertions race with lookups of the same text.
+      for (int k = 0; k < kNames; ++k) {
+        const int i = (k + t * kNames / kThreads) % kNames;
+        interned[t][i] = Symbol("intern-race-" + std::to_string(i));
+      }
+      // Trees of different sizes per thread, twice, so the per-thread gate
+      // name table both grows and is reused.
+      for (int round = 0; round < 2; ++round) {
+        FaultTree tree("t");
+        FtNode* leaf = tree.add_basic(Symbol("intern-race-leaf"), 1e-6, "", "");
+        const int gates = 500 + 150 * t + 300 * round;
+        for (int g = 1; g <= gates; ++g) {
+          const FtNode* gate = tree.add_gate(GateKind::kOr, "", {leaf});
+          if (gate->name() != Symbol("G" + std::to_string(g)) ||
+              gate->name().view() != "G" + std::to_string(g))
+            ++wrong_gates[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong_gates[t], 0) << "thread " << t;
+    for (int i = 0; i < kNames; ++i) {
+      ASSERT_EQ(interned[t][i], interned[0][i]) << t << ":" << i;
+      ASSERT_EQ(interned[t][i].view(), "intern-race-" + std::to_string(i));
     }
   }
 }

@@ -168,5 +168,45 @@ TEST(ErrorTest, RequireThrowsOnlyWhenFalse) {
   }
 }
 
+TEST(Core, RequireAndCheckInternalKeepKindAndMessage) {
+  auto thrown = [](auto&& action) -> std::pair<ErrorKind, std::string> {
+    try {
+      action();
+    } catch (const Error& error) {
+      return {error.kind(), error.what()};
+    }
+    ADD_FAILURE() << "no Error thrown";
+    return {ErrorKind::kInternal, ""};
+  };
+  const std::string name = "pedal";
+  using Thrown = std::pair<ErrorKind, std::string>;
+
+  // A literal message.
+  EXPECT_EQ(thrown([] { require(false, ErrorKind::kLookup, "no such port"); }),
+            (Thrown{ErrorKind::kLookup, "[lookup] no such port"}));
+  EXPECT_EQ(thrown([] { check_internal(false, "BDD variable out of range"); }),
+            (Thrown{ErrorKind::kInternal,
+                    "[internal] BDD variable out of range"}));
+  // A std::string temporary.
+  EXPECT_EQ(thrown([&] {
+              require(false, ErrorKind::kModel,
+                      "duplicate port '" + name + "'");
+            }),
+            (Thrown{ErrorKind::kModel, "[model] duplicate port 'pedal'"}));
+  EXPECT_EQ(thrown([&] { check_internal(false, "missing " + name); }),
+            (Thrown{ErrorKind::kInternal, "[internal] missing pedal"}));
+  // The explicit form hot call sites use.
+  EXPECT_EQ(thrown([&] {
+              fail(ErrorKind::kAnalysis, "component '" + name + "' failed");
+            }),
+            (Thrown{ErrorKind::kAnalysis,
+                    "[analysis] component 'pedal' failed"}));
+  EXPECT_EQ(thrown([] { fail(ErrorKind::kParse, std::string_view("bad")); }),
+            (Thrown{ErrorKind::kParse, "[parse] bad"}));
+  // A passing check evaluates nothing but its condition.
+  EXPECT_NO_THROW(require(true, ErrorKind::kLookup, "unused " + name));
+  EXPECT_NO_THROW(check_internal(true, "unused"));
+}
+
 }  // namespace
 }  // namespace ftsynth

@@ -207,5 +207,33 @@ TEST(Model, ForEachBlockVisitsPreorder) {
   EXPECT_EQ(paths[3], "m/leaf");
 }
 
+TEST(Model, BlockPathIsCachedAndSurvivesMove) {
+  ModelBuilder b("m");
+  Block& outer = b.subsystem(b.root(), "outer");
+  Block& inner = b.subsystem(outer, "inner");
+  Block& leaf = b.basic(inner, "leaf");
+  Model m1 = b.take_unchecked();
+  const std::string* cached = &leaf.path();
+  EXPECT_EQ(leaf.path(), "m/outer/inner/leaf");
+  EXPECT_EQ(&leaf.path(), cached);  // one string, not rebuilt per call
+
+  Model m2 = std::move(m1);
+  std::vector<std::string> expected;
+  m2.for_each_block([&](const Block& block) {
+    // Each path is its parent's plus "/" plus its own name.
+    std::string joined(block.name().view());
+    for (const Block* up = block.parent(); up != nullptr; up = up->parent())
+      joined = std::string(up->name().view()) + "/" + joined;
+    EXPECT_EQ(block.path(), joined);
+    expected.push_back(joined);
+  });
+  EXPECT_EQ(expected, (std::vector<std::string>{"m", "m/outer", "m/outer/inner",
+                                                "m/outer/inner/leaf"}));
+  const Block& moved = m2.block("outer/inner/leaf");
+  EXPECT_EQ(&moved, &leaf);  // blocks are address-stable across the move
+  EXPECT_EQ(moved.path(), "m/outer/inner/leaf");
+  EXPECT_EQ(&moved.path(), cached);
+}
+
 }  // namespace
 }  // namespace ftsynth

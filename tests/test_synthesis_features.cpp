@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/cutsets.h"
+#include "core/diagnostics.h"
 #include "fta/synthesis.h"
 #include "model/builder.h"
 
@@ -155,6 +156,94 @@ TEST(SynthesisFeatures, UnwrittenStoreBecomesUndeveloped) {
   FaultTree tree = Synthesiser(model).synthesise("Omission-out");
   ASSERT_NE(tree.top(), nullptr);
   EXPECT_EQ(tree.top()->kind(), NodeKind::kUndeveloped);
+}
+
+// -- Degraded mode: the leaves of inputs and stores nothing feeds ------------
+
+/// Traced through Block::connection_into: an input no line feeds becomes a
+/// marked undeveloped leaf instead of aborting the traversal.
+TEST(SynthesisFeatures, DegradedUnconnectedInputLeaf) {
+  ModelBuilder b("m");
+  Block& stage = b.basic(b.root(), "a");
+  b.in(stage, "x");
+  b.out(stage, "y");
+  b.annotate(stage, "Omission-y", "Omission-x");
+  b.outport(b.root(), "out");
+  b.connect(b.root(), "a.y", "out");
+  Model model = b.take_unchecked();
+
+  DiagnosticSink sink;
+  SynthesisOptions options;
+  options.sink = &sink;
+  FaultTree tree = Synthesiser(model, options).synthesise("Omission-out");
+  ASSERT_NE(tree.top(), nullptr);
+  EXPECT_EQ(tree.top()->kind(), NodeKind::kUndeveloped);
+  EXPECT_EQ(tree.top()->name().view(), "und:Omission-x@m/a");
+  EXPECT_EQ(tree.top()->description(), "Omission-x on unconnected input");
+  EXPECT_EQ(tree.top()->origin(), "m/a");
+}
+
+/// The writers of a store are OR-ed in model preorder (insertion order),
+/// not name order: "zeta" is added before "alpha".
+TEST(SynthesisFeatures, DegradedStoreReadOrsWritersInModelPreorder) {
+  ModelBuilder b("m");
+  for (const char* name : {"zeta", "alpha"}) {
+    Block& node = b.subsystem(b.root(), name);
+    Block& task = b.basic(node, "task");
+    b.out(task, "status");
+    b.malfunction(task, "crash", 1e-6);
+    b.annotate(task, "Omission-status", "crash");
+    b.store_write(node, "w", "health");
+    b.connect(node, "task.status", "w");
+  }
+  b.store_read(b.root(), "r", "health");
+  Block& monitor = b.basic(b.root(), "monitor");
+  b.in(monitor, "s");
+  b.out(monitor, "lamp");
+  b.annotate(monitor, "Omission-lamp", "Omission-s");
+  b.connect(b.root(), "r", "monitor.s");
+  b.outport(b.root(), "lamp");
+  b.connect(b.root(), "monitor.lamp", "lamp");
+  Model model = b.take();
+
+  DiagnosticSink sink;
+  SynthesisOptions options;
+  options.sink = &sink;
+  FaultTree tree = Synthesiser(model, options).synthesise("Omission-lamp");
+  ASSERT_NE(tree.top(), nullptr);
+  ASSERT_EQ(tree.top()->kind(), NodeKind::kGate);
+  EXPECT_EQ(tree.top()->gate(), GateKind::kOr);
+  EXPECT_EQ(tree.top()->description(), "Omission of data store 'health'");
+  std::vector<std::string> children;
+  for (const FtNode* child : tree.top()->children())
+    children.emplace_back(child->name().view());
+  EXPECT_EQ(children, (std::vector<std::string>{"m/zeta/task.crash",
+                                                "m/alpha/task.crash"}));
+  EXPECT_TRUE(sink.diagnostics().empty());
+}
+
+TEST(SynthesisFeatures, DegradedUnwrittenStoreLeaf) {
+  ModelBuilder b("m");
+  b.store_read(b.root(), "r", "ghost");
+  Block& sink_block = b.basic(b.root(), "sink");
+  b.in(sink_block, "s");
+  b.out(sink_block, "y");
+  b.annotate(sink_block, "Omission-y", "Omission-s");
+  b.connect(b.root(), "r", "sink.s");
+  b.outport(b.root(), "out");
+  b.connect(b.root(), "sink.y", "out");
+  Model model = b.take_unchecked();
+
+  DiagnosticSink sink;
+  SynthesisOptions options;
+  options.sink = &sink;
+  FaultTree tree = Synthesiser(model, options).synthesise("Omission-out");
+  ASSERT_NE(tree.top(), nullptr);
+  EXPECT_EQ(tree.top()->kind(), NodeKind::kUndeveloped);
+  EXPECT_EQ(tree.top()->name().view(), "und:store:ghost:Omission-out");
+  EXPECT_EQ(tree.top()->description(),
+            "store 'ghost' read by m/r is never written");
+  EXPECT_EQ(tree.top()->origin(), "m/r");
 }
 
 /// Ground sources never deviate: the branch is pruned.

@@ -15,7 +15,10 @@ relative change. Exits 1 when any matched benchmark regressed by more than
 --threshold percent (default 20), 0 otherwise; benchmarks present in only
 one file are listed but never fail the comparison, and two files with no
 benchmark in common compare clean with a warning (a new suite simply has
-no baseline yet).
+no baseline yet). --metric picks the record field compared: real_time
+(the default), cpu_time, or a user counter such as bench_synthesis's
+allocs (heap allocations per iteration, which unlike a time does not
+move with the machine).
 
 --service-report reads ONE results file (bench_results/BENCH_service.json,
 produced by bench/bench_service.cpp) and reports the daemon's warm-vs-cold
@@ -368,8 +371,9 @@ def main() -> int:
     parser.add_argument(
         "--metric",
         default="real_time",
-        choices=["real_time", "cpu_time"],
-        help="which per-iteration time to compare (default: %(default)s)",
+        help="which per-iteration record field to compare: a time "
+        "(real_time, cpu_time) or a user counter such as allocs; records "
+        "without it are skipped (default: %(default)s)",
     )
     args = parser.parse_args()
 
