@@ -73,19 +73,6 @@ void BM_MocusReplicated(benchmark::State& state) {
 BENCHMARK(BM_MocusReplicated)
     ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
 
-void BM_BddCutSetsReplicated(benchmark::State& state) {
-  FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),
-                                   static_cast<int>(state.range(1)));
-  std::size_t sets = 0;
-  for (auto _ : state) {
-    CutSetAnalysis analysis = bdd_cut_sets(tree);
-    sets = analysis.cut_sets.size();
-  }
-  state.counters["cut_sets"] = static_cast<double>(sets);
-}
-BENCHMARK(BM_BddCutSetsReplicated)
-    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
-
 void BM_ZbddReplicated(benchmark::State& state) {
   FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),
                                    static_cast<int>(state.range(1)));

@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "analysis/importance.h"
 #include "analysis/probability.h"
 #include "casestudy/setta.h"
@@ -70,6 +72,40 @@ void BM_ExactBdd(benchmark::State& state) {
   state.counters["p"] = p;
 }
 BENCHMARK(BM_ExactBdd);
+
+// The BDD construction alone over every top `ftsynth analyse` derives for
+// BBW (22): the encode step of the reliability stage, without the
+// probability passes. `nodes` counts every node allocated (terminals
+// excluded), `root_nodes` the nodes the roots keep; both are exact.
+void BM_EncodeBddBbwAllTopEvents(benchmark::State& state) {
+  Model& model = fixture().model;
+  SynthesisOptions prune;
+  prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
+  std::vector<FaultTree> trees;
+  for (const Port* port : model.root().outputs()) {
+    for (FailureClass cls : model.registry().all()) {
+      const Deviation top{cls, port->name()};
+      if (Synthesiser(model, prune).synthesise(top).top() != nullptr)
+        trees.push_back(Synthesiser(model).synthesise(top));
+    }
+  }
+  std::size_t nodes = 0;
+  std::size_t root_nodes = 0;
+  for (auto _ : state) {
+    nodes = 0;
+    root_nodes = 0;
+    for (const FaultTree& tree : trees) {
+      BddEncoding encoding = encode_bdd(tree);
+      benchmark::DoNotOptimize(encoding.root);
+      nodes += encoding.bdd.size() - 2;
+      root_nodes += encoding.bdd.node_count(encoding.root);
+    }
+  }
+  state.counters["top_events"] = static_cast<double>(trees.size());
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["root_nodes"] = static_cast<double>(root_nodes);
+}
+BENCHMARK(BM_EncodeBddBbwAllTopEvents);
 
 // Unavailability vs mission time: the classic reliability figure. One row
 // per decade of mission time; p_* counters are the series.

@@ -58,7 +58,7 @@ namespace {
 // Every (event, polarity) literal of the tree under analysis is interned
 // once into a dense id (2 * event_rank + negated), so a working cut set is
 // a fixed-width word-array bitset. micsup and mocus rank events by name,
-// which makes set_less the canonical output order; zbdd, bdd and bound
+// which makes set_less the canonical output order; zbdd and bound
 // rank them in their variable order (see Context::intern). The two
 // derived fields make the subsumption hot loop cheap:
 //
@@ -157,7 +157,7 @@ class Context {
 
   /// Interns `events` (their rank is their listing index); every
   /// literal_id() lookup and bitset width derives from this table, so it
-  /// must run before any set is built. zbdd, bdd and bound pass their
+  /// must run before any set is built. zbdd and bound pass their
   /// variable order, since a literal id is a diagram variable or PDAG
   /// literal; finish() then sorts by name rank. micsup and mocus use
   /// intern_by_name.
@@ -1423,140 +1423,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     analysis.diagram = std::move(diagram_handle);
   }
   return analysis;
-}
-
-namespace {
-
-/// Rauzy's `without` operator on cut-set BDDs (variables occur positively;
-/// the low branch means "variable absent"): drops every solution of `f`
-/// that is a superset of some solution of `g`.
-class MinimalSolutions {
- public:
-  explicit MinimalSolutions(Bdd& bdd) : bdd_(bdd) {}
-
-  Bdd::Ref minsol(Bdd::Ref f) {
-    if (bdd_.is_terminal(f)) return f;
-    if (auto it = minsol_memo_.find(f); it != minsol_memo_.end())
-      return it->second;
-    const Bdd::Node node = bdd_.node(f);
-    Bdd::Ref low = minsol(node.low);
-    Bdd::Ref high = without(minsol(node.high), low);
-    Bdd::Ref result = make(node.var, low, high);
-    minsol_memo_.emplace(f, result);
-    return result;
-  }
-
- private:
-  Bdd::Ref without(Bdd::Ref f, Bdd::Ref g) {
-    if (bdd_.is_false(f)) return Bdd::kFalse;
-    if (bdd_.is_true(g)) return Bdd::kFalse;   // the empty set subsumes all
-    if (bdd_.is_false(g)) return f;
-    if (bdd_.is_true(f)) return Bdd::kTrue;    // {} is only subsumed by {}
-    auto key = std::make_pair(f, g);
-    if (auto it = without_memo_.find(key); it != without_memo_.end())
-      return it->second;
-    const Bdd::Node nf = bdd_.node(f);
-    const Bdd::Node ng = bdd_.node(g);
-    // Compare by LEVEL, not variable index: the encoding may install the
-    // depth-first-occurrence order (analysis/ordering.h).
-    const int lf = bdd_.level_of(nf.var);
-    const int lg = bdd_.level_of(ng.var);
-    Bdd::Ref result;
-    if (lf < lg) {
-      // g never mentions nf.var at this level.
-      result = make(nf.var, without(nf.low, g), without(nf.high, g));
-    } else if (lf > lg) {
-      // Solutions of f exclude ng.var; only g-solutions excluding it
-      // (g.low) can subsume them.
-      result = without(f, ng.low);
-    } else {
-      Bdd::Ref low = without(nf.low, ng.low);
-      Bdd::Ref high = without(without(nf.high, ng.low), ng.high);
-      result = make(nf.var, low, high);
-    }
-    without_memo_.emplace(key, result);
-    return result;
-  }
-
-  Bdd::Ref make(int var, Bdd::Ref low, Bdd::Ref high) {
-    // Rebuild through ite on the variable to stay reduced and hashed.
-    return bdd_.ite(bdd_.var(var), high, low);
-  }
-
-  struct PairHash {
-    std::size_t operator()(
-        const std::pair<Bdd::Ref, Bdd::Ref>& key) const noexcept {
-      return std::hash<Bdd::Ref>{}(key.first) * 1000003u ^ key.second;
-    }
-  };
-
-  Bdd& bdd_;
-  std::unordered_map<Bdd::Ref, Bdd::Ref> minsol_memo_;
-  std::unordered_map<std::pair<Bdd::Ref, Bdd::Ref>, Bdd::Ref, PairHash>
-      without_memo_;
-};
-
-}  // namespace
-
-CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
-                            const CutSetOptions& options) {
-  // Coherence check: Rauzy's minimal solutions assume a monotone function.
-  bool has_not = false;
-  tree.for_each_reachable([&](const FtNode& node) {
-    if (node.kind() == NodeKind::kGate && node.gate() == GateKind::kNot)
-      has_not = true;
-  });
-  require(!has_not, ErrorKind::kAnalysis,
-          "bdd_cut_sets needs a coherent tree (no NOT gates); use "
-          "minimal_cut_sets instead");
-
-  BddEncoding encoding = encode_bdd(tree);
-  Context context(options);
-  context.intern(encoding.events, tree);
-  if (tree.top() == nullptr) return context.finish({});
-
-  MinimalSolutions engine(encoding.bdd);
-  Bdd::Ref solutions = engine.minsol(encoding.root);
-
-  // Enumerate paths: a high edge includes the variable, low (and skipped
-  // levels) exclude it.
-  std::vector<Set> sets;
-  std::vector<int> literals;
-  bool truncated_paths = false;
-  auto enumerate = [&](auto&& self, Bdd::Ref ref) -> void {
-    if (context.deadline_hit()) return;
-    if (sets.size() > context.options().max_sets) {
-      truncated_paths = true;
-      return;
-    }
-    if (encoding.bdd.is_false(ref)) return;
-    if (encoding.bdd.is_true(ref)) {
-      if (literals.size() > context.options().max_order) {
-        truncated_paths = true;
-        return;
-      }
-      std::vector<int> ids;
-      ids.reserve(literals.size());
-      for (int var : literals) {
-        ids.push_back(context.literal_id(
-            encoding.events[static_cast<std::size_t>(var)], false));
-      }
-      sets.push_back(context.set_from_literals(ids));
-      context.track_peak(sets.size());
-      return;
-    }
-    const Bdd::Node node = encoding.bdd.node(ref);
-    self(self, node.low);
-    literals.push_back(node.var);
-    self(self, node.high);
-    literals.pop_back();
-  };
-  enumerate(enumerate, solutions);
-  if (truncated_paths) context.mark_truncated();
-
-  return context.finish(context.deadline_hit()
-                            ? std::move(sets)
-                            : minimise(std::move(sets), &context));
 }
 
 // -- Anytime bound engine --------------------------------------------------------

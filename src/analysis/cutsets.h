@@ -2,7 +2,7 @@
 //
 // The paper hands synthesized trees to Fault Tree Plus for "cut-set
 // analysis, for example" (section 2). This module provides that analysis
-// natively, with three selectable engines (CutSetOptions::engine, CLI
+// natively, with four selectable engines (CutSetOptions::engine, CLI
 // --engine):
 //
 //   * minimal_cut_sets -- bottom-up combination over the tree DAG
@@ -35,7 +35,7 @@
 // screened against strictly smaller survivors. micsup and mocus rank
 // events by name, so the kernel's working order is the canonical output
 // order: minimised families are merged at OR gates and listed as they
-// are, with no re-sort. zbdd, bdd and bound keep their variable order
+// are, with no re-sort. zbdd and bound keep their variable order
 // (depth-first occurrence, analysis/ordering.h), because there a literal
 // id is a diagram variable or PDAG literal; their listings are sorted
 // once on integer name-rank keys.
@@ -113,7 +113,7 @@ struct CutSetOptions {
   /// Variable-order policy for the decision-diagram engines (CLI --order).
   /// kStatic keeps the DFS occurrence order; kSift reorders dynamically
   /// on unique-table pressure plus one final explicit pass (Rudell
-  /// sifting, bdd/sifting.h). Cut sets are canonicalised after
+  /// sifting, Zbdd::sift). Cut sets are canonicalised after
   /// extraction, so every policy produces byte-identical analysis output --
   /// the policy only changes diagram size and time. The set-based engines
   /// ignore it.
@@ -256,14 +256,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
 /// the Budget deadline, and Budget::max_nodes as an expansion cap.
 CutSetAnalysis bound_cut_sets(const FaultTree& tree,
                               const CutSetOptions& options = {});
-
-/// BDD engine (Rauzy's minimal-solutions algorithm): encodes the tree as a
-/// BDD, computes the minimal-solutions BDD with the `without` operator and
-/// enumerates its paths. Polynomial in the BDD size where the set-based
-/// engines blow up combinatorially (bench_cutsets). Coherent trees only:
-/// throws ErrorKind::kAnalysis when the tree contains NOT gates.
-CutSetAnalysis bdd_cut_sets(const FaultTree& tree,
-                            const CutSetOptions& options = {});
 
 /// Benchmark/diagnostic entry into the interned-bitset minimisation
 /// kernel: `sets` are cut sets over dense literal ids in [0, universe)

@@ -1,9 +1,9 @@
 #include "bdd/bdd.h"
 
-#include <algorithm>
 #include <climits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/error.h"
 
@@ -38,7 +38,6 @@ Bdd::Bdd()
 int Bdd::new_var() {
   level_of_.push_back(var_count_);
   var_at_level_.push_back(var_count_);
-  var_refs_.emplace_back();
   return var_count_++;
 }
 
@@ -85,46 +84,13 @@ std::size_t Bdd::unique_slot(int var, Ref low, Ref high) const noexcept {
   }
 }
 
-void Bdd::unique_insert(Ref ref) {
-  if ((unique_count_ + 1) * 2 > unique_.size()) {
-    std::vector<Ref> old;
-    old.swap(unique_);
-    unique_rebuild(old.size() * 2, old);
-  }
-  const Node& n = nodes_[ref];
-  unique_[unique_slot(n.var, n.low, n.high)] = ref;
-  ++unique_count_;
-}
-
-void Bdd::unique_erase(Ref ref) {
-  const Node& n = nodes_[ref];
-  const std::size_t mask = unique_.size() - 1;
-  std::size_t hole = unique_slot(n.var, n.low, n.high);
-  check_internal(unique_[hole] == ref, "BDD node missing from unique table");
-  for (std::size_t slot = (hole + 1) & mask; unique_[slot] != 0;
-       slot = (slot + 1) & mask) {
-    const Node& m = nodes_[unique_[slot]];
-    const std::size_t home =
-        mix(static_cast<std::uint32_t>(m.var), m.low, m.high) & mask;
-    // The entry may fill the hole unless its home lies cyclically in
-    // (hole, slot]: then the hole is before its probe run starts.
-    if (((slot - home) & mask) >= ((slot - hole) & mask)) {
-      unique_[hole] = unique_[slot];
-      hole = slot;
-    }
-  }
-  unique_[hole] = 0;
-  --unique_count_;
-}
-
-void Bdd::unique_rebuild(std::size_t capacity, const std::vector<Ref>& refs) {
-  unique_.assign(capacity, 0);
-  unique_count_ = 0;
-  for (Ref ref : refs) {
+void Bdd::unique_grow() {
+  std::vector<Ref> old(unique_.size() * 2, 0);
+  old.swap(unique_);
+  for (Ref ref : old) {
     if (ref == 0) continue;
     const Node& n = nodes_[ref];
     unique_[unique_slot(n.var, n.low, n.high)] = ref;
-    ++unique_count_;
   }
 }
 
@@ -154,33 +120,20 @@ void Bdd::cache_insert(Op op, Ref a, Ref b, Ref result) {
   ++cache_count_;
 }
 
-void Bdd::cache_clear() {
-  if (cache_count_ == 0) return;  // sifting clears once per swap
-  std::fill(cache_.begin(), cache_.end(), OpEntry{});
-  cache_count_ = 0;
-}
-
 Bdd::Ref Bdd::make(int var, Ref low, Ref high) {
   if (low == high) return low;  // reduction rule
-  const std::size_t slot = unique_slot(var, low, high);
+  std::size_t slot = unique_slot(var, low, high);
   if (unique_[slot] != 0) return unique_[slot];
-  Ref ref;
-  if (!free_.empty()) {
-    ref = free_.back();
-    free_.pop_back();
-    nodes_[ref] = {var, low, high};
-  } else {
-    check_internal(nodes_.size() < UINT32_MAX, "BDD node table overflow");
-    ref = static_cast<Ref>(nodes_.size());
-    nodes_.push_back({var, low, high});
+  check_internal(nodes_.size() < UINT32_MAX, "BDD node table overflow");
+  const Ref ref = static_cast<Ref>(nodes_.size());
+  nodes_.push_back({var, low, high});
+  // The table holds size() - 2 entries, this node included: keep the load
+  // at most half.
+  if ((nodes_.size() - 2) * 2 > unique_.size()) {
+    unique_grow();
+    slot = unique_slot(var, low, high);
   }
-  if ((unique_count_ + 1) * 2 <= unique_.size()) {
-    unique_[slot] = ref;  // the probe above already found its place
-    ++unique_count_;
-  } else {
-    unique_insert(ref);
-  }
-  var_refs_[static_cast<std::size_t>(var)].push_back(ref);
+  unique_[slot] = ref;
   return ref;
 }
 
@@ -200,7 +153,11 @@ Bdd::Ref Bdd::apply_not(Ref a) {
   if (const Ref cached = cache_find(Op::kNot, a, 0); cached != kNoRef)
     return cached;
   const Node n = node(a);
-  Ref result = make(n.var, apply_not(n.low), apply_not(n.high));
+  // High cofactor first, here and in apply() and ite(): a Ref is its
+  // allocation serial, so this order decides every Ref and must not be
+  // left to the compiler's unspecified argument evaluation order.
+  const Ref high = apply_not(n.high);
+  Ref result = make(n.var, apply_not(n.low), high);
   cache_insert(Op::kNot, a, 0, result);
   return result;
 }
@@ -244,7 +201,8 @@ Bdd::Ref Bdd::apply(Op op, Ref a, Ref b) {
   const Ref a_high = la <= lb ? na.high : a;
   const Ref b_low = lb <= la ? nb.low : b;
   const Ref b_high = lb <= la ? nb.high : b;
-  Ref result = make(v, apply(op, a_low, b_low), apply(op, a_high, b_high));
+  const Ref high = apply(op, a_high, b_high);
+  Ref result = make(v, apply(op, a_low, b_low), high);
   cache_insert(op, a, b, result);
   return result;
 }
@@ -254,7 +212,8 @@ Bdd::Ref Bdd::apply_or(Ref a, Ref b) { return apply(Op::kOr, a, b); }
 Bdd::Ref Bdd::apply_xor(Ref a, Ref b) { return apply(Op::kXor, a, b); }
 
 Bdd::Ref Bdd::ite(Ref f, Ref g, Ref h) {
-  return apply_or(apply_and(f, g), apply_and(apply_not(f), h));
+  const Ref otherwise = apply_and(apply_not(f), h);
+  return apply_or(apply_and(f, g), otherwise);
 }
 
 std::size_t Bdd::node_count(Ref a) const {
@@ -305,140 +264,6 @@ double Bdd::sat_count(Ref a) const {
   };
   if (a == kFalse) return 0.0;
   return count(count, a) * static_cast<double>(1ULL << level(a));
-}
-
-void Bdd::swap_adjacent_levels(int level) {
-  check_internal(level >= 0 && level + 1 < var_count_,
-                 "BDD level swap out of range");
-  const int v = var_at_level_[static_cast<std::size_t>(level)];
-  const int w = var_at_level_[static_cast<std::size_t>(level + 1)];
-  // Op-cache results bake in the old level comparisons.
-  cache_clear();
-  // make(v, ...) below appends rebuilt cofactor nodes to var_refs_[v], so
-  // move the worklist out first; v-nodes independent of w go back in at the
-  // end (they simply ride down one level, their structure untouched).
-  std::vector<Ref> worklist =
-      std::move(var_refs_[static_cast<std::size_t>(v)]);
-  var_refs_[static_cast<std::size_t>(v)].clear();
-  std::vector<Ref> keep;
-  // Cofactors of a child C by w: (C.low, C.high) when C decides w, else
-  // (C, C) -- C is constant in w.
-  auto split = [&](Ref c, Ref& w0, Ref& w1) {
-    const Node& n = node(c);
-    if (!is_terminal(c) && n.var == w) {
-      w0 = n.low;
-      w1 = n.high;
-    } else {
-      w0 = c;
-      w1 = c;
-    }
-  };
-  for (Ref r : worklist) {
-    const Node n = node(r);  // copy: make() may reallocate nodes_
-    if (!((!is_terminal(n.low) && node(n.low).var == w) ||
-          (!is_terminal(n.high) && node(n.high).var == w))) {
-      // Independent of w: the node keeps its variable and structure.
-      keep.push_back(r);
-      continue;
-    }
-    Ref l0, l1, h0, h1;
-    split(n.low, l0, l1);
-    split(n.high, h0, h1);
-    // <v, L, H> = <w, <v, l0, h0>, <v, l1, h1>> once w is above v. The
-    // rewrite is in place so every external ref to r keeps its meaning.
-    unique_erase(r);
-    const Ref nlow = make(v, l0, h0);
-    const Ref nhigh = make(v, l1, h1);
-    // nlow != nhigh: r depends on w (a reduced child decides it), so its
-    // two w-cofactors are distinct functions and make() is canonical.
-    check_internal(nlow != nhigh, "BDD level swap collapsed a node");
-    // Canonicity argument: distinct allocated nodes denote distinct
-    // functions, the rewrite preserves r's function, and every other
-    // <w, ., .> node denotes some other function -- so no collision.
-    check_internal(unique_[unique_slot(w, nlow, nhigh)] == 0,
-                   "BDD level swap produced a duplicate node");
-    nodes_[r] = {w, nlow, nhigh};
-    unique_insert(r);
-    var_refs_[static_cast<std::size_t>(w)].push_back(r);
-  }
-  auto& v_refs = var_refs_[static_cast<std::size_t>(v)];
-  v_refs.insert(v_refs.end(), keep.begin(), keep.end());
-  std::swap(var_at_level_[static_cast<std::size_t>(level)],
-            var_at_level_[static_cast<std::size_t>(level + 1)]);
-  level_of_[static_cast<std::size_t>(v)] = level + 1;
-  level_of_[static_cast<std::size_t>(w)] = level;
-}
-
-std::size_t Bdd::level_width(int level) const {
-  check_internal(level >= 0 && level < var_count_, "BDD level out of range");
-  return var_refs_[static_cast<std::size_t>(
-                       var_at_level_[static_cast<std::size_t>(level)])]
-      .size();
-}
-
-void Bdd::collect_garbage(const std::vector<Ref>& roots) {
-  cache_clear();  // cached results may reference nodes about to die
-  std::vector<bool> marked(nodes_.size(), false);
-  std::vector<Ref> stack;
-  for (Ref r : roots)
-    if (!is_terminal(r) && !marked[r]) {
-      marked[r] = true;
-      stack.push_back(r);
-    }
-  while (!stack.empty()) {
-    const Node& n = node(stack.back());
-    stack.pop_back();
-    for (Ref child : {n.low, n.high})
-      if (!is_terminal(child) && !marked[child]) {
-        marked[child] = true;
-        stack.push_back(child);
-      }
-  }
-  // Only entries still in the unique table are allocated; previously freed
-  // slots are already on free_ and must not be pushed twice.
-  std::vector<Ref> dead;
-  for (Ref r : unique_)
-    if (r != 0 && !marked[r]) dead.push_back(r);
-  std::sort(dead.begin(), dead.end());
-  free_.insert(free_.end(), dead.begin(), dead.end());
-  std::vector<Ref> live;
-  for (auto& refs : var_refs_) refs.clear();
-  for (Ref r = 2; r < nodes_.size(); ++r)
-    if (marked[r]) {
-      live.push_back(r);
-      var_refs_[static_cast<std::size_t>(nodes_[r].var)].push_back(r);
-    }
-  // The table shrinks back to fit the survivors.
-  std::size_t capacity = kInitialCapacity;
-  while (live.size() * 2 > capacity) capacity *= 2;
-  unique_rebuild(capacity, live);
-}
-
-std::size_t Bdd::live_size(const std::vector<Ref>& roots) const {
-  std::vector<bool> marked(size(), false);
-  std::vector<Ref> stack;
-  std::size_t live = 0;
-  for (Ref r : roots)
-    if (!is_terminal(r) && !marked[r]) {
-      marked[r] = true;
-      ++live;
-      stack.push_back(r);
-    }
-  while (!stack.empty()) {
-    const Node& n = node(stack.back());
-    stack.pop_back();
-    for (Ref child : {n.low, n.high})
-      if (!is_terminal(child) && !marked[child]) {
-        marked[child] = true;
-        ++live;
-        stack.push_back(child);
-      }
-  }
-  return live;
-}
-
-SiftStats Bdd::sift(const std::vector<Ref>& roots, const SiftOptions& options) {
-  return rudell_sift(*this, roots, options);
 }
 
 }  // namespace ftsynth

@@ -9,16 +9,16 @@
 //
 // Implementation: classic ROBDD with a unique table and an operation cache,
 // both flat open-addressing arrays (power-of-two capacity, linear probing,
-// grown at half load) and both lossless, so Ref numbering depends only on
-// the sequence of operations. No complement edges. Variables are ordered by
-// creation index by default; set_order() installs an explicit order (e.g.
-// the depth-first-occurrence heuristic of analysis/ordering.h) before any
-// node is built, and every ordering-sensitive operation -- apply,
-// sat_count, the conditionals in bdd_prob -- compares variables by their
-// level under that order. The order may also change dynamically:
-// swap_adjacent_levels() is the in-place Rudell primitive and sift()
-// (bdd/sifting.h) drives it; swaps preserve every Ref's meaning, so only
-// collect_garbage() invalidates refs (and only unreachable ones).
+// grown at half load) and both lossless. The manager is build-once: nodes
+// are never rewritten or reclaimed, so a Ref is its node's allocation
+// serial and Ref numbering depends only on the sequence of operations. No
+// complement edges. Variables are ordered by creation index by default;
+// set_order() installs an explicit order (e.g. the depth-first-occurrence
+// heuristic of analysis/ordering.h) before any node is built, and every
+// ordering-sensitive operation -- apply, sat_count, the conditionals in
+// bdd_prob -- compares variables by their level under that order. The
+// order never changes afterwards: dynamic reordering is a cut-set concern
+// and lives with the ZBDD manager (bdd/zbdd.h).
 //
 // A manager is single-threaded: every tree is analysed on one thread
 // (DESIGN.md section 12), so a manager is never shared between workers.
@@ -29,14 +29,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "bdd/sifting.h"
-
 namespace ftsynth {
 
 /// A BDD manager owning every node it creates. References (BddRef) stay
-/// valid for the manager's lifetime -- across level swaps and sifting too --
-/// except that collect_garbage() reclaims nodes unreachable from its root
-/// set; functions from different managers must not be mixed.
+/// valid for the manager's lifetime; functions from different managers must
+/// not be mixed.
 class Bdd {
  public:
   using Ref = std::uint32_t;
@@ -53,8 +50,7 @@ class Bdd {
 
   /// Installs an explicit variable order: `order[k]` is the variable at
   /// level k (level 0 = root). Must be a permutation of every declared
-  /// variable, and must be installed before any node is built -- use sift()
-  /// or swap_adjacent_levels() to reorder an existing diagram.
+  /// variable, and must be installed before any node is built.
   void set_order(const std::vector<int>& order);
 
   /// The level of a declared variable under the current order (identity
@@ -83,12 +79,9 @@ class Bdd {
   /// Number of distinct nodes in the subgraph of `a` (terminals excluded).
   std::size_t node_count(Ref a) const;
 
-  /// Total node slots allocated by this manager (live + reclaimable).
+  /// Nodes allocated by this manager, the two terminals included: one more
+  /// than the largest Ref.
   std::size_t size() const noexcept { return nodes_.size(); }
-
-  /// Live unique-table entries (every allocated node that has not been
-  /// garbage collected).
-  std::size_t table_size() const noexcept { return unique_count_; }
 
   /// Evaluates under a full assignment (indexed by variable).
   bool evaluate(Ref a, const std::vector<bool>& assignment) const;
@@ -107,37 +100,6 @@ class Bdd {
   const Node& node(Ref a) const noexcept { return nodes_[a]; }
   bool is_terminal(Ref a) const noexcept { return a <= kTrue; }
 
-  // -- Dynamic reordering ------------------------------------------------------
-  //
-  // The Rudell machinery (see bdd/sifting.h for the schedule). A swap
-  // rewrites every node of `level` that depends on the variable below it
-  // IN PLACE -- external refs keep their meaning -- and invalidates the
-  // operation cache. Never call it while an operation is on the stack, and
-  // note that memoised traversals keyed by levels (sat_count weights,
-  // bdd_prob memos) must be recomputed after any swap.
-
-  /// Exchanges the variables at `level` and `level + 1`.
-  void swap_adjacent_levels(int level);
-
-  /// Nodes currently recorded on `level` (exact right after
-  /// collect_garbage(); may include not-yet-collected garbage otherwise).
-  std::size_t level_width(int level) const;
-
-  /// Reclaims every node unreachable from `roots` (terminals always
-  /// survive): slots go to a free list for reuse, their unique-table
-  /// entries disappear, and the operation cache is dropped. Refs to
-  /// reclaimed nodes become invalid -- pass every ref you still hold.
-  void collect_garbage(const std::vector<Ref>& roots);
-
-  /// Nodes reachable from `roots` (terminals excluded): the live size the
-  /// sifting driver minimises.
-  std::size_t live_size(const std::vector<Ref>& roots) const;
-
-  /// Runs Rudell sifting over the whole order (bdd/sifting.h). `roots`
-  /// must list every externally held ref.
-  SiftStats sift(const std::vector<Ref>& roots,
-                 const SiftOptions& options = {});
-
  private:
   Ref make(int var, Ref low, Ref high);
 
@@ -154,19 +116,12 @@ class Bdd {
   /// Unique-table probe: the slot holding <var, low, high>, or the empty
   /// slot where it would go.
   std::size_t unique_slot(int var, Ref low, Ref high) const noexcept;
-  /// Adds an allocated node known to be absent from the table.
-  void unique_insert(Ref ref);
-  /// Removes an allocated node by backward-shift deletion: the entries of
-  /// the probe run behind it move up, so lookups never meet a tombstone.
-  void unique_erase(Ref ref);
-  /// Empties the table to `capacity` slots (a power of two, more than
-  /// twice the refs) and inserts every nonzero entry of `refs`.
-  void unique_rebuild(std::size_t capacity, const std::vector<Ref>& refs);
+  /// Doubles the unique table and re-inserts every entry.
+  void unique_grow();
 
   /// The cached result of `op` on (a, b), or kNoRef.
   Ref cache_find(Op op, Ref a, Ref b) const noexcept;
   void cache_insert(Op op, Ref a, Ref b, Ref result);
-  void cache_clear();
 
   static constexpr Ref kNoRef = UINT32_MAX;
 
@@ -176,16 +131,13 @@ class Bdd {
   int node_level(Ref a) const noexcept;
 
   std::vector<Node> nodes_;
-  std::vector<Ref> unique_;  ///< node refs by hash; 0 (a terminal) = empty
-  std::size_t unique_count_ = 0;
+  /// Node refs by hash; 0 (a terminal) = empty. Holds every nonterminal
+  /// node, so its entry count is size() - 2.
+  std::vector<Ref> unique_;
   std::vector<OpEntry> cache_;
   std::size_t cache_count_ = 0;
   std::vector<int> level_of_;      ///< level_of_[var]; identity by default
   std::vector<int> var_at_level_;  ///< inverse of level_of_
-  /// Every allocated (not yet collected) ref whose node decides this
-  /// variable -- the swap primitive's per-level worklist.
-  std::vector<std::vector<Ref>> var_refs_;
-  std::vector<Ref> free_;  ///< collected slots awaiting reuse
   int var_count_ = 0;
 };
 

@@ -80,14 +80,6 @@ void BddProbabilityEngine::fit() {
   }
 }
 
-// Reordering audit: no Bdd operation runs while a query is on the stack,
-// so levels cannot move mid-traversal. Holding memo_ ACROSS a
-// swap_adjacent_levels()/sift() would still be sound for probability_rec
-// -- swaps rewrite nodes in place preserving each Ref's function, and
-// probability depends only on the function -- but NOT for
-// conditional_rec, whose entries depend on the order through the
-// level-based shared-memo handoff; each probability_given() call starts a
-// fresh generation of conditional_.
 double BddProbabilityEngine::probability_rec(Bdd::Ref f) {
   if (bdd_.is_false(f)) return 0.0;
   if (bdd_.is_true(f)) return 1.0;

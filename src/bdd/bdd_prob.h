@@ -42,11 +42,9 @@ double bdd_probability_given(const Bdd& bdd, Bdd::Ref f,
 /// conditionals are evaluated on the diagram as it stands.
 ///
 /// The memos are arrays indexed by Ref, grown to the manager's size on
-/// each query. Reordering audit: the shared probability memo maps Ref ->
-/// P[function], which swaps preserve, but the conditional queries depend on
-/// the level order, and collect_garbage() recycles Refs; the engine must
-/// not be used across a sift() of its diagram. (In practice the
-/// probability BDD is built under a static order and never sifted.)
+/// each query. A Bdd never rewrites or reclaims a node, so an entry stays
+/// valid for the engine's lifetime even when the caller builds more nodes
+/// between queries.
 class BddProbabilityEngine {
  public:
   /// `probabilities` must cover every variable appearing in any queried

@@ -64,7 +64,7 @@ Zbdd::Ref Zbdd::make(int var, Ref low, Ref high) {
   if (auto it = unique_.find(key); it != unique_.end()) return it->second;
   // A level swap rewrites nodes in place and must run to completion -- a
   // half-swapped level is not a valid diagram -- so interrupts are deferred
-  // to the swap boundaries (the sifting driver polls there).
+  // to the swap boundaries (sift() polls there).
   if (!in_swap_) {
     if (budget_ != nullptr && budget_->poll()) throw Interrupt{true};
     if (node_limit_ != 0 && nodes_.size() - free_.size() >= node_limit_)
@@ -388,7 +388,87 @@ std::size_t Zbdd::live_size(const std::vector<Ref>& roots) const {
 
 SiftStats Zbdd::sift(const std::vector<Ref>& roots,
                      const SiftOptions& options) {
-  SiftStats stats = rudell_sift(*this, roots, options);
+  SiftStats stats;
+  collect_garbage(roots);  // sizes below must mean LIVE nodes
+  std::size_t current = live_size(roots);
+  stats.size_before = current;
+  const int levels = var_count_;
+  auto exhausted = [&]() {
+    if (options.max_swaps != 0 && stats.swaps >= options.max_swaps)
+      return true;
+    return options.budget != nullptr && options.budget->poll();
+  };
+  if (levels >= 2) {
+    stats.passes = 1;
+    // Heaviest variables first: parking the fattest level pays the most
+    // and unlocks gains for everything sifted after it. Width-0 variables
+    // (declared but absent from the live diagram) cannot change any size,
+    // so they keep their positions.
+    std::vector<std::size_t> width(static_cast<std::size_t>(levels), 0);
+    std::vector<int> vars;
+    vars.reserve(static_cast<std::size_t>(levels));
+    for (int v = 0; v < levels; ++v) {
+      width[static_cast<std::size_t>(v)] = level_width(level_of(v));
+      if (width[static_cast<std::size_t>(v)] > 0) vars.push_back(v);
+    }
+    std::stable_sort(vars.begin(), vars.end(), [&](int a, int b) {
+      return width[static_cast<std::size_t>(a)] >
+             width[static_cast<std::size_t>(b)];
+    });
+
+    for (int v : vars) {
+      if (exhausted()) {
+        stats.interrupted = true;
+        break;
+      }
+      int pos = level_of(v);
+      int best_pos = pos;
+      std::size_t best = current;
+      const std::size_t limit =
+          best +
+          best * static_cast<std::size_t>(options.max_growth_percent) / 100 +
+          2;
+      // One journey: nearer boundary first, then sweep across to the other
+      // one, then settle on the best position seen.
+      auto travel = [&](int target) {
+        while (pos != target) {
+          if (exhausted()) {
+            stats.interrupted = true;
+            return;
+          }
+          swap_adjacent_levels(pos < target ? pos : pos - 1);
+          ++stats.swaps;
+          pos += pos < target ? 1 : -1;
+          const std::size_t size = live_size(roots);
+          if (size < best) {
+            best = size;
+            best_pos = pos;
+          }
+          if (size > limit) return;  // growth damper: stop this direction
+        }
+      };
+      if (pos <= levels - 1 - pos) {
+        travel(0);
+        if (!stats.interrupted) travel(levels - 1);
+      } else {
+        travel(levels - 1);
+        if (!stats.interrupted) travel(0);
+      }
+      // Always park at the best position, even on interrupt: the journey
+      // above may have left the variable somewhere worse.
+      while (pos != best_pos) {
+        swap_adjacent_levels(pos < best_pos ? pos : pos - 1);
+        ++stats.swaps;
+        pos += pos < best_pos ? 1 : -1;
+      }
+      current = best;
+      // Reclaim this journey's exploration nodes so the next journey's
+      // swap loops do not drag dead levels around.
+      collect_garbage(roots);
+      if (stats.interrupted) break;
+    }
+  }
+  stats.size_after = current;
   reorder_pending_ = false;
   // Rearm well above the new live size so the trigger means real growth,
   // not the table crossing the same threshold again right away.

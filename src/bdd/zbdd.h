@@ -24,7 +24,7 @@
 // start in declaration order (callers declare them in the shared
 // depth-first-occurrence heuristic order, see analysis/ordering.h), and
 // the order may then change dynamically -- swap_adjacent_levels() is the
-// in-place Rudell primitive and sift() (bdd/sifting.h) the full reorder.
+// in-place Rudell primitive and sift() the full reorder.
 // A swap rewrites the nodes of one level in place, so every Ref keeps
 // denoting the same family across reorders; only garbage collection
 // (collect_garbage) invalidates refs, and only those unreachable from the
@@ -41,10 +41,39 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bdd/sifting.h"
 #include "core/budget.h"
 
 namespace ftsynth {
+
+struct SiftOptions {
+  /// Abort a variable's journey in the current direction once the live
+  /// diagram grows past best * (100 + max_growth_percent) / 100. The
+  /// standard damper: a variable rarely recovers after swelling the table.
+  int max_growth_percent = 20;
+  /// Hard swap ceiling for the whole run (0 = unlimited). The effort knob
+  /// for callers without a deadline.
+  std::size_t max_swaps = 0;
+  /// Deadline polled between swaps (not owned, may be null). Expiry stops
+  /// the reorder at the next swap boundary -- every intermediate order is a
+  /// valid order, so an interrupted sift degrades, never corrupts.
+  Budget* budget = nullptr;
+};
+
+struct SiftStats {
+  int passes = 0;
+  std::size_t swaps = 0;
+  std::size_t size_before = 0;  ///< live nodes before the first swap
+  std::size_t size_after = 0;   ///< live nodes at the final order
+  bool interrupted = false;     ///< budget / swap ceiling stopped the run
+
+  void merge(const SiftStats& other) noexcept {
+    if (passes == 0 && swaps == 0) size_before = other.size_before;
+    passes += other.passes;
+    swaps += other.swaps;
+    size_after = other.size_after;
+    interrupted = interrupted || other.interrupted;
+  }
+};
 
 /// A ZBDD manager owning every node it creates. References stay valid for
 /// the manager's lifetime -- across level swaps and sifting too -- except
@@ -129,10 +158,10 @@ class Zbdd {
 
   // -- Dynamic reordering ------------------------------------------------------
   //
-  // The Rudell machinery (see bdd/sifting.h for the schedule). A swap
-  // rewrites every node of `level` that depends on the variable below it
-  // IN PLACE -- external refs keep their meaning -- and invalidates the
-  // operation cache. Never call it while an operation is on the stack.
+  // The Rudell machinery. A swap rewrites every node of `level` that
+  // depends on the variable below it IN PLACE -- external refs keep their
+  // meaning -- and invalidates the operation cache. Never call it while an
+  // operation is on the stack.
 
   /// Exchanges the variables at `level` and `level + 1`.
   void swap_adjacent_levels(int level);
@@ -147,13 +176,19 @@ class Zbdd {
   /// reclaimed nodes become invalid -- pass every ref you still hold.
   void collect_garbage(const std::vector<Ref>& roots);
 
-  /// Nodes reachable from `roots` (terminals excluded): the live size the
-  /// sifting driver minimises.
+  /// Nodes reachable from `roots` (terminals excluded): the live size
+  /// sift() minimises.
   std::size_t live_size(const std::vector<Ref>& roots) const;
 
-  /// Runs Rudell sifting over the whole order (bdd/sifting.h). `roots`
-  /// must list every externally held ref. Clears any pending reorder
-  /// request and rearms the pressure threshold above the new live size.
+  /// Runs one pass of Rudell sifting (ICCAD'93) over the whole order: each
+  /// variable, heaviest level first, moves through every position and is
+  /// parked where the live diagram was smallest. Deterministic: the same
+  /// diagram, roots and options always produce the same final order.
+  /// `roots` must list every externally held ref (engine memo tables,
+  /// accumulators, the contradiction family): garbage collection between
+  /// journeys reclaims anything unreachable from them. Clears any pending
+  /// reorder request and rearms the pressure threshold above the new live
+  /// size.
   SiftStats sift(const std::vector<Ref>& roots,
                  const SiftOptions& options = {});
 
@@ -177,8 +212,8 @@ class Zbdd {
   // ceiling is hit mid-operation, the operation throws Interrupt. The
   // manager stays consistent -- already-built nodes remain valid -- so the
   // caller can still report a flagged partial result. Swaps suppress both
-  // checks (a half-swapped level would not be a valid diagram); the
-  // sifting driver polls the budget between swaps instead.
+  // checks (a half-swapped level would not be a valid diagram); sift()
+  // polls the budget between swaps instead.
 
   struct Interrupt {
     bool deadline_exceeded;  ///< false: the node ceiling fired instead

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "analysis/probability.h"
 #include "analysis/report.h"
@@ -241,6 +242,49 @@ TEST_F(BbwTest, ProbabilityKernelsMatchTheMapMemoReference) {
     testing_reference::expect_matches_reference(engine, encoding.bdd,
                                                 encoding.root);
   }
+}
+
+TEST_F(BbwTest, EncodeBddConstructionIsPinnedOverDerivedTops) {
+  // The tops `ftsynth analyse` derives with no --top: every (boundary
+  // output x class) candidate whose kPrune synthesis is non-empty.
+  SynthesisOptions prune;
+  prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
+  std::vector<Deviation> tops;
+  for (const Port* port : full_->root().outputs()) {
+    for (FailureClass cls : full_->registry().all()) {
+      const Deviation candidate{cls, port->name()};
+      if (Synthesiser(*full_, prune).synthesise(candidate).top() != nullptr)
+        tops.push_back(candidate);
+    }
+  }
+  ASSERT_EQ(tops.size(), 22u);
+  // Every node encode_bdd allocates, the nodes the roots keep, and an
+  // FNV-1a digest of each node array in Ref order. A Ref is its node's
+  // allocation serial, so any change to the construction order (operand
+  // order, cofactor order, variable order, the reduction rules) moves the
+  // digest even where the counts hold.
+  std::size_t created = 0;
+  std::size_t kept = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+  auto mix = [&](std::uint64_t value) {
+    digest = (digest ^ value) * 1099511628211ull;
+  };
+  for (const Deviation& top : tops) {
+    FaultTree tree = Synthesiser(*full_).synthesise(top);
+    BddEncoding encoding = encode_bdd(tree);
+    created += encoding.bdd.size() - 2;  // terminals excluded
+    kept += encoding.bdd.node_count(encoding.root);
+    for (Bdd::Ref ref = 2; ref < encoding.bdd.size(); ++ref) {
+      const Bdd::Node& n = encoding.bdd.node(ref);
+      mix(static_cast<std::uint64_t>(n.var));
+      mix(n.low);
+      mix(n.high);
+    }
+    mix(encoding.root);
+  }
+  EXPECT_EQ(created, 24067u);
+  EXPECT_EQ(kept, 1232u);
+  EXPECT_EQ(digest, 9704163719412653232ull);
 }
 
 TEST_F(BbwTest, ControlLoopsAreCutNotInfinite) {

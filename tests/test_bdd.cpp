@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "bdd/bdd.h"
 #include "bdd/bdd_prob.h"
@@ -156,6 +158,111 @@ TEST_P(BddRandomFormula, ProbabilityMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomFormula, ::testing::Range(0, 25));
+
+TEST(Bdd, TablesStayCanonicalAcrossGrowth) {
+  // Random functions of 14 variables, built until the manager holds more
+  // than 1,024 nodes. Both tables start at 64 slots and double at half
+  // load, so the unique table has doubled 6 times by then; every node an
+  // operation creates (all but the 28 literal nodes) comes with its own
+  // op-cache entry, so the cache has doubled at least 5 times. Each time
+  // the node count passes a power of two -- the points where the unique
+  // table grows -- every node must be found again by its (var, low, high),
+  // every recorded operation must return its recorded Ref (the grown op
+  // cache kept its entries), and every function must keep the truth table
+  // its operations define, over all 2^14 rows.
+  constexpr int kVars = 14;
+  constexpr std::size_t kWords = (std::size_t{1} << kVars) / 64;
+  constexpr std::size_t kTarget = 1024;
+  using Table = std::vector<std::uint64_t>;
+  enum class Op { kAnd, kOr, kXor, kNot };
+  struct Applied {
+    Op op;
+    Bdd::Ref a, b, result;
+  };
+
+  std::vector<Table> literal(kVars, Table(kWords));
+  for (int v = 0; v < kVars; ++v)
+    for (std::size_t row = 0; row < kWords * 64; ++row)
+      if ((row >> v) & 1u)
+        literal[v][row / 64] |= std::uint64_t{1} << (row % 64);
+
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    Bdd bdd;
+    for (int v = 0; v < kVars; ++v) bdd.new_var();
+    std::vector<Bdd::Ref> roots;
+    std::vector<Table> truth;  // by root index, from the operations alone
+    for (int v = 0; v < kVars; ++v) {
+      roots.push_back(bdd.var(v));
+      truth.push_back(literal[v]);
+    }
+    std::vector<Applied> applied;
+    auto apply = [&](Op op, Bdd::Ref a, Bdd::Ref b) {
+      switch (op) {
+        case Op::kAnd: return bdd.apply_and(a, b);
+        case Op::kOr: return bdd.apply_or(a, b);
+        case Op::kXor: return bdd.apply_xor(a, b);
+        case Op::kNot: return bdd.apply_not(a);
+      }
+      return Bdd::kFalse;
+    };
+
+    auto check = [&]() {
+      const std::size_t nodes = bdd.size();
+      for (Bdd::Ref ref = 2; ref < nodes; ++ref) {
+        const Bdd::Node n = bdd.node(ref);
+        // ite(x, high, low) ends in a lookup of exactly <x, low, high>.
+        ASSERT_EQ(bdd.ite(bdd.var(n.var), n.high, n.low), ref)
+            << "seed " << seed << " ref " << ref;
+      }
+      for (const Applied& entry : applied)
+        ASSERT_EQ(apply(entry.op, entry.a, entry.b), entry.result)
+            << "seed " << seed;
+      // Children are allocated before their parents, so one ascending
+      // pass evaluates every node on every row.
+      std::vector<Table> of(bdd.size(), Table(kWords));
+      of[Bdd::kTrue].assign(kWords, ~std::uint64_t{0});
+      for (Bdd::Ref ref = 2; ref < bdd.size(); ++ref) {
+        const Bdd::Node n = bdd.node(ref);
+        for (std::size_t w = 0; w < kWords; ++w)
+          of[ref][w] = (literal[n.var][w] & of[n.high][w]) |
+                       (~literal[n.var][w] & of[n.low][w]);
+      }
+      for (std::size_t i = 0; i < roots.size(); ++i)
+        ASSERT_EQ(of[roots[i]], truth[i]) << "seed " << seed << " root " << i;
+    };
+
+    std::size_t next_check = 32;
+    for (int step = 0; step < 20000 && bdd.size() - 2 <= kTarget; ++step) {
+      std::uniform_int_distribution<std::size_t> pick(0, roots.size() - 1);
+      const std::size_t i = pick(rng);
+      const std::size_t j = pick(rng);
+      const Op op = static_cast<Op>(
+          std::uniform_int_distribution<int>(0, 3)(rng));
+      const Bdd::Ref result = apply(op, roots[i], roots[j]);
+      applied.push_back({op, roots[i], roots[j], result});
+      Table table(kWords);
+      for (std::size_t w = 0; w < kWords; ++w) {
+        switch (op) {
+          case Op::kAnd: table[w] = truth[i][w] & truth[j][w]; break;
+          case Op::kOr: table[w] = truth[i][w] | truth[j][w]; break;
+          case Op::kXor: table[w] = truth[i][w] ^ truth[j][w]; break;
+          case Op::kNot: table[w] = ~truth[i][w]; break;
+        }
+      }
+      roots.push_back(result);
+      truth.push_back(std::move(table));
+      if (bdd.size() - 2 > next_check) {
+        check();
+        if (HasFatalFailure()) return;
+        while (bdd.size() - 2 > next_check) next_check *= 2;
+      }
+    }
+    ASSERT_GT(bdd.size() - 2, kTarget) << "seed " << seed;
+    check();
+    if (HasFatalFailure()) return;
+  }
+}
 
 TEST(BddOrder, ExplicitOrderPreservesSemantics) {
   // The same function under the identity and a reversed order: identical

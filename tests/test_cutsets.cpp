@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "analysis/probability.h"
 #include "casestudy/setta.h"
 #include "casestudy/synthetic.h"
-#include "core/error.h"
 #include "fta/fault_tree.h"
 #include "fta/synthesis.h"
 
@@ -118,34 +118,6 @@ TEST(CutSets, CanonicalOrderingIsByOrderThenName) {
   EXPECT_TRUE(analysis.of_order(3).empty());
 }
 
-TEST(CutSets, BddEngineAgreesAndRejectsNonCoherent) {
-  FaultTree tree("t");
-  FtNode* a = basic(tree, "a");
-  FtNode* b = basic(tree, "b");
-  FtNode* x = basic(tree, "x");
-  FtNode* left = tree.add_gate(GateKind::kOr, "", {a, x});
-  FtNode* right = tree.add_gate(GateKind::kOr, "", {b, x});
-  tree.set_top(tree.add_gate(GateKind::kAnd, "", {left, right}));
-  EXPECT_EQ(bdd_cut_sets(tree).to_string(), minimal_cut_sets(tree).to_string());
-
-  FaultTree negated("n");
-  FtNode* fault = negated.add_basic(Symbol("fault"), 1e-6, "", "");
-  FtNode* mon = negated.add_basic(Symbol("mon"), 1e-6, "", "");
-  FtNode* nm = negated.add_gate(GateKind::kNot, "", {mon});
-  negated.set_top(negated.add_gate(GateKind::kAnd, "", {fault, nm}));
-  EXPECT_THROW(bdd_cut_sets(negated), Error);
-}
-
-TEST(CutSets, BddEngineHandlesEmptyAndHouseTops) {
-  FaultTree empty("e");
-  EXPECT_TRUE(bdd_cut_sets(empty).cut_sets.empty());
-  FaultTree house("h");
-  house.set_top(house.add_house(Symbol("always"), ""));
-  CutSetAnalysis analysis = bdd_cut_sets(house);
-  ASSERT_EQ(analysis.cut_sets.size(), 1u);
-  EXPECT_TRUE(analysis.cut_sets[0].empty());
-}
-
 TEST(CutSets, MocusAgreesOnHandExamples) {
   FaultTree tree("t");
   FtNode* a = basic(tree, "a");
@@ -160,9 +132,59 @@ TEST(CutSets, MocusAgreesOnHandExamples) {
             minimal_cut_sets(tree).to_string());
 }
 
-/// Property: on random DAG trees, both engines agree with each other and
-/// with the BDD: every minimal cut set satisfies the function, and the
-/// rare-event bound dominates the exact probability.
+/// Ground truth by exhaustion: the minimal sets of events whose failure
+/// (all other events working) triggers the top, over every assignment of
+/// `events`, rendered like CutSetAnalysis::to_string. `events` must be
+/// listed in name order and the tree must hold only AND and OR gates.
+std::string brute_force_minimal_sets(const FaultTree& tree,
+                                     const std::vector<FtNode*>& events) {
+  const std::uint32_t rows = 1u << events.size();
+  auto fails = [&](std::uint32_t mask) {
+    auto eval = [&](auto&& self, const FtNode* node) -> bool {
+      if (node->kind() == NodeKind::kBasic) {
+        const auto it = std::find(events.begin(), events.end(), node);
+        return ((mask >> (it - events.begin())) & 1u) != 0;
+      }
+      const bool is_and = node->gate() == GateKind::kAnd;
+      for (const FtNode* child : node->children())
+        if (self(self, child) != is_and) return !is_and;
+      return is_and;
+    };
+    return eval(eval, tree.top());
+  };
+  std::vector<std::uint32_t> minimal;
+  for (std::uint32_t mask = 0; mask < rows; ++mask) {
+    if (!fails(mask)) continue;
+    bool has_failing_subset = false;
+    for (std::uint32_t bit = 1; bit < rows; bit <<= 1)
+      if ((mask & bit) != 0 && fails(mask & ~bit)) has_failing_subset = true;
+    if (!has_failing_subset) minimal.push_back(mask);
+  }
+  // Canonical listing order: by size, then lexicographically by names.
+  std::vector<std::vector<std::string>> sets;
+  for (std::uint32_t mask : minimal) {
+    std::vector<std::string> names;
+    for (std::size_t e = 0; e < events.size(); ++e)
+      if (((mask >> e) & 1u) != 0) names.push_back(events[e]->name().str());
+    sets.push_back(std::move(names));
+  }
+  std::sort(sets.begin(), sets.end(), [](const auto& a, const auto& b) {
+    return a.size() != b.size() ? a.size() < b.size() : a < b;
+  });
+  std::string out;
+  for (const std::vector<std::string>& names : sets) {
+    out += "{";
+    for (std::size_t i = 0; i < names.size(); ++i)
+      out += (i != 0 ? ", " : "") + names[i];
+    out += "}\n";
+  }
+  return out;
+}
+
+/// Property: on random coherent DAG trees over 6 events, every engine
+/// lists exactly the minimal failing sets that exhaustion over the 2^6
+/// assignments finds, and the rare-event bound dominates the exact
+/// probability.
 class CutSetEngines : public ::testing::TestWithParam<int> {};
 
 TEST_P(CutSetEngines, AgreeOnRandomTrees) {
@@ -187,28 +209,13 @@ TEST_P(CutSetEngines, AgreeOnRandomTrees) {
   }
   tree.set_top(pool.back());
 
+  const std::vector<FtNode*> events(pool.begin(), pool.begin() + 6);
+  const std::string truth = brute_force_minimal_sets(tree, events);
+  ASSERT_FALSE(truth.empty());
   CutSetAnalysis bottom_up = minimal_cut_sets(tree);
-  CutSetAnalysis mocus = mocus_cut_sets(tree);
-  EXPECT_EQ(bottom_up.to_string(), mocus.to_string());
-  CutSetAnalysis zbdd = zbdd_cut_sets(tree);
-  EXPECT_EQ(bottom_up.to_string(), zbdd.to_string());
-  // These random trees are coherent, so the BDD engine applies too.
-  CutSetAnalysis via_bdd = bdd_cut_sets(tree);
-  EXPECT_EQ(bottom_up.to_string(), via_bdd.to_string());
-
-  // Every cut set must actually imply the top event on the BDD.
-  BddEncoding encoding = encode_bdd(tree);
-  for (const CutSet& cs : bottom_up.cut_sets) {
-    std::vector<bool> assignment(encoding.events.size(), false);
-    for (const CutLiteral& literal : cs) {
-      for (std::size_t v = 0; v < encoding.events.size(); ++v) {
-        if (encoding.events[v] == literal.event)
-          assignment[v] = !literal.negated;
-      }
-    }
-    EXPECT_TRUE(encoding.bdd.evaluate(encoding.root, assignment))
-        << "cut set does not trigger the top event";
-  }
+  EXPECT_EQ(bottom_up.to_string(), truth);
+  EXPECT_EQ(mocus_cut_sets(tree).to_string(), truth);
+  EXPECT_EQ(zbdd_cut_sets(tree).to_string(), truth);
 
   // Probability sandwich (coherent trees only -- no NOT here).
   ProbabilityOptions probability;

@@ -1,19 +1,15 @@
-// Dynamic variable reordering (Rudell sifting): the swap primitive, the
-// sifting driver, the engine-level --order policies and the adversarial
+// Dynamic variable reordering (Rudell sifting on the ZBDD): the swap
+// primitive, Zbdd::sift, the engine-level --order policies and the adversarial
 // regression fixtures. Suite names carry "Reorder" so the TSan CI job
 // (Concurrency|Parallel|Reorder) picks them up.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 #include <vector>
 
 #include "analysis/cache.h"
 #include "analysis/cutsets.h"
-#include "bdd/bdd.h"
-#include "bdd/bdd_prob.h"
-#include "bdd/sifting.h"
 #include "bdd/zbdd.h"
 #include "casestudy/synthetic.h"
 #include "core/parallel.h"
@@ -70,108 +66,6 @@ TEST(ReorderSwap, ZbddSwapPreservesEveryFamily) {
   EXPECT_EQ(zbdd.current_order(), order);
 }
 
-TEST(ReorderSwap, BddSwapPreservesFunctions) {
-  Bdd bdd;
-  const int vars = 5;
-  for (int i = 0; i < vars; ++i) bdd.new_var();
-  // f = (x0 & x3) | (x1 ^ x4) | ~x2 -- touches every variable.
-  Bdd::Ref f = bdd.apply_or(
-      bdd.apply_or(bdd.apply_and(bdd.var(0), bdd.var(3)),
-                   bdd.apply_xor(bdd.var(1), bdd.var(4))),
-      bdd.nvar(2));
-  auto truth_table = [&](Bdd::Ref ref) {
-    std::vector<bool> bits;
-    for (int m = 0; m < (1 << vars); ++m) {
-      std::vector<bool> assignment(vars);
-      for (int v = 0; v < vars; ++v) assignment[v] = (m >> v) & 1;
-      bits.push_back(bdd.evaluate(ref, assignment));
-    }
-    return bits;
-  };
-  const std::vector<bool> before = truth_table(f);
-  const double sat_before = bdd.sat_count(f);
-  for (int level = 0; level + 1 < vars; ++level) {
-    bdd.swap_adjacent_levels(level);
-    EXPECT_EQ(truth_table(f), before) << "level " << level;
-    EXPECT_DOUBLE_EQ(bdd.sat_count(f), sat_before);
-  }
-}
-
-TEST(ReorderSwap, BddTablesStayCanonicalUnderSwapsAndCollection) {
-  // Random functions, then random adjacent swaps and collections. After
-  // every step: each live node is found again by its (var, low, high)
-  // (the unique table misses nothing, so backward-shift deletion kept
-  // every probe run intact), collection leaves exactly the live nodes in
-  // the table, and every function keeps its truth table.
-  const int vars = 9;
-  for (unsigned seed = 1; seed <= 5; ++seed) {
-    std::mt19937 rng(seed);
-    Bdd bdd;
-    for (int i = 0; i < vars; ++i) bdd.new_var();
-    std::uniform_int_distribution<int> pick_var(0, vars - 1);
-    std::uniform_int_distribution<int> pick_op(0, 3);
-    std::vector<Bdd::Ref> roots;
-    for (int i = 0; i < vars; ++i) roots.push_back(bdd.var(i));
-    for (int i = 0; i < 40; ++i) {
-      std::uniform_int_distribution<std::size_t> pick(0, roots.size() - 1);
-      const Bdd::Ref a = roots[pick(rng)];
-      const Bdd::Ref b = roots[pick(rng)];
-      switch (pick_op(rng)) {
-        case 0: roots.push_back(bdd.apply_and(a, b)); break;
-        case 1: roots.push_back(bdd.apply_or(a, b)); break;
-        case 2: roots.push_back(bdd.apply_xor(a, b)); break;
-        default: roots.push_back(bdd.apply_not(a)); break;
-      }
-    }
-    auto truth_table = [&](Bdd::Ref ref) {
-      std::vector<bool> bits;
-      std::vector<bool> assignment(vars);
-      for (int m = 0; m < (1 << vars); ++m) {
-        for (int v = 0; v < vars; ++v) assignment[v] = (m >> v) & 1;
-        bits.push_back(bdd.evaluate(ref, assignment));
-      }
-      return bits;
-    };
-    std::vector<std::vector<bool>> tables;
-    for (Bdd::Ref root : roots) tables.push_back(truth_table(root));
-    auto live_nodes = [&]() {
-      std::vector<Bdd::Ref> out;
-      std::vector<bool> seen(bdd.size(), false);
-      std::vector<Bdd::Ref> stack(roots.begin(), roots.end());
-      while (!stack.empty()) {
-        const Bdd::Ref ref = stack.back();
-        stack.pop_back();
-        if (bdd.is_terminal(ref) || seen[ref]) continue;
-        seen[ref] = true;
-        out.push_back(ref);
-        stack.push_back(bdd.node(ref).low);
-        stack.push_back(bdd.node(ref).high);
-      }
-      return out;
-    };
-    for (int step = 0; step < 120; ++step) {
-      const bool collect = step % 7 == 6;
-      if (collect) {
-        bdd.collect_garbage(roots);
-        EXPECT_EQ(bdd.table_size(), bdd.live_size(roots))
-            << "seed " << seed << " step " << step;
-      } else {
-        bdd.swap_adjacent_levels(pick_var(rng) % (vars - 1));
-      }
-      for (Bdd::Ref ref : live_nodes()) {
-        const Bdd::Node n = bdd.node(ref);
-        // ite(x, high, low) ends in a lookup of exactly <x, low, high>.
-        ASSERT_EQ(bdd.ite(bdd.var(n.var), n.high, n.low), ref)
-            << "seed " << seed << " step " << step;
-      }
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        ASSERT_EQ(truth_table(roots[i]), tables[i])
-            << "seed " << seed << " step " << step << " function " << i;
-      }
-    }
-  }
-}
-
 TEST(ReorderSift, ShrinksTheGroupedProductFamily) {
   Zbdd zbdd;
   const int pairs = 8;
@@ -188,26 +82,6 @@ TEST(ReorderSift, ShrinksTheGroupedProductFamily) {
   // The acceptance bar (>= 2x); the real gain here is ~40x.
   EXPECT_LE(sifted_nodes * 2, static_nodes);
   EXPECT_EQ(family_of(zbdd, family), sets_before);
-}
-
-TEST(ReorderSift, BddSiftKeepsProbabilityAndSatCount) {
-  Bdd bdd;
-  const int vars = 8;
-  for (int i = 0; i < vars; ++i) bdd.new_var();
-  // Grouped 2-pair products: (x0&x4)|(x1&x5)|(x2&x6)|(x3&x7).
-  Bdd::Ref f = Bdd::kFalse;
-  for (int i = 0; i < 4; ++i)
-    f = bdd.apply_or(f, bdd.apply_and(bdd.var(i), bdd.var(i + 4)));
-  std::vector<double> probabilities(vars, 0.25);
-  const double p_before = bdd_probability(bdd, f, probabilities);
-  const double sat_before = bdd.sat_count(f);
-  const std::size_t nodes_before = bdd.node_count(f);
-
-  SiftStats stats = bdd.sift({f});
-  EXPECT_GT(stats.swaps, 0u);
-  EXPECT_LT(bdd.node_count(f), nodes_before);  // interleaving is smaller
-  EXPECT_DOUBLE_EQ(bdd_probability(bdd, f, probabilities), p_before);
-  EXPECT_DOUBLE_EQ(bdd.sat_count(f), sat_before);
 }
 
 TEST(ReorderSift, ExpiredBudgetStopsSiftingButNeverCorrupts) {
