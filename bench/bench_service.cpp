@@ -2,25 +2,18 @@
 //
 // The daemon's pitch is that an engineer's edit-analyse loop stops paying
 // the whole pipeline per run. These benchmarks put numbers on that, with
-// the cache-bench methodology (cold/warm axes over the same BBW
-// workload):
+// cold/warm axes over the same BBW workload:
 //
 //   * cold process  -- a fresh cold ServiceRunner per iteration: parse,
 //     synthesis, cut sets, probabilities from scratch. This is what
-//     `ftsynth analyse` costs per invocation today.
-//   * cold + disk cache -- a fresh runner per iteration over a populated
-//     `--cache DIR`: the crash-recovery path, i.e. what a SIGKILLed
-//     daemon's replacement pays on its first request after adopting the
-//     last good save.
+//     `ftsynth analyse` costs per invocation today, and what a restarted
+//     daemon pays on its first request (nothing is persisted).
 //   * warm daemon   -- one resident warm runner: an unchanged request on
-//     unchanged model bytes is replayed from the response memo (the
-//     probability and importance stages dominate an analyse request and
-//     sit outside the cone cache's reach, so memoising the full result
-//     is what makes the warm daemon fast end to end). This is the
-//     steady-state per-request cost `ftsynth serve` answers with.
+//     unchanged model bytes is replayed from the response memo. This is
+//     the steady-state per-request cost `ftsynth serve` answers with.
 //   * warm recompute -- the same resident runner with the memo bypassed
-//     (--verbose does that): the post-edit path, where the model and
-//     cone caches still apply but probability re-runs.
+//     (--verbose does that): the post-edit path, where the model cache
+//     still applies but synthesis, cut sets and probability re-run.
 //
 // Output bytes are identical down the whole axis (the service tests
 // enforce it), so the `output_bytes` counter doubles as a correctness
@@ -86,37 +79,9 @@ void BM_ServiceBbwAnalyseColdProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceBbwAnalyseColdProcess)->Unit(benchmark::kMillisecond);
 
-// Cold + disk cache: the crash-recovery path. Still a fresh runner per
-// iteration (parse + synthesis are re-paid) but the cut-set stage adopts
-// the persistent cone cache a previous daemon saved.
-void BM_ServiceBbwAnalyseColdWithDiskCache(benchmark::State& state) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "ftsynth_bench_service_cache")
-          .string();
-  ServiceRunner::Options options;
-  options.cache_dir = dir;
-  {
-    // One unmeasured run populates the directory (the "last good save").
-    ServiceRunner seeder(options);
-    seeder.execute(analyse_request());
-  }
-  const ServiceRequest request = analyse_request();
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    ServiceRunner runner(options);
-    const ServiceResult result = runner.execute(request);
-    expect_clean(result, state);
-    bytes = result.output.size();
-    benchmark::DoNotOptimize(bytes);
-  }
-  std::filesystem::remove_all(dir);
-  state.counters["output_bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_ServiceBbwAnalyseColdWithDiskCache)->Unit(benchmark::kMillisecond);
-
 // Warm: the resident daemon runner. The first request (unmeasured) fills
-// the model and cone caches; every measured one is the steady-state
-// request latency `ftsynth serve` answers with.
+// the model cache and the response memo; every measured one is the
+// steady-state request latency `ftsynth serve` answers with.
 void BM_ServiceBbwAnalyseWarmDaemon(benchmark::State& state) {
   static ServiceRunner runner([] {
     ServiceRunner::Options options;
@@ -140,8 +105,8 @@ BENCHMARK(BM_ServiceBbwAnalyseWarmDaemon)->Unit(benchmark::kMillisecond);
 
 // Warm recompute: the resident runner with the response memo bypassed
 // (--verbose requests are never memoised). This is what a request costs
-// right after an edit invalidates the memo: parse and cut sets come from
-// the warm caches, probability and rendering re-run. Excluded from the
+// right after an edit invalidates the memo: the parse comes from the warm
+// model cache, everything after it re-runs. Excluded from the
 // speedup table (no Cold*/WarmDaemon suffix) but committed in the JSON
 // so the middle layer's cost stays on the record.
 void BM_ServiceBbwAnalyseWarmRecompute(benchmark::State& state) {

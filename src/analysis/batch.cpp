@@ -1,9 +1,7 @@
 #include "analysis/batch.h"
 
 #include <limits>
-#include <optional>
 
-#include "analysis/cache.h"
 #include "core/parallel.h"
 #include "core/thread_pool.h"
 
@@ -20,15 +18,6 @@ BatchResult analyse_batch(const Model& model,
     result.items.push_back(std::move(item));
   }
 
-  // One cone cache for the whole run: trees of one model share large
-  // cones, so each is analysed once no matter how many items contain it.
-  std::optional<ConeCache> batch_cones;
-  ConeCache* cones = options.analysis.cut_sets.cone_cache;
-  if (cones == nullptr && options.analyse && options.share_cones) {
-    batch_cones.emplace(cone_keyspace(options.analysis.cut_sets));
-    cones = &*batch_cones;
-  }
-
   const bool degraded = options.synthesis.sink != nullptr;
   parallel_for(pool, result.items.size(), [&](std::size_t index) {
     BatchItem& item = result.items[index];
@@ -37,19 +26,16 @@ BatchResult analyse_batch(const Model& model,
     DiagnosticSink local(std::numeric_limits<std::size_t>::max());
     SynthesisOptions synthesis = options.synthesis;
     if (degraded) synthesis.sink = &local;
-    AnalysisOptions analysis = options.analysis;
-    analysis.cut_sets.cone_cache = cones;
     try {
       Synthesiser synthesiser(model, synthesis);
       item.tree.emplace(synthesiser.synthesise(item.top));
       if (options.analyse)
-        item.analysis.emplace(analyse_tree(*item.tree, analysis));
+        item.analysis.emplace(analyse_tree(*item.tree, options.analysis));
     } catch (...) {
       item.error = std::current_exception();
     }
     item.diagnostics = local.diagnostics();
   });
-  if (cones != nullptr) result.cache_stats = cones->stats();
   return result;
 }
 
@@ -67,24 +53,14 @@ BatchResult analyse_trees(std::vector<FaultTree> trees,
 
   if (!options.analyse) return result;
 
-  std::optional<ConeCache> batch_cones;
-  ConeCache* cones = options.analysis.cut_sets.cone_cache;
-  if (cones == nullptr && options.share_cones) {
-    batch_cones.emplace(cone_keyspace(options.analysis.cut_sets));
-    cones = &*batch_cones;
-  }
-
   parallel_for(pool, result.items.size(), [&](std::size_t index) {
     BatchItem& item = result.items[index];
-    AnalysisOptions analysis = options.analysis;
-    analysis.cut_sets.cone_cache = cones;
     try {
-      item.analysis.emplace(analyse_tree(*item.tree, analysis));
+      item.analysis.emplace(analyse_tree(*item.tree, options.analysis));
     } catch (...) {
       item.error = std::current_exception();
     }
   });
-  if (cones != nullptr) result.cache_stats = cones->stats();
   return result;
 }
 

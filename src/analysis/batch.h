@@ -19,7 +19,10 @@
 //   * one Budget deadline latch is shared by every per-item copy: the
 //     first worker to observe expiry stops them all, and each cut-short
 //     item comes back flagged partial, exactly like serial items after
-//     the deadline.
+//     the deadline;
+//   * items share nothing but the read-only model and that latch: no
+//     analysis result passes from one item to another, so each item's
+//     output is a function of its tree and the options alone.
 
 #pragma once
 
@@ -48,14 +51,6 @@ struct BatchOptions {
   /// false: synthesise only (e.g. the CLI `synthesise` command); for
   /// analyse_trees, just label the trees.
   bool analyse = true;
-  /// Share one content-addressed cone cache (analysis/cache.h) across the
-  /// top events of this run: synthesised trees of one model overlap
-  /// heavily, so cones analysed for one item are free for the rest --
-  /// including under a worker pool; the cache is thread-safe and results
-  /// stay byte-identical. Ignored when `analysis.cut_sets.cone_cache` is
-  /// already set (the caller's cache, e.g. the CLI's persistent one, is
-  /// used instead) or when `analyse` is false.
-  bool share_cones = true;
 };
 
 /// One top event's pipeline result.
@@ -79,10 +74,6 @@ struct BatchItem {
 
 struct BatchResult {
   std::vector<BatchItem> items;  ///< in `tops` order
-  /// Final counters of the cone cache that served this run (the shared
-  /// batch-local one, or the caller's via analysis.cut_sets.cone_cache);
-  /// absent when no cache was in play.
-  std::optional<ConeCacheStats> cache_stats;
 
   /// First captured per-item error in item order, or nullptr.
   std::exception_ptr first_error() const noexcept {
@@ -103,7 +94,7 @@ BatchResult analyse_batch(const Model& model,
 
 /// Analyses already-built trees (e.g. Open-PSA imports: fault-tree roots
 /// and event-tree sequence tops) through the identical deterministic
-/// pipeline -- same per-item sinks, shared cone cache, pool semantics and
+/// pipeline -- same per-item sinks, pool semantics and
 /// ordering guarantees, minus the synthesis stage. Trees are moved into
 /// the items; `labels[i]` becomes items[i].label (labels may be shorter
 /// than `trees`; missing entries use the tree name). options.synthesis is

@@ -1,320 +1,30 @@
-// Content-addressed cone cache for the analysis pipeline.
-//
-// Synthesised fault trees of one model share large structurally identical
-// branches: every top event walks the same model cone, so the BBW
-// omission/commission trees overlap heavily. The cut-set engines memoise
-// per *node pointer*, which only helps within one tree. This cache keys
-// the per-cone minimal cut-set family by the cone's STRUCTURAL hash
-// (fta/simplify.h) instead, so
-//
-//   * a subtree analysed for one top event is free for every later tree
-//     of the batch that contains it (cross-top-event sharing, including
-//     under --jobs N -- the cache is thread-safe), and
-//   * with the optional persistent layer, a re-run after editing one
-//     annotation re-analyses only the affected cone: every untouched
-//     cone's hash is unchanged and hits the on-disk entries (incremental
-//     re-analysis).
-//
-// Cached values are tree-independent: a family of cut sets over
-// (event name, polarity) literals. Entries are only stored from CLEAN
-// computations (no truncation, no deadline), so a cached family is the
-// exact minimal family of its cone and substituting it for a fresh
-// computation cannot change any complete result -- output stays
-// byte-identical with the cache cold, warm or disabled.
-//
-// A cache belongs to one KEYSPACE (engine tag + cut-set limits): engines
-// ignore a cache whose keyspace does not match their options, and the
-// on-disk format carries the keyspace plus a format version, the
-// variable-order scheme tag and a body checksum. A stale, corrupt or
-// mismatched file is ignored with a diagnostic -- never trusted.
-
+// Inert names left by the retired cone cache (DESIGN.md §8): the product
+// consults none of them.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
-
-#include "core/symbol.h"
-#include "core/sync.h"
-#include "fta/simplify.h"
 
 namespace ftsynth {
 
-class DiagnosticSink;
 struct CutSetOptions;
 
-/// One literal of a cached cut set, in tree-independent form.
-struct ConeLiteral {
-  Symbol event;
-  bool negated = false;
+/// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
+struct ConeKeyspace {};
 
-  friend bool operator==(const ConeLiteral& a, const ConeLiteral& b) noexcept {
-    return a.event == b.event && a.negated == b.negated;
-  }
-};
+/// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
+inline ConeKeyspace cone_keyspace(const CutSetOptions&) { return {}; }
 
-/// The exact minimal cut-set family of one cone.
-struct ConeFamily {
-  std::vector<std::vector<ConeLiteral>> sets;
-
-  /// Literal count over all sets (the stats() byte estimate).
-  std::size_t literal_count() const noexcept;
-};
-
-/// One node of a serialised cone ZBDD. Children are identified by SLOT:
-/// 0 is the empty family, 1 is {{}} (the base terminal), and k + 2 is
-/// nodes[k]. Serialisation is topological -- every child slot refers to an
-/// earlier node -- which the loader verifies, so a diagram can be rebuilt
-/// in one forward pass.
-struct ConeDiagramNode {
-  Symbol event;
-  bool negated = false;
-  std::uint32_t low = 0;   ///< sets without the literal
-  std::uint32_t high = 0;  ///< sets containing it (literal stripped)
-};
-
-/// The exact minimal family of one cone as ZBDD *structure* instead of an
-/// extracted set list. This is the record kind that makes big cones
-/// cacheable: a family of 2^n sets blows past kMaxCachedSets while its
-/// diagram stays at O(n) nodes. The structure is serialised under the
-/// producer's variable order at store time; consumers rebuild it with
-/// order-independent set algebra (union/product), so any current order --
-/// static or sifted -- adopts it and re-canonicalises locally, exactly
-/// like family entries.
-struct ConeDiagram {
-  std::vector<ConeDiagramNode> nodes;  ///< children strictly before parents
-  std::uint32_t root = 0;              ///< slot encoding as above
-
-  std::size_t node_bytes() const noexcept {
-    return nodes.size() * sizeof(ConeDiagramNode);
-  }
-};
-
-/// Identifies the result space a cache's entries live in. Families are
-/// only valid for the engine and limit configuration they were computed
-/// under: limits that never fire leave the family exact, but a consumer
-/// with *tighter* limits would have truncated where the producer did not,
-/// so reuse across keyspaces could change observable output.
-struct ConeKeyspace {
-  std::string engine = "micsup";  ///< "micsup" | "mocus" | "zbdd"
-  std::size_t max_order = 64;
-  std::size_t max_sets = 1u << 20;
-
-  friend bool operator==(const ConeKeyspace& a,
-                         const ConeKeyspace& b) noexcept {
-    return a.engine == b.engine && a.max_order == b.max_order &&
-           a.max_sets == b.max_sets;
-  }
-};
-
-/// The keyspace describing a cut-set configuration (engine tag + limits).
-/// Build caches with this so the engines actually consult them (defined in
-/// cutsets.cpp, next to the tag strings the engines match against).
-ConeKeyspace cone_keyspace(const CutSetOptions& options);
-
-/// Counters for the --verbose stats block and the cache benchmarks.
-/// Snapshot semantics: stats() aggregates the per-shard counter blocks at
-/// read time; the set is consistent enough for reporting, not for exact
-/// cross-counter invariants while writers are live.
+/// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
 struct ConeCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t stores = 0;           ///< entries accepted into the cache
-  std::uint64_t evictions = 0;        ///< stores refused by the entry cap
-  std::uint64_t entries = 0;          ///< resident entries (both kinds)
-  std::uint64_t diagram_entries = 0;  ///< of which diagram-structure kind
-  std::uint64_t bytes = 0;            ///< approximate resident payload bytes
-  std::uint64_t disk_entries_loaded = 0;   ///< entries adopted by load()
-  std::uint64_t disk_files_rejected = 0;   ///< stale/corrupt files ignored
-  /// Clean cones an engine computed but could not cache because the
-  /// family was over kMaxCachedSets AND (for engines that can serialise
-  /// structure) the diagram was over kMaxCachedDiagramNodes -- the
-  /// "miss that will miss again" the diagram record kind exists to
-  /// shrink. Distinguishes "cold" from "uncacheable" in --verbose output.
-  std::uint64_t skipped_oversize = 0;
-  /// Resident entries per shard (--verbose occupancy line): a skewed
-  /// distribution means the structural hash is clustering and one shard's
-  /// lock is doing most of the work.
-  std::vector<std::uint64_t> shard_entries;
-
-  /// "cone cache: 12 hits / 4 misses ..." one-line rendering (occupancy
-  /// appended when any shard is non-empty).
-  std::string to_string() const;
 };
 
-/// Thread-safe map {structural hash -> minimal cut-set family} shared by
-/// every top event of a batch run, with an optional versioned on-disk
-/// layer. Lookups return shared ownership so a concurrent store/eviction
-/// can never invalidate a family mid-use.
+/// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
 class ConeCache {
  public:
-  /// Default resident-entry cap; past it stores are refused (counted as
-  /// evictions) so a pathological batch cannot grow without bound.
-  static constexpr std::size_t kDefaultMaxEntries = 1u << 20;
-  /// Families larger than this are not worth caching (converting them
-  /// costs as much as recomputing); engines skip the store -- or, when
-  /// they can, store the diagram structure instead.
-  static constexpr std::size_t kMaxCachedSets = 4096;
-  /// Node cap for diagram-structure entries. Orthogonal to kMaxCachedSets
-  /// on purpose: the families worth caching as diagrams are exactly the
-  /// ones whose set count dwarfs their node count.
-  static constexpr std::size_t kMaxCachedDiagramNodes = 1u << 16;
-
-  explicit ConeCache(ConeKeyspace keyspace = {},
-                     std::size_t max_entries = kDefaultMaxEntries);
-
-  ConeCache(const ConeCache&) = delete;
-  ConeCache& operator=(const ConeCache&) = delete;
-
-  const ConeKeyspace& keyspace() const noexcept { return keyspace_; }
-
-  /// The cached family for `hash`, or nullptr (counted as hit/miss).
-  std::shared_ptr<const ConeFamily> find(const StructuralHash& hash) const;
-
-  /// An entry of either kind under ONE logical lookup (one hit or miss is
-  /// counted, never both). At most one pointer is set: a hash is stored
-  /// as a family or as a diagram, never both.
-  struct ConeHit {
-    std::shared_ptr<const ConeFamily> family;
-    std::shared_ptr<const ConeDiagram> diagram;
-
-    explicit operator bool() const noexcept {
-      return family != nullptr || diagram != nullptr;
-    }
-  };
-
-  /// Like find(), but also serves diagram-structure entries. Engines that
-  /// can rebuild from structure (zbdd) use this; the set-list engines keep
-  /// using find() and never observe diagram entries.
-  ConeHit find_any(const StructuralHash& hash) const;
-
-  /// Stores `family` under `hash`. First writer wins; a concurrent
-  /// duplicate store is dropped (the families are equal by construction).
-  void store(const StructuralHash& hash, ConeFamily family);
-
-  /// Stores diagram structure under `hash` (first writer wins, same as
-  /// store()). The caller is responsible for only storing CLEAN, exact
-  /// diagrams -- the same contract as families.
-  void store_diagram(const StructuralHash& hash, ConeDiagram diagram);
-
-  /// Records one clean-but-uncacheable cone (see
-  /// ConeCacheStats::skipped_oversize).
-  void note_oversize_skip() noexcept {
-    skipped_oversize_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  ConeCacheStats stats() const;
-
-  // -- Persistent layer --------------------------------------------------------
-  //
-  // One file per keyspace engine inside the cache directory
-  // (`cones-<engine>.ftsc`, text format documented in docs/FORMATS.md).
-  // load() ignores -- with a warning on `sink`, never an error -- any file
-  // that is missing, truncated, corrupt, or whose header does not match
-  // this cache's keyspace, the format version or the variable-order
-  // scheme. save() rewrites the file with the current resident entries
-  // (which include everything load() adopted, so unchanged cones survive
-  // across runs).
-
-  /// Version of the on-disk format; bumped on any layout change.
-  /// v2 added the diagram-structure record kind (`d` + `n` lines); v1
-  /// files are rejected as stale and rewritten, costing one cold run.
-  static constexpr int kFormatVersion = 2;
-  /// Tag of the variable-order scheme the interned literal ids follow
-  /// (analysis/ordering.h); bumped if the ordering heuristic changes.
-  static constexpr std::string_view kOrderScheme = "dfs-occurrence-v1";
-
-  /// Path of this cache's file inside `directory`.
-  std::string file_path(const std::string& directory) const;
-
-  /// Returns true when a file was adopted; false (after a diagnostic on
-  /// `sink`, when given) when there was nothing usable.
-  bool load(const std::string& directory, DiagnosticSink* sink);
-
-  /// Returns false (with a diagnostic) when the directory or file cannot
-  /// be written.
-  ///
-  /// Crash-consistency contract: the file is written to `<path>.tmp`,
-  /// fsynced, and only then renamed over the previous file. A crash (or
-  /// SIGKILL) at ANY point therefore leaves either the previous complete
-  /// file or the new complete file at `<path>` -- never a torn mix -- and
-  /// the body checksum rejects whatever a lying disk still manages to
-  /// corrupt. The worst a crash can cost is freshness (a cold start),
-  /// never a wrong answer.
-  bool save(const std::string& directory, DiagnosticSink* sink) const;
-
- private:
-  /// One shard's counter block, padded onto its own cache line: the warm
-  /// read-mostly path (every lookup bumps lookups + hits) stays entirely
-  /// within the shard the hash already routed to, so counter traffic never
-  /// couples shards -- previously these were a single row of adjacent
-  /// cache-wide atomics that every worker's increments bounced between
-  /// cores. Updated with relaxed increments, aggregated by stats().
-  struct alignas(kCacheLineSize) ShardCounters {
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> entries{0};
-    std::atomic<std::uint64_t> diagram_entries{0};
-    std::atomic<std::uint64_t> bytes{0};
-  };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<StructuralHash, std::shared_ptr<const ConeFamily>,
-                       StructuralHashHasher>
-        map;
-    std::unordered_map<StructuralHash, std::shared_ptr<const ConeDiagram>,
-                       StructuralHashHasher>
-        diagrams;
-    mutable ShardCounters counters;
-  };
-
-  static constexpr std::size_t kShards = 16;
-
-  Shard& shard_for(const StructuralHash& hash) const noexcept {
-    return shards_[StructuralHashHasher{}(hash) % kShards];
-  }
-
-  /// Aggregate resident-entry count (the store cap probe). O(kShards)
-  /// relaxed loads -- stores are rare next to lookups, so the scan is
-  /// cheaper than keeping one contended global counter hot.
-  std::uint64_t total_entries() const noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& shard : shards_)
-      total += shard.counters.entries.load(std::memory_order_relaxed);
-    return total;
-  }
-
-  ConeKeyspace keyspace_;
-  std::size_t max_entries_;
-  mutable std::array<Shard, kShards> shards_;
-  // Cold-path counters (disk IO and oversize skips happen at most once per
-  // cone/run): cache-wide atomics are fine here.
-  std::atomic<std::uint64_t> disk_entries_loaded_{0};
-  std::atomic<std::uint64_t> disk_files_rejected_{0};
-  std::atomic<std::uint64_t> skipped_oversize_{0};
+  explicit ConeCache(ConeKeyspace = {}) {}
+  ConeCacheStats stats() const { return {}; }
 };
-
-/// Test-only fault injection for the persistence path. The hook runs
-/// after the temp file is written and fsynced, just before the atomic
-/// rename publishes it: return false to abort the save right there
-/// (simulating a process killed before publish), or truncate/scribble on
-/// `temp_path` first (simulating a torn or corrupted write) -- the
-/// crash-consistency contract above is exactly what the fault-injection
-/// tests hold save()/load() to. Pass nullptr to clear. Not thread-safe
-/// against concurrent save() calls; install before starting them.
-void set_cone_cache_persist_hook(
-    std::function<bool(const std::string& temp_path)> hook);
 
 }  // namespace ftsynth

@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/cache.h"
 #include "analysis/ordering.h"
 #include "analysis/probability.h"
 #include "bdd/zbdd.h"
@@ -167,11 +166,8 @@ class Context {
   void intern(std::vector<const FtNode*> events, const FaultTree& original) {
     events_ = std::move(events);
     event_index_.reserve(events_.size());
-    name_index_.reserve(events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i) {
+    for (std::size_t i = 0; i < events_.size(); ++i)
       event_index_.emplace(events_[i], static_cast<int>(i));
-      name_index_.emplace(events_[i]->name(), static_cast<int>(i));
-    }
     words_ = (2 * events_.size() + 63) / 64;
     std::vector<int> by_name(events_.size());
     std::iota(by_name.begin(), by_name.end(), 0);
@@ -227,14 +223,6 @@ class Context {
     return it->second * 2 + (negated ? 1 : 0);
   }
 
-  /// Literal id for an interned event name, or -1 when the name is not in
-  /// this analysis's universe (a cone-cache entry that cannot be mapped).
-  int literal_id_by_name(Symbol name, bool negated) const {
-    auto it = name_index_.find(name);
-    if (it == name_index_.end()) return -1;
-    return it->second * 2 + (negated ? 1 : 0);
-  }
-
   const FtNode* event_of(int literal) const {
     return events_[static_cast<std::size_t>(literal / 2)];
   }
@@ -244,10 +232,6 @@ class Context {
   const FtNode* original_leaf(std::size_t index) const {
     return leaves_[static_cast<std::size_t>(rank_[index])];
   }
-
-  /// True while no limit or deadline has bitten: results so far are exact,
-  /// so they are safe to publish into a cone cache.
-  bool clean() const noexcept { return !truncated_ && !deadline_exceeded_; }
 
   Set empty_set() const { return Set{std::vector<std::uint64_t>(words_), 0, 0}; }
 
@@ -377,7 +361,6 @@ class Context {
   const CutSetOptions& options_;
   Budget budget_;  ///< run-local copy (amortised deadline tick)
   std::unordered_map<const FtNode*, int> event_index_;
-  std::unordered_map<Symbol, int> name_index_;
   std::vector<const FtNode*> events_;
   std::vector<int> rank_;               ///< interned index -> name rank
   std::vector<const FtNode*> leaves_;   ///< name rank -> original leaf
@@ -467,111 +450,17 @@ std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
   return kept;
 }
 
-// -- Cone-cache bridge ---------------------------------------------------------
-//
-// Cached families are tree-independent (event name + polarity); the
-// helpers below translate between them and this analysis's interned
-// bitsets. Lookups re-canonicalise with the LOCAL set_less order, so a
-// cache-resolved family is literal-for-literal the one minimise() would
-// have returned here -- the substitution is invisible in the output.
-
-using NodeHashes =
-    std::unordered_map<const FtNode*, StructuralHash, std::hash<const FtNode*>>;
-
-/// The options' cone cache when its keyspace matches this engine + limit
-/// configuration; null otherwise (a mismatched cache is ignored, since its
-/// families were computed under a different truncation regime).
-ConeCache* usable_cache(const CutSetOptions& options,
-                        std::string_view engine) {
-  ConeCache* cache = options.cone_cache;
-  if (cache == nullptr) return nullptr;
-  const ConeKeyspace& keyspace = cache->keyspace();
-  if (keyspace.engine != engine || keyspace.max_order != options.max_order ||
-      keyspace.max_sets != options.max_sets)
-    return nullptr;
-  return cache;
-}
-
-/// Cached family -> local bitsets, canonically sorted (a family stored by
-/// this engine under name-ranked ids arrives sorted). nullopt when some
-/// event name is outside this analysis's universe (possible only for a
-/// foreign/corrupt persistent entry; treated as a miss).
-std::optional<std::vector<Set>> sets_from_family(const ConeFamily& family,
-                                                 const Context& context) {
-  std::vector<Set> sets;
-  sets.reserve(family.sets.size());
-  for (const std::vector<ConeLiteral>& cached : family.sets) {
-    Set set = context.empty_set();
-    for (const ConeLiteral& literal : cached) {
-      const int id = context.literal_id_by_name(literal.event, literal.negated);
-      if (id < 0) return std::nullopt;
-      set_insert(set, id);
-    }
-    sets.push_back(std::move(set));
-  }
-  if (!std::is_sorted(sets.begin(), sets.end(), set_less))
-    std::sort(sets.begin(), sets.end(), set_less);
-  return sets;
-}
-
-/// Local bitsets -> cached family, preserving set order (already canonical
-/// on every store path: minimise() emits sets in set_less order).
-ConeFamily family_from_sets(const std::vector<Set>& sets,
-                            const Context& context) {
-  ConeFamily family;
-  family.sets.reserve(sets.size());
-  for (const Set& set : sets) {
-    std::vector<ConeLiteral> literals;
-    literals.reserve(set.count);
-    for_each_literal(set, [&](int lit) {
-      literals.push_back({context.event_of(lit)->name(), (lit & 1) != 0});
-    });
-    family.sets.push_back(std::move(literals));
-  }
-  return family;
-}
-
-/// True for the nodes worth caching: real gates. Leaves and NOT-over-leaf
-/// wrappers resolve in O(1) anyway, so caching them only adds lookups.
-bool cacheable_cone(const FtNode* node) noexcept {
-  return node->kind() == NodeKind::kGate && node->gate() != GateKind::kNot;
-}
-
 /// How many sets the ZBDD engine samples for the LISTING once keep_diagram
 /// is on and the diagram has proved the family over max_sets (the run is
 /// flagged truncated regardless; the reliability numbers come exact from
 /// the diagram). Comfortably above the 20 sets report rendering shows.
 constexpr std::size_t kDiagramSampleSets = 512;
 
-/// Shared root fast-path: when the WHOLE tree's cone is cached, no engine
-/// needs to run at all. Returns the finished analysis on a hit.
-std::optional<CutSetAnalysis> cached_root_analysis(const FaultTree& flat,
-                                                   const NodeHashes& hashes,
-                                                   ConeCache* cache,
-                                                   Context& context) {
-  if (cache == nullptr || flat.top() == nullptr ||
-      !cacheable_cone(flat.top()))
-    return std::nullopt;
-  const std::shared_ptr<const ConeFamily> family =
-      cache->find(hashes.at(flat.top()));
-  if (family == nullptr) return std::nullopt;
-  std::optional<std::vector<Set>> sets = sets_from_family(*family, context);
-  if (!sets) return std::nullopt;
-  return context.finish(context.clamp(std::move(*sets)));
-}
-
 // -- Bottom-up engine ----------------------------------------------------------
-
 class BottomUp {
  public:
-  /// `cone_cache` (with `hashes` over the same tree) enables cross-tree
-  /// reuse; both may be null for the classic pointer-memoised run.
-  BottomUp(const FaultTree& tree, Context& context,
-           ConeCache* cone_cache = nullptr, const NodeHashes* hashes = nullptr)
-      : tree_(tree),
-        context_(context),
-        cone_cache_(cone_cache),
-        hashes_(hashes) {}
+  BottomUp(const FaultTree& tree, Context& context)
+      : tree_(tree), context_(context) {}
 
   std::vector<Set> run() {
     const FtNode* top = tree_.top();
@@ -587,63 +476,27 @@ class BottomUp {
     return take(top);
   }
 
-  /// Publishes every memoised gate family into the cone cache. Call only
-  /// after a CLEAN run (context.clean()): a family computed under a fired
-  /// limit is partial and must never be reused.
-  void store_cones() {
-    if (cone_cache_ == nullptr) return;
-    for (std::size_t i = 0; i < released_oversize_; ++i)
-      cone_cache_->note_oversize_skip();
-    for (const auto& [node, sets] : memo_) {
-      if (!cacheable_cone(node)) continue;
-      if (sets.size() > ConeCache::kMaxCachedSets) {
-        // Clean but uncacheable: this engine has no structural form to
-        // fall back to (the ZBDD engine stores the diagram instead).
-        cone_cache_->note_oversize_skip();
-        continue;
-      }
-      cone_cache_->store(hashes_->at(node), family_from_sets(sets, context_));
-    }
-  }
-
  private:
   /// Returns a reference into the memo (stable: unordered_map nodes do not
-  /// move on rehash). A cache hit on a diamond-shaped DAG used to copy the
+  /// move on rehash). A memo hit on a diamond-shaped DAG used to copy the
   /// whole intermediate set list on every revisit; callers now copy only
   /// what they combine.
   std::vector<Set>& resolve(const FtNode* node) {
     if (auto it = memo_.find(node); it != memo_.end()) return it->second;
-    if (cone_cache_ != nullptr && cacheable_cone(node)) {
-      if (const std::shared_ptr<const ConeFamily> family =
-              cone_cache_->find(hashes_->at(node))) {
-        if (std::optional<std::vector<Set>> sets =
-                sets_from_family(*family, context_)) {
-          context_.track_peak(sets->size());
-          return memo_.emplace(node, std::move(*sets)).first->second;
-        }
-      }
-    }
-    std::vector<Set> result = resolve_uncached(node);
+    std::vector<Set> result = compute(node);
     context_.track_peak(result.size());
     return memo_.emplace(node, std::move(result)).first->second;
   }
 
   /// Counts one use of `node`'s memoised family off. True when that was
-  /// the last use and store_cones would never publish the family (no
-  /// cache, a leaf, or too many sets): the entry may then leave the memo.
-  bool last_use(const FtNode* node, std::size_t size) {
-    if (--uses_.at(node) != 0) return false;
-    if (cone_cache_ == nullptr || !cacheable_cone(node)) return true;
-    if (size <= ConeCache::kMaxCachedSets) return false;
-    ++released_oversize_;  // store_cones still reports the skip
-    return true;
-  }
+  /// the last use: the entry may then leave the memo.
+  bool last_use(const FtNode* node) { return --uses_.at(node) == 0; }
 
   /// One use of `node`'s family, as a value: moved out of the memo on its
   /// last use (see last_use), copied otherwise.
   std::vector<Set> take(const FtNode* node) {
     std::vector<Set>& sets = resolve(node);
-    if (!last_use(node, sets.size())) return sets;
+    if (!last_use(node)) return sets;
     std::vector<Set> out = std::move(sets);
     memo_.erase(node);
     return out;
@@ -651,10 +504,10 @@ class BottomUp {
 
   /// Ends a use of `node`'s family made through resolve().
   void release(const FtNode* node) {
-    if (last_use(node, memo_.at(node).size())) memo_.erase(node);
+    if (last_use(node)) memo_.erase(node);
   }
 
-  std::vector<Set> resolve_uncached(const FtNode* node) {
+  std::vector<Set> compute(const FtNode* node) {
     switch (node->kind()) {
       case NodeKind::kHouse:
         return {context_.empty_set()};  // constant true: the empty cut set
@@ -727,25 +580,17 @@ class BottomUp {
 
   const FaultTree& tree_;
   Context& context_;
-  ConeCache* cone_cache_;      ///< not owned; null = no cross-tree reuse
-  const NodeHashes* hashes_;   ///< set exactly when cone_cache_ is
   std::unordered_map<const FtNode*, std::vector<Set>> memo_;
   /// Remaining uses of each node's family (run() counts them).
   std::unordered_map<const FtNode*, std::size_t> uses_;
-  /// Oversize cacheable families dropped from the memo before store_cones.
-  std::size_t released_oversize_ = 0;
 };
 
 // -- Top-down MOCUS engine -------------------------------------------------------
 
 class Mocus {
  public:
-  Mocus(const FaultTree& tree, Context& context,
-        ConeCache* cone_cache = nullptr, const NodeHashes* hashes = nullptr)
-      : tree_(tree),
-        context_(context),
-        cone_cache_(cone_cache),
-        hashes_(hashes) {}
+  Mocus(const FaultTree& tree, Context& context)
+      : tree_(tree), context_(context) {}
 
   std::vector<Set> run() {
     const FtNode* top = tree_.top();
@@ -775,24 +620,6 @@ class Mocus {
       }
       const FtNode* node = row.gates.back();
       row.gates.pop_back();
-      // Cone-cache short-circuit: a cached gate is semantically an OR over
-      // its minimal cut sets, so it expands to one row per set -- the
-      // whole subtree below it is never visited.
-      if (cone_cache_ != nullptr && cacheable_cone(node)) {
-        if (const std::shared_ptr<const ConeFamily> family =
-                cone_cache_->find(hashes_->at(node))) {
-          if (std::optional<std::vector<Set>> sets =
-                  sets_from_family(*family, context_)) {
-            for (Set& set : *sets) {
-              Row branch;
-              branch.gates = row.gates;
-              branch.literals = set_or(row.literals, set);
-              rows.push_back(std::move(branch));
-            }
-            continue;
-          }
-        }
-      }
       switch (node->kind()) {
         case NodeKind::kHouse:
           rows.push_back(std::move(row));  // true: contributes nothing
@@ -837,15 +664,9 @@ class Mocus {
  private:
   const FaultTree& tree_;
   Context& context_;
-  ConeCache* cone_cache_;      ///< not owned; null = classic expansion
-  const NodeHashes* hashes_;   ///< set exactly when cone_cache_ is
 };
 
 }  // namespace
-
-ConeKeyspace cone_keyspace(const CutSetOptions& options) {
-  return {to_string(options.engine), options.max_order, options.max_sets};
-}
 
 std::string to_string(CutSetEngine engine) {
   switch (engine) {
@@ -856,9 +677,6 @@ std::string to_string(CutSetEngine engine) {
     case CutSetEngine::kZbdd:
       return "zbdd";
     case CutSetEngine::kBound:
-      // The bound engine never consults the cone cache (a cached family
-      // carries no interval), so as a keyspace tag this only keeps
-      // keyspaces distinct.
       return "bound";
   }
   return "micsup";
@@ -877,14 +695,7 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
   FaultTree flat = normalise(tree);
   Context context(options);
   context.intern_by_name(dfs_variable_order(flat), tree);
-  ConeCache* cache = usable_cache(options, "micsup");
-  NodeHashes hashes;
-  if (cache != nullptr && flat.top() != nullptr)
-    hashes = structural_hashes(flat);
-  BottomUp engine(flat, context, cache, &hashes);
-  std::vector<Set> sets = engine.run();
-  if (cache != nullptr && context.clean()) engine.store_cones();
-  return context.finish(std::move(sets));
+  return context.finish(BottomUp(flat, context).run());
 }
 
 CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
@@ -892,22 +703,7 @@ CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
   FaultTree flat = normalise(tree);
   Context context(options);
   context.intern_by_name(dfs_variable_order(flat), tree);
-  ConeCache* cache = usable_cache(options, "mocus");
-  NodeHashes hashes;
-  if (cache != nullptr && flat.top() != nullptr)
-    hashes = structural_hashes(flat);
-  std::vector<Set> sets = Mocus(flat, context, cache, &hashes).run();
-  // MOCUS only materialises the root family; publish it so a warm re-run
-  // (or a later tree with this exact cone) short-circuits at the top.
-  if (cache != nullptr && context.clean() && flat.top() != nullptr &&
-      cacheable_cone(flat.top())) {
-    if (sets.size() <= ConeCache::kMaxCachedSets) {
-      cache->store(hashes.at(flat.top()), family_from_sets(sets, context));
-    } else {
-      cache->note_oversize_skip();
-    }
-  }
-  return context.finish(std::move(sets));
+  return context.finish(Mocus(flat, context).run());
 }
 
 CutSetAnalysis compute_cut_sets(const FaultTree& tree,
@@ -962,16 +758,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   context.intern(order, tree);
   if (flat.top() == nullptr) return context.finish({});
 
-  ConeCache* cache = usable_cache(options, "zbdd");
-  NodeHashes hashes;
-  if (cache != nullptr) hashes = structural_hashes(flat);
-  if (std::optional<CutSetAnalysis> hit =
-          cached_root_analysis(flat, hashes, cache, context)) {
-    // The whole tree's family is cached: skip the diagram entirely (and
-    // the ordering policy with it -- there is no diagram to reorder).
-    return std::move(*hit);
-  }
-
   // The manager lives inside the diagram handle so that keep_diagram can
   // hand it to the caller without a move; without the flag the handle
   // simply dies with this frame.
@@ -1008,73 +794,19 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       check_internal(child->is_leaf(),
                      "cut sets need a normalised tree (NOT over leaf)");
       const int plain = context.literal_id(child, false);
-      contra = zbdd.set_union(
-          contra, zbdd.product(zbdd.single(plain), zbdd.single(plain + 1)));
+      // Negated literal first: a Ref is its allocation serial, so the
+      // order is fixed here rather than left to argument evaluation.
+      const Zbdd::Ref negated = zbdd.single(plain + 1);
+      const Zbdd::Ref pair = zbdd.product(zbdd.single(plain), negated);
+      contra = zbdd.set_union(contra, pair);
     });
 
-    // Cached family -> diagram: union of per-set single-variable products.
-    // The family is minimal and contradiction-free by construction (clean
-    // producer run), and a ZBDD is canonical per family under a fixed
-    // variable order, so this builds the very node convert() would reach.
-    auto ref_from_family =
-        [&](const ConeFamily& family) -> std::optional<Zbdd::Ref> {
-      Zbdd::Ref acc = Zbdd::kEmpty;
-      for (const std::vector<ConeLiteral>& cached : family.sets) {
-        Zbdd::Ref product = Zbdd::kBase;
-        for (const ConeLiteral& literal : cached) {
-          const int id =
-              context.literal_id_by_name(literal.event, literal.negated);
-          if (id < 0) return std::nullopt;
-          product = zbdd.product(product, zbdd.single(id));
-        }
-        acc = zbdd.set_union(acc, product);
-      }
-      return acc;
-    };
-
-    // Cached diagram structure -> diagram: one forward pass over the
-    // serialised nodes (children strictly precede parents), each rebuilt
-    // as low UNION ({{v}} PRODUCT high). That is make(v, low, high)
-    // expressed through public, order-INDEPENDENT set algebra, so a
-    // consumer under any current level order -- static, or moved by a
-    // different sift history than the producer's -- adopts the entry and
-    // re-canonicalises locally. This is what makes cones bigger than
-    // kMaxCachedSets warm-startable: the family is never enumerated.
-    auto ref_from_diagram =
-        [&](const ConeDiagram& cached) -> std::optional<Zbdd::Ref> {
-      std::vector<Zbdd::Ref> slots;
-      slots.reserve(cached.nodes.size() + 2);
-      slots.push_back(Zbdd::kEmpty);
-      slots.push_back(Zbdd::kBase);
-      for (const ConeDiagramNode& node : cached.nodes) {
-        const int id = context.literal_id_by_name(node.event, node.negated);
-        if (id < 0) return std::nullopt;
-        if (node.low >= slots.size() || node.high >= slots.size())
-          return std::nullopt;
-        slots.push_back(zbdd.set_union(
-            slots[node.low], zbdd.product(zbdd.single(id), slots[node.high])));
-      }
-      if (cached.root >= slots.size()) return std::nullopt;
-      return slots[cached.root];
-    };
-
     // Everything resolvable without recursing into gate children: memo
-    // hits, cached cones, leaves and (normalised) NOT gates. AND/OR gates
-    // return nullopt and get an explicit conversion frame below.
+    // hits, leaves and (normalised) NOT gates. AND/OR gates return nullopt
+    // and get an explicit conversion frame below.
     auto resolve_simple =
         [&](const FtNode* node) -> std::optional<Zbdd::Ref> {
       if (auto it = memo.find(node); it != memo.end()) return it->second;
-      if (cache != nullptr && cacheable_cone(node)) {
-        if (const ConeCache::ConeHit hit = cache->find_any(hashes.at(node))) {
-          std::optional<Zbdd::Ref> cached =
-              hit.family != nullptr ? ref_from_family(*hit.family)
-                                    : ref_from_diagram(*hit.diagram);
-          if (cached) {
-            memo.emplace(node, *cached);
-            return *cached;
-          }
-        }
-      }
       Zbdd::Ref result = Zbdd::kEmpty;
       switch (node->kind()) {
         case NodeKind::kHouse:
@@ -1294,83 +1026,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       }
     }
     if (truncated_paths) context.mark_truncated();
-
-    // Publish every memoised gate family after a CLEAN run (partial
-    // diagrams must never be reused). Enumeration cost is bounded by the
-    // same cap the other engines use. The diagram enumerates in the
-    // CURRENT variable order, which the sift policy may have moved, so
-    // re-canonicalise (sort literals per set, sets by set_less) -- cache
-    // contents, like stdout, must be byte-identical across policies.
-    if (cache != nullptr && context.clean() && !context.deadline_hit()) {
-      // Cone diagram -> serialised structure, postorder (low child first)
-      // so children land on earlier slots than every parent. Serialised
-      // under the CURRENT variable order; consumers rebuild with
-      // order-independent algebra, so the entry stays valid whatever
-      // order they run under (the file bytes, unlike family entries, DO
-      // depend on the producer's order policy -- an accepted asymmetry,
-      // documented in docs/FORMATS.md, that never reaches stdout because
-      // extraction re-canonicalises).
-      auto diagram_from_ref = [&](Zbdd::Ref ref) -> ConeDiagram {
-        ConeDiagram out;
-        std::unordered_map<Zbdd::Ref, std::uint32_t> slot;
-        auto slot_of = [&](Zbdd::Ref r) -> std::uint32_t {
-          if (r == Zbdd::kEmpty) return 0;
-          if (r == Zbdd::kBase) return 1;
-          return slot.at(r) + 2;
-        };
-        struct Frame {
-          Zbdd::Ref ref;
-          int stage;  // 0 = visit low, 1 = visit high, 2 = emit
-        };
-        std::vector<Frame> stack;
-        if (!zbdd.is_terminal(ref)) stack.push_back({ref, 0});
-        while (!stack.empty()) {
-          Frame& frame = stack.back();
-          if (frame.stage == 2) {
-            if (slot.find(frame.ref) == slot.end()) {
-              const Zbdd::Node& node = zbdd.node(frame.ref);
-              const std::uint32_t low = slot_of(node.low);
-              const std::uint32_t high = slot_of(node.high);
-              slot.emplace(frame.ref,
-                           static_cast<std::uint32_t>(out.nodes.size()));
-              out.nodes.push_back({context.event_of(node.var)->name(),
-                                   (node.var & 1) != 0, low, high});
-            }
-            stack.pop_back();
-            continue;
-          }
-          const Zbdd::Node& node = zbdd.node(frame.ref);
-          const Zbdd::Ref child = frame.stage == 0 ? node.low : node.high;
-          ++frame.stage;
-          if (!zbdd.is_terminal(child) && slot.find(child) == slot.end())
-            stack.push_back({child, 0});
-        }
-        out.root = slot_of(ref);
-        return out;
-      };
-      for (const auto& [node, ref] : memo) {
-        if (!cacheable_cone(node)) continue;
-        if (zbdd.set_count(ref) >
-            static_cast<double>(ConeCache::kMaxCachedSets)) {
-          // Too many sets to enumerate -- the very cones the diagram
-          // record kind exists for. Only a diagram too big for the node
-          // cap stays uncacheable.
-          if (zbdd.node_count(ref) <= ConeCache::kMaxCachedDiagramNodes) {
-            cache->store_diagram(hashes.at(node), diagram_from_ref(ref));
-          } else {
-            cache->note_oversize_skip();
-          }
-          continue;
-        }
-        std::vector<Set> cone_sets;
-        zbdd.for_each_set(ref, [&](const std::vector<int>& literals) {
-          cone_sets.push_back(context.set_from_literals(literals));
-          return true;
-        });
-        std::sort(cone_sets.begin(), cone_sets.end(), set_less);
-        cache->store(hashes.at(node), family_from_sets(cone_sets, context));
-      }
-    }
   } catch (const Zbdd::Interrupt& interrupt) {
     // Degrade, don't die: report what we have (usually nothing from the
     // conversion phase) with the honest flags.

@@ -43,6 +43,8 @@
 // All engines return the same canonical result: cut sets sorted by
 // (order, lexicographic event names). Negated literals (from NOT gates)
 // are supported; a set containing x and NOT x is contradictory and dropped.
+// Every call analyses its tree from scratch and keeps nothing afterwards,
+// so the result is a function of the tree and the options alone.
 
 #pragma once
 
@@ -71,8 +73,7 @@ enum class CutSetEngine {
   kBound,   ///< anytime best-first engine with certified bounds
 };
 
-/// CLI and wire spelling: "micsup" | "mocus" | "zbdd" | "bound". Also the
-/// engine tag of cone-cache keyspaces.
+/// CLI and wire spelling: "micsup" | "mocus" | "zbdd" | "bound".
 std::string to_string(CutSetEngine engine);
 
 /// Parses a CLI/wire spelling; std::nullopt when unrecognised.
@@ -102,13 +103,7 @@ struct CutSetOptions {
   /// because the benchmark probe still assigns it; the next change to the
   /// benchmark deletes the member together with that assignment.
   ThreadPool* pool = nullptr;
-  /// Optional content-addressed cone cache (analysis/cache.h, not owned):
-  /// per-cone minimal families are looked up / stored by structural hash,
-  /// so subtrees shared across the top events of a batch -- or across runs,
-  /// with the persistent layer -- are analysed once. Only consulted when
-  /// its keyspace matches this engine + limits configuration; cached
-  /// results are exact, so output is byte-identical with the cache null,
-  /// cold or warm. Thread-safe: one cache may serve all batch workers.
+  /// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
   ConeCache* cone_cache = nullptr;
   /// Variable-order policy for the decision-diagram engines (CLI --order).
   /// kStatic keeps the DFS occurrence order; kSift reorders dynamically

@@ -7,7 +7,7 @@
 // collected along its path, OR-ed over all paths that reach it -- so
 // sequence analysis reduces to fault-tree analysis: collect each sequence
 // into a top gate and push it through the existing per-top pipeline
-// (engines, jobs, ordering, cone cache all apply unchanged). This module
+// (engines, jobs and ordering all apply unchanged). This module
 // holds the format-independent half: gate collection, per-sequence
 // summaries and their text/markdown renderings. The Open-PSA importer
 // (src/openpsa/) produces the paths.

@@ -40,8 +40,6 @@ TreeAnalysis analyse_tree(const FaultTree& tree,
   analysis.p_upper = analysis.cut_sets.p_upper;
   analysis.bound_converged = analysis.cut_sets.converged;
   analysis.frontier_stats = analysis.cut_sets.frontier_stats;
-  if (options.cut_sets.cone_cache != nullptr)
-    analysis.cache_stats = options.cut_sets.cone_cache->stats();
   return analysis;
 }
 

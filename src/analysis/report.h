@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "analysis/common_cause.h"
 #include "analysis/cutsets.h"
 #include "analysis/importance.h"
@@ -49,12 +48,6 @@ struct TreeAnalysis {
   /// render() so clean-run reports stay byte-identical with and without
   /// the diagram; the CLI surfaces it behind --verbose.
   bool diagram_native = false;
-  /// Cone-cache counters as of the end of this analysis, when
-  /// options.cut_sets.cone_cache was set. CUMULATIVE for the cache, not
-  /// per-tree: a batch-shared cache accumulates across items. Deliberately
-  /// absent from render() so cached and uncached reports stay
-  /// byte-identical; the CLI surfaces it behind --verbose.
-  std::optional<ConeCacheStats> cache_stats;
   /// Bound engine only (mirrors CutSetAnalysis): certified interval on
   /// P(top), whether it converged to bound_epsilon, and the frontier's
   /// counters. render() prints the interval in place of the exact-BDD

@@ -106,8 +106,11 @@ Zbdd::Ref Zbdd::set_union(Ref a, Ref b) {
   const int lb = var_level(nb.var);
   Ref result;
   if (la == lb) {
-    result = make(na.var, set_union(na.low, nb.low),
-                  set_union(na.high, nb.high));
+    // High branch first, here and in every operation below: a Ref is its
+    // allocation serial, so this order decides every Ref and must not be
+    // left to the compiler's unspecified argument evaluation order.
+    const Ref high = set_union(na.high, nb.high);
+    result = make(na.var, set_union(na.low, nb.low), high);
   } else if (la < lb) {
     // b (including a terminal, level = sentinel) has no sets with na.var.
     result = make(na.var, set_union(na.low, b), na.high);
@@ -130,8 +133,8 @@ Zbdd::Ref Zbdd::set_intersection(Ref a, Ref b) {
   const int lb = var_level(nb.var);
   Ref result;
   if (la == lb) {
-    result = make(na.var, set_intersection(na.low, nb.low),
-                  set_intersection(na.high, nb.high));
+    const Ref high = set_intersection(na.high, nb.high);
+    result = make(na.var, set_intersection(na.low, nb.low), high);
   } else if (la < lb) {
     // Sets containing na.var cannot be in b; only a's low part survives.
     result = set_intersection(na.low, b);
@@ -156,14 +159,17 @@ Zbdd::Ref Zbdd::product(Ref a, Ref b) {
   Ref result;
   if (la == lb) {
     // Sets containing v: any pairing where at least one side contributes v.
-    Ref high = set_union(product(na.high, nb.high),
-                         set_union(product(na.high, nb.low),
-                                   product(na.low, nb.high)));
+    const Ref low_high = product(na.low, nb.high);
+    const Ref high_low = product(na.high, nb.low);
+    const Ref mixed = set_union(high_low, low_high);
+    const Ref both = product(na.high, nb.high);
+    const Ref high = set_union(both, mixed);
     result = make(na.var, product(na.low, nb.low), high);
   } else {
     const Node& top = la < lb ? na : nb;
     const Ref other = la < lb ? b : a;
-    result = make(top.var, product(top.low, other), product(top.high, other));
+    const Ref high = product(top.high, other);
+    result = make(top.var, product(top.low, other), high);
   }
   cache_.emplace(key, result);
   return result;
@@ -184,11 +190,12 @@ Zbdd::Ref Zbdd::without(Ref a, Ref b) {
   if (la == lb) {
     // v+s of a.high is subsumed by t in b.low (t has no v, t <= s) or by
     // v+t of b.high (t <= s); a.low only by b.low.
-    result = make(na.var, without(na.low, nb.low),
-                  without(without(na.high, nb.low), nb.high));
+    const Ref high = without(without(na.high, nb.low), nb.high);
+    result = make(na.var, without(na.low, nb.low), high);
   } else if (la < lb) {
     // No set of b mentions na.var: screen both branches against all of b.
-    result = make(na.var, without(na.low, b), without(na.high, b));
+    const Ref high = without(na.high, b);
+    result = make(na.var, without(na.low, b), high);
   } else {
     // Sets of a (including kBase's {}) never contain nb.var, so only the
     // b-sets without it -- b.low -- can subsume them.

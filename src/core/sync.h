@@ -1,7 +1,7 @@
 // Cache-line padding for counters that batch-level workers bump
-// concurrently: the cone cache's per-shard statistics and the shared
-// DiagnosticSink's counts. Each independently-written hot word lives on
-// its own cache line so writers never bounce each other's lines.
+// concurrently: the shared DiagnosticSink's counts. Each
+// independently-written hot word lives on its own cache line so writers
+// never bounce each other's lines.
 
 #pragma once
 

@@ -1,8 +1,7 @@
 #include "fta/simplify.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
+#include <string>
 #include <unordered_map>
 
 #include "core/error.h"
@@ -229,132 +228,6 @@ FaultTree deduplicate(const FaultTree& tree) {
   });
   out.set_top(rebuilt[static_cast<std::size_t>(tree.top()->id())]);
   return out;
-}
-
-namespace {
-
-/// Incremental 128-bit mixer. Deterministic by construction: only the fed
-/// bytes and fixed constants enter the state, never pointers or
-/// std::hash. Each 64-bit word is folded into both lanes with different
-/// odd multipliers and a cross-feed, then the final value gets a
-/// splitmix-style avalanche per lane so single-bit input differences
-/// spread over the whole 128-bit output.
-class HashMixer {
- public:
-  void feed(std::uint64_t word) noexcept {
-    lo_ = (std::rotl(lo_ ^ word, 27)) * 0x9E3779B97F4A7C15ULL;
-    hi_ = (std::rotl(hi_ + word, 31)) * 0xC2B2AE3D27D4EB4FULL + lo_;
-  }
-
-  void feed_bytes(std::string_view bytes) noexcept {
-    std::uint64_t word = 0;
-    int filled = 0;
-    for (unsigned char byte : bytes) {
-      word |= static_cast<std::uint64_t>(byte) << (8 * filled);
-      if (++filled == 8) {
-        feed(word);
-        word = 0;
-        filled = 0;
-      }
-    }
-    // Length-extension guard: the tail word carries the byte count.
-    feed(word ^ (static_cast<std::uint64_t>(bytes.size()) << 56));
-  }
-
-  void feed_double(double value) noexcept {
-    feed(std::bit_cast<std::uint64_t>(value));
-  }
-
-  StructuralHash finish() const noexcept {
-    return {avalanche(hi_ ^ 0x165667B19E3779F9ULL),
-            avalanche(lo_ + 0x27D4EB2F165667C5ULL)};
-  }
-
- private:
-  static std::uint64_t avalanche(std::uint64_t x) noexcept {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
-
-  std::uint64_t lo_ = 0x6C62272E07BB0142ULL;
-  std::uint64_t hi_ = 0x62B821756295C58DULL;
-};
-
-}  // namespace
-
-std::string StructuralHash::to_hex() const {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(15 - i)] = kDigits[(hi >> (4 * i)) & 0xF];
-    out[static_cast<std::size_t>(31 - i)] = kDigits[(lo >> (4 * i)) & 0xF];
-  }
-  return out;
-}
-
-std::optional<StructuralHash> StructuralHash::from_hex(std::string_view text) {
-  if (text.size() != 32) return std::nullopt;
-  StructuralHash hash;
-  for (int i = 0; i < 32; ++i) {
-    const char c = text[static_cast<std::size_t>(i)];
-    std::uint64_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return std::nullopt;
-    }
-    std::uint64_t& lane = i < 16 ? hash.hi : hash.lo;
-    lane = (lane << 4) | nibble;
-  }
-  return hash;
-}
-
-std::unordered_map<const FtNode*, StructuralHash, std::hash<const FtNode*>>
-structural_hashes(const FaultTree& tree) {
-  std::unordered_map<const FtNode*, StructuralHash, std::hash<const FtNode*>>
-      hashes;
-  // for_each_reachable is postorder over the DAG: children are hashed
-  // before any parent asks for them.
-  tree.for_each_reachable([&](const FtNode& node) {
-    HashMixer mixer;
-    mixer.feed(static_cast<std::uint64_t>(node.kind()));
-    if (node.is_leaf()) {
-      // Event identity and quantification; descriptions and origins are
-      // presentation-only and deliberately excluded.
-      mixer.feed_bytes(node.name().view());
-      mixer.feed_double(node.rate());
-      mixer.feed_double(node.has_fixed_probability() ? node.fixed_probability()
-                                                     : -1.0);
-    } else {
-      mixer.feed(static_cast<std::uint64_t>(node.gate()));
-      mixer.feed(node.children().size());
-      std::vector<StructuralHash> children;
-      children.reserve(node.children().size());
-      for (const FtNode* child : node.children())
-        children.push_back(hashes.at(child));
-      // AND/OR/NOT are child-order-insensitive (X AND Y == Y AND X);
-      // PAND is order-significant, exactly as in deduplicate().
-      if (node.gate() != GateKind::kPand)
-        std::sort(children.begin(), children.end());
-      for (const StructuralHash& child : children) {
-        mixer.feed(child.hi);
-        mixer.feed(child.lo);
-      }
-    }
-    hashes.emplace(&node, mixer.finish());
-  });
-  return hashes;
-}
-
-StructuralHash structural_hash(const FaultTree& tree) {
-  if (tree.top() == nullptr) return {};
-  return structural_hashes(tree).at(tree.top());
 }
 
 bool is_normalised(const FaultTree& tree) {

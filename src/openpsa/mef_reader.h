@@ -7,8 +7,8 @@
 // constants, and `define-event-tree` accident sequences. Every importable
 // top event -- each fault tree's root gate(s) and each event-tree
 // sequence -- becomes one SELF-CONTAINED FaultTree: shared definitions
-// are rebuilt per top into that top's arena (the cone cache recognises
-// the shared cones by structural hash, so cross-top sharing still pays).
+// are rebuilt per top into that top's arena, and each top is analysed on
+// its own.
 //
 // Connectives beyond AND/OR/NOT/PAND have no GateKind, so they are
 // desugared at import: nand -> NOT AND, nor -> NOT OR, xor folded

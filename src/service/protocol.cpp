@@ -171,7 +171,6 @@ std::variant<WireRequest, WireError> parse_wire_request(
     return fail(error);
   if (!read_count(*json, "max_nodes", &request.max_nodes, &error))
     return fail(error);
-  if (!read_bool(*json, "no_cache", &request.no_cache, &error)) return fail(error);
   if (!read_bool(*json, "verbose", &request.verbose, &error)) return fail(error);
 
   std::string engine;

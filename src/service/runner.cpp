@@ -150,50 +150,8 @@ int no_tops(const LoadedModel& loaded, Exec& exec,
   return 2;
 }
 
-/// The cone cache a command should use, or nullptr:
-///   * --no-cache wins everywhere;
-///   * warm mode uses the runner's resident per-keyspace cache (loaded
-///     from disk on first use), shared across requests and saved by the
-///     daemon's persistence loop, never per request;
-///   * cold mode reproduces the CLI: a request-local cache in `local`,
-///     loaded from cache_dir when one is set (`always_local` marks the
-///     commands -- report/fmea -- that build an in-memory cache even
-///     without a directory), and saved back by save_local_cache().
-/// Cached families are exact (clean-run-only stores), so every variant
-/// produces byte-identical `output`.
-ConeCache* choose_cone_cache(Exec& exec, const CutSetOptions& cut_sets,
-                             bool always_local,
-                             std::optional<ConeCache>& local) {
-  if (exec.request.no_cache) return nullptr;
-  ServiceRunner& runner = exec.runner;
-  if (runner.options().warm) return runner.warm_cone_cache(cut_sets, &exec.sink);
-  const std::string& dir = runner.options().cache_dir;
-  if (dir.empty() && !always_local) return nullptr;
-  local.emplace(cone_keyspace(cut_sets));
-  if (!dir.empty()) local->load(dir, &exec.sink);
-  return &*local;
-}
-
-/// Cold-mode counterpart of choose_cone_cache: persists the request-local
-/// cache after the run (the CLI's per-run --cache DIR round trip).
-void save_local_cache(Exec& exec, std::optional<ConeCache>& local) {
-  if (!local) return;
-  const std::string& dir = exec.runner.options().cache_dir;
-  if (!dir.empty() && !exec.runner.options().warm) local->save(dir, &exec.sink);
-}
-
 // --verbose printers. Everything goes to the log so `output` stays
-// byte-identical across cache/order/jobs variants (the acceptance bar).
-
-void report_cache_stats(Exec& exec,
-                        const std::optional<ConeCacheStats>& stats) {
-  if (!exec.request.verbose) return;
-  if (stats) {
-    exec.err << stats->to_string() << "\n";
-  } else {
-    exec.err << "cone cache: disabled\n";
-  }
-}
+// byte-identical across order/jobs variants (the acceptance bar).
 
 void report_reorder_stats(Exec& exec, const std::string& top,
                           const std::optional<ReorderReport>& reorder) {
@@ -587,13 +545,7 @@ int cmd_analyse(LoadedModel& loaded, Exec& exec) {
   }
   BatchOptions batch_options;
   batch_options.analysis = analysis_options(exec);
-  batch_options.share_cones = !exec.request.no_cache;
-  std::optional<ConeCache> local;
-  batch_options.analysis.cut_sets.cone_cache =
-      choose_cone_cache(exec, batch_options.analysis.cut_sets, false, local);
   BatchResult batch = run_tops(loaded, exec, batch_options);
-  save_local_cache(exec, local);
-  report_cache_stats(exec, batch.cache_stats);
   std::string text;
   std::vector<const FaultTree*> trees;
   std::vector<const TreeAnalysis*> analyses;
@@ -632,13 +584,7 @@ int cmd_report(LoadedModel& loaded, Exec& exec) {
   report_options.analysis = analysis_options(exec);
   BatchOptions batch_options;
   batch_options.analysis = report_options.analysis;
-  batch_options.share_cones = !exec.request.no_cache;
-  std::optional<ConeCache> local;
-  batch_options.analysis.cut_sets.cone_cache =
-      choose_cone_cache(exec, batch_options.analysis.cut_sets, true, local);
   BatchResult batch = run_tops(loaded, exec, batch_options);
-  save_local_cache(exec, local);
-  report_cache_stats(exec, batch.cache_stats);
   std::vector<const BatchItem*> items;
   std::vector<const FaultTree*> trees;
   std::vector<const TreeAnalysis*> analyses;
@@ -695,11 +641,6 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
       analysis.probability.default_event_probability;
   // Diagram-native FMEA columns need the ZBDD engine's retained diagram.
   cut_set_options.keep_diagram = exec.request.engine == CutSetEngine::kZbdd;
-  // FMEA analyses every top event of one model: prime sharing territory
-  // for the cone cache (plus the persistent layer on --cache).
-  std::optional<ConeCache> local;
-  ConeCache* cones = choose_cone_cache(exec, cut_set_options, true, local);
-  cut_set_options.cone_cache = cones;
   BatchOptions batch_options;
   batch_options.analyse = false;
   BatchResult batch = run_tops(loaded, exec, batch_options);
@@ -715,10 +656,6 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
       parallel_map(exec.pool, trees.size(), [&](std::size_t i) {
         return compute_cut_sets(*trees[i], cut_set_options);
       });
-  save_local_cache(exec, local);
-  report_cache_stats(exec, cones != nullptr
-                               ? std::optional<ConeCacheStats>(cones->stats())
-                               : std::nullopt);
   for (std::size_t i = 0; i < trees.size(); ++i) {
     report_reorder_stats(exec,
                          loaded.mdl ? trees[i]->top_description()
@@ -870,33 +807,13 @@ std::shared_ptr<const Model> ServiceRunner::acquire_model(
   return entry.model;
 }
 
-ConeCache* ServiceRunner::warm_cone_cache(const CutSetOptions& cut_sets,
-                                          DiagnosticSink* sink) {
-  const ConeKeyspace keyspace = cone_keyspace(cut_sets);
-  std::ostringstream key_stream;
-  key_stream << keyspace.engine << '/' << keyspace.max_order << '/'
-             << keyspace.max_sets;
-  const std::string key = key_stream.str();
-  std::lock_guard<std::mutex> lock(cones_mutex_);
-  auto it = cones_.find(key);
-  if (it == cones_.end()) {
-    auto cache = std::make_unique<ConeCache>(keyspace);
-    // First use of this keyspace: adopt whatever the last daemon run (or
-    // a crashed one's last good save) persisted. A stale/corrupt file is
-    // rejected inside load() -- the cache simply starts cold.
-    if (!options_.cache_dir.empty()) cache->load(options_.cache_dir, sink);
-    it = cones_.emplace(key, std::move(cache)).first;
-  }
-  return it->second.get();
-}
-
 std::optional<std::string> ServiceRunner::response_key(
     const ServiceRequest& request) const {
   if (!options_.warm || options_.max_results == 0) return std::nullopt;
   // --output writes a file per run: replaying a stored result would skip
-  // the side effect. --verbose logs cumulative warm-cache counters, which
-  // a replay would freeze at their store-time values. `load` exists to
-  // pin the parsed model, which a replay would skip.
+  // the side effect. --verbose asks for the statistics of a run, so it
+  // always makes one. `load` exists to pin the parsed model, which a
+  // replay would skip.
   if (!request.output.empty() || request.verbose) return std::nullopt;
   if (request.command == "load") return std::nullopt;
   const std::optional<std::string> content = read_file_bytes(request.model_path);
@@ -915,26 +832,12 @@ std::optional<std::string> ServiceRunner::response_key(
   key << '\x1f';
   for (const std::string& top : request.tops) key << top << '\x1e';
   key << '\x1f' << request.format << '\x1f' << request.mission_time_hours
-      << '\x1f' << request.render_tree << request.strict << request.no_cache
+      << '\x1f' << request.render_tree << request.strict
       << '\x1f' << request.max_errors << '\x1f' << request.max_depth << '\x1f'
       << request.max_nodes << '\x1f' << static_cast<int>(request.engine)
       << '\x1f' << request.bound_epsilon << '\x1f'
       << static_cast<int>(request.order);
   return key.str();
-}
-
-bool ServiceRunner::save_warm_state(DiagnosticSink* sink) {
-  if (options_.cache_dir.empty()) return true;
-  std::vector<ConeCache*> caches;
-  {
-    std::lock_guard<std::mutex> lock(cones_mutex_);
-    caches.reserve(cones_.size());
-    for (const auto& [key, cache] : cones_) caches.push_back(cache.get());
-  }
-  bool ok = true;
-  for (ConeCache* cache : caches)
-    ok = cache->save(options_.cache_dir, sink) && ok;
-  return ok;
 }
 
 std::string ServiceRunner::stats_text() const {
@@ -947,12 +850,6 @@ std::string ServiceRunner::stats_text() const {
     std::lock_guard<std::mutex> lock(results_mutex_);
     out << "results memoised: " << results_.size() << "\n";
   }
-  std::lock_guard<std::mutex> lock(cones_mutex_);
-  std::vector<std::pair<std::string, ConeCache*>> caches;
-  for (const auto& [key, cache] : cones_) caches.emplace_back(key, cache.get());
-  std::sort(caches.begin(), caches.end());
-  for (const auto& [key, cache] : caches)
-    out << "[" << key << "] " << cache->stats().to_string() << "\n";
   return out.str();
 }
 
@@ -1052,9 +949,9 @@ ServiceResult ServiceRunner::execute(const ServiceRequest& request) {
   result.log = err.str();
   if (failed) return result;
   result.sequences = std::move(exec.sequences);
-  // Clean-run-only stores, like the cone cache: a result whose deadline
-  // fired may be partial (wall-clock nondeterminism), so only complete
-  // runs are replayable -- and a complete run satisfies any deadline.
+  // Clean-run-only stores: a result whose deadline fired may be partial
+  // (wall-clock nondeterminism), so only complete runs are replayable --
+  // and a complete run satisfies any deadline.
   if (memo_key && !deadline_fired) {
     std::lock_guard<std::mutex> lock(results_mutex_);
     auto [it, inserted] = results_.emplace(*memo_key, result);

@@ -2,10 +2,9 @@
 //
 // The CLI used to own the whole pipeline -- argv parsing, model loading,
 // command dispatch and rendering -- writing straight to stdout/stderr.
-// That shape wastes everything PRs 4/5 built the moment the process
-// exits: cone caches, interned variable orders and parsed models are all
-// warm state a safety engineer's edit-analyse loop wants to keep. This
-// module is the testable core both front ends share:
+// That shape throws away, the moment the process exits, the parsed models
+// and finished results a safety engineer's edit-analyse loop wants to
+// keep. This module is the testable core both front ends share:
 //
 //   * `ServiceRequest` is one command in structured form (the CLI builds
 //     it from argv, the daemon from a wire JSON line);
@@ -15,8 +14,8 @@
 //   * `ServiceRunner` executes requests. In cold mode (the CLI) each
 //     request parses and analyses from scratch -- byte-for-byte the
 //     pre-refactor behaviour. In warm mode (the daemon) the runner keeps
-//     parsed models and per-keyspace cone caches resident across
-//     requests, and `execute` may be called from many threads at once.
+//     parsed models and finished results resident across requests, and
+//     `execute` may be called from many threads at once.
 //
 // Both model front-ends feed one command set. `execute` loads the model
 // through one loader, which sniffs an annotated .mdl architecture model
@@ -29,22 +28,18 @@
 // info, validate and the report's model summary describe the source
 // model, and audit/diff need the .mdl block structure.
 //
-// The warm state is three layers, each correctness-neutral by
-// construction: model entries are keyed by content hash (an edited file
-// re-parses), replayed parse diagnostics reproduce the cold diagnostic
-// stream, and the cone cache only ever serves exact families
-// (clean-run-only stores, PR 4) -- so a warm `output` is byte-identical
-// to a cold one, which the service tests enforce across every command x
-// engine x order policy. On top of both sits the response memo: a full
-// ServiceResult is replayed for a repeated request whose model bytes and
-// output-affecting fields are unchanged, under the same discipline
-// (content-addressed key, stores only from runs whose deadline never
-// fired, bypassed for requests with filesystem side effects). The memo
-// is what makes the warm daemon fast end to end -- the probability and
-// importance stages dominate an analyse request and sit outside the
-// cone cache's reach -- while an edit invalidates it the same way it
-// invalidates the model cache: the content hash changes, the stale
-// entry simply stops being looked up.
+// The warm state is two layers, each correctness-neutral by construction.
+// Model entries are keyed by content hash (an edited file re-parses), and
+// replayed parse diagnostics reproduce the cold diagnostic stream. The
+// response memo replays a full ServiceResult for a repeated request whose
+// model bytes and output-affecting fields are unchanged: the key is
+// content-addressed, only runs whose deadline never fired are stored, and
+// requests with filesystem side effects bypass it. Analysis itself keeps
+// nothing between requests, so a warm `output` is byte-identical to a
+// cold one, which the service tests enforce across every command x engine
+// x order policy. An edit invalidates the memo the same way it invalidates
+// the model cache: the content hash changes, the stale entry simply stops
+// being looked up.
 
 #pragma once
 
@@ -98,7 +93,6 @@ struct ServiceRequest {
   /// families.
   double bound_epsilon = 1e-6;
   OrderPolicy order = OrderPolicy::kStatic;
-  bool no_cache = false;
   bool verbose = false;
   /// Daemon: a budget armed at admission (so queue wait counts against
   /// the client's deadline) whose latch the connection can force_expire
@@ -123,18 +117,14 @@ class ServiceRunner {
   struct Options {
     /// Worker threads for warm mode's shared pool (0 = hardware).
     int jobs = 0;
-    /// Persistent cone-cache directory ("--cache DIR" semantics). Cold
-    /// mode loads/saves it around each request exactly as the CLI did;
-    /// warm mode loads lazily and persists via save_warm_state().
-    std::string cache_dir;
-    /// Keep parsed models and cone caches resident across requests and
-    /// allow concurrent execute() calls (the daemon). False = the
+    /// Keep parsed models and results resident across requests and allow
+    /// concurrent execute() calls (the daemon). False = the
     /// process-per-run CLI semantics.
     bool warm = false;
     /// Warm-mode resident model cap (LRU past it).
     std::size_t max_models = 32;
     /// Warm-mode response-memo cap (LRU past it). 0 disables the memo
-    /// (every request recomputes; model and cone caches still apply).
+    /// (every request recomputes; the model cache still applies).
     std::size_t max_results = 256;
   };
 
@@ -152,14 +142,8 @@ class ServiceRunner {
   /// warm mode.
   ServiceResult execute(const ServiceRequest& request);
 
-  /// Persists every resident cone cache to options().cache_dir (atomic
-  /// tmp+fsync+rename per file). No-op without a cache_dir. Returns false
-  /// when any file failed to write. Safe to call concurrently with
-  /// execute() -- a killed daemon restarts warm from the last save.
-  bool save_warm_state(DiagnosticSink* sink = nullptr);
-
-  /// One-line warm-state summary per resident cone cache plus model
-  /// count, for the wire `stats` command and --verbose serve logs.
+  /// Warm-state summary (resident models and memoised results), for the
+  /// wire `stats` command and --verbose serve logs.
   std::string stats_text() const;
 
   const Options& options() const noexcept { return options_; }
@@ -177,10 +161,10 @@ class ServiceRunner {
                                              bool implicit_validation,
                                              DiagnosticSink* sink);
 
-  /// The resident cone cache for this cut-set configuration, created (and
-  /// disk-loaded, when cache_dir is set) on first use. Warm mode only.
-  ConeCache* warm_cone_cache(const CutSetOptions& cut_sets,
-                             DiagnosticSink* sink);
+  /// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
+  ConeCache* warm_cone_cache(const CutSetOptions&, DiagnosticSink*) {
+    return &inert_cones_;
+  }
 
  private:
   struct ModelEntry {
@@ -198,9 +182,7 @@ class ServiceRunner {
   std::unordered_map<std::string, ModelEntry> models_;
   std::list<std::string> model_lru_;  ///< front = most recent
 
-  mutable std::mutex cones_mutex_;
-  /// Keyed by "<engine>/<max_order>/<max_sets>" (the ConeKeyspace).
-  std::unordered_map<std::string, std::unique_ptr<ConeCache>> cones_;
+  ConeCache inert_cones_;  ///< what warm_cone_cache() returns
 
   /// Response memo (warm mode): content hash of the model bytes (and the
   /// --against bytes for diff) plus every output-affecting request field
@@ -208,8 +190,8 @@ class ServiceRunner {
   /// deliberately NOT in the key -- output is byte-identical across them
   /// (test-enforced) and a complete result satisfies any deadline.
   /// Returns nullopt when the request must not be memoised: cold mode,
-  /// --output side effects, --verbose (its log carries cumulative warm
-  /// counters), or an unreadable model file.
+  /// --output side effects, --verbose (it asks for the statistics of a
+  /// run), or an unreadable model file.
   std::optional<std::string> response_key(const ServiceRequest& request) const;
 
   mutable std::mutex results_mutex_;

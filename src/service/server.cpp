@@ -89,7 +89,6 @@ ServiceServer::ServiceServer(ServerOptions options)
       runner_([&] {
         ServiceRunner::Options runner_options;
         runner_options.jobs = options_.jobs;
-        runner_options.cache_dir = options_.cache_dir;
         runner_options.warm = true;
         runner_options.max_models = options_.max_models;
         return runner_options;
@@ -131,8 +130,6 @@ bool ServiceServer::start(std::string* error) {
   accept_thread_ = std::thread([this] { accept_loop(); });
   for (int i = 0; i < options_.executors; ++i)
     executor_threads_.emplace_back([this] { executor_loop(); });
-  if (options_.save_interval_ms > 0 && !options_.cache_dir.empty())
-    saver_thread_ = std::thread([this] { saver_loop(); });
   return true;
 }
 
@@ -159,7 +156,6 @@ void ServiceServer::stop() {
       budget->force_expire();
   }
   queue_cv_.notify_all();
-  saver_cv_.notify_all();
   // Unblock connection readers stuck in recv().
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -169,7 +165,6 @@ void ServiceServer::stop() {
   for (std::thread& executor : executor_threads_)
     if (executor.joinable()) executor.join();
   executor_threads_.clear();
-  if (saver_thread_.joinable()) saver_thread_.join();
   // Connections run detached; wait until the last one deregistered.
   {
     std::unique_lock<std::mutex> lock(connections_mutex_);
@@ -180,12 +175,6 @@ void ServiceServer::stop() {
     listen_fd_ = -1;
   }
   ::unlink(options_.socket_path.c_str());
-  // Crash-safety floor: whatever the periodic saver last wrote survives a
-  // SIGKILL; an orderly stop additionally persists everything current.
-  if (runner_.save_warm_state(nullptr)) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.saves;
-  }
   wait_cv_.notify_all();
 }
 
@@ -404,23 +393,6 @@ void ServiceServer::executor_loop() {
           std::find(inflight_.begin(), inflight_.end(), pending->budget));
     }
     pending->promise.set_value(std::move(response));
-  }
-}
-
-void ServiceServer::saver_loop() {
-  std::unique_lock<std::mutex> lock(saver_mutex_);
-  while (!stopping_) {
-    saver_cv_.wait_for(lock,
-                       std::chrono::milliseconds(options_.save_interval_ms),
-                       [&] { return stopping_.load(); });
-    if (stopping_) break;
-    // Periodic crash-safety checkpoint. Atomic fsync+rename per file: a
-    // kill at ANY point leaves either the previous good file or the new
-    // one, never a torn mix (tested by fault injection).
-    if (runner_.save_warm_state(nullptr)) {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.saves;
-    }
   }
 }
 

@@ -1,12 +1,12 @@
 // `ftsynth serve`: the fault-tolerant analysis daemon.
 //
 // A long-lived server on a local (AF_UNIX) stream socket that holds warm
-// state -- parsed models, per-keyspace cone caches, the interned variable
-// orders behind them -- in a warm-mode ServiceRunner and answers
-// line-delimited JSON requests (service/protocol.h). The paper's workflow
-// is interactive: an engineer edits the Simulink model and re-checks the
-// fault trees, so throwing the warm state away per process (the CLI
-// shape) re-pays the whole analysis on every keystroke.
+// state -- parsed models and memoised results -- in a warm-mode
+// ServiceRunner and answers line-delimited JSON requests
+// (service/protocol.h). The paper's workflow is interactive: an engineer
+// edits the Simulink model and re-checks the fault trees, so throwing the
+// warm state away per process (the CLI shape) re-pays the whole analysis
+// on every keystroke.
 //
 // The robustness layer is the point:
 //
@@ -20,23 +20,19 @@
 //   * REQUEST ISOLATION -- execution is ServiceRunner::execute, which
 //     never throws: a malformed model, budget blow-up or engine error
 //     degrades that one response (diagnostics, `und:` leaves, exit
-//     codes) and cannot take the daemon down. Shared caches stay clean
-//     because stores are clean-run-only (analysis/cache.h).
+//     codes) and cannot take the daemon down. The response memo stays
+//     clean because it stores only runs whose deadline never fired.
 //   * TIMEOUT / CANCELLATION -- each connection watches its socket while
 //     a request executes; a client disconnect force_expires the request's
 //     budget latch, so every pool worker on that request unwinds at its
 //     next poll and the workers are released. stop() force_expires all
 //     in-flight budgets the same way.
-//   * CRASH-SAFE WARM STATE -- a persistence loop saves the cone caches
-//     to `cache_dir` every `save_interval_ms` and again on shutdown,
-//     through the cache's atomic fsync+rename writer. A SIGKILLed daemon
-//     restarts warm from the last good save; a torn or corrupt file is
-//     rejected on load and merely costs a cold start (tested by fault
-//     injection -- never a wrong answer).
 //
-// Byte-identity: a request's `output` is byte-identical to the serial
-// CLI run with the same flags, for every command x engine x order x
-// cold/warm state (enforced by tests/test_service.cpp and the CI soak).
+// Nothing is persisted: a restarted daemon starts cold and re-parses and
+// recomputes on demand. Byte-identity: a request's `output` is
+// byte-identical to the serial CLI run with the same flags, for every
+// command x engine x order x cold/warm state (enforced by
+// tests/test_service.cpp and the CI soak).
 
 #pragma once
 
@@ -77,14 +73,9 @@ struct ServerOptions {
   /// Admission bound: requests queued (not yet executing) beyond this
   /// are shed with `overloaded`.
   std::size_t queue_limit = 16;
-  /// Persistent cone-cache directory; empty = in-memory warm state only.
-  std::string cache_dir;
   /// Clamp on any client deadline_ms (0 = uncapped): admission control
   /// over how long one request may hold an executor.
   long max_deadline_ms = 0;
-  /// Warm-state persistence period (<= 0 disables the periodic save; the
-  /// shutdown save still runs).
-  long save_interval_ms = 30000;
   /// Resident model cap for the runner.
   std::size_t max_models = 32;
   ServiceHooks hooks;
@@ -100,7 +91,6 @@ struct ServerStats {
   std::uint64_t shed_deadline = 0;      ///< expired before an executor ran it
   std::uint64_t bad_requests = 0;       ///< protocol-level rejections
   std::uint64_t disconnect_cancels = 0; ///< budgets expired by disconnect
-  std::uint64_t saves = 0;              ///< completed warm-state saves
 };
 
 class ServiceServer {
@@ -111,9 +101,9 @@ class ServiceServer {
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  /// Binds the socket and spawns the accept/executor/persistence
-  /// threads. Returns false (with a message in `error`) when the socket
-  /// cannot be created; the server then never started.
+  /// Binds the socket and spawns the accept and executor threads.
+  /// Returns false (with a message in `error`) when the socket cannot be
+  /// created; the server then never started.
   bool start(std::string* error);
 
   /// Blocks until stop() is called or a `shutdown` request arrives.
@@ -123,8 +113,8 @@ class ServiceServer {
   bool shutdown_requested() const noexcept;
 
   /// Orderly stop, idempotent: stops admitting, force_expires every
-  /// in-flight budget, unblocks and joins all threads, saves the warm
-  /// state. Safe to call from any thread except a connection handler.
+  /// in-flight budget, unblocks and joins all threads. Safe to call from
+  /// any thread except a connection handler.
   void stop();
 
   ServerStats stats() const;
@@ -138,7 +128,6 @@ class ServiceServer {
 
   void accept_loop();
   void executor_loop();
-  void saver_loop();
   void serve_connection(int fd);
   /// One request line -> one response line (empty = nothing to send).
   std::string handle_line(const std::string& line, int fd);
@@ -168,9 +157,6 @@ class ServiceServer {
 
   std::thread accept_thread_;
   std::vector<std::thread> executor_threads_;
-  std::thread saver_thread_;
-  std::mutex saver_mutex_;
-  std::condition_variable saver_cv_;
 
   std::mutex wait_mutex_;
   std::condition_variable wait_cv_;

@@ -287,6 +287,53 @@ TEST_F(BbwTest, EncodeBddConstructionIsPinnedOverDerivedTops) {
   EXPECT_EQ(digest, 9704163719412653232ull);
 }
 
+TEST_F(BbwTest, ZbddConstructionIsPinnedOverDerivedTops) {
+  // The tops `ftsynth analyse` derives with no --top, as above.
+  SynthesisOptions prune;
+  prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
+  std::vector<Deviation> tops;
+  for (const Port* port : full_->root().outputs()) {
+    for (FailureClass cls : full_->registry().all()) {
+      const Deviation candidate{cls, port->name()};
+      if (Synthesiser(*full_, prune).synthesise(candidate).top() != nullptr)
+        tops.push_back(candidate);
+    }
+  }
+  ASSERT_EQ(tops.size(), 22u);
+  // The diagram `--engine zbdd` keeps per top: every slot the manager
+  // allocated, the nodes the roots keep, and an FNV-1a digest of each
+  // node array in Ref order. A Ref is its node's allocation serial, so a
+  // change to the order the set operations recurse in moves the digest
+  // even where the counts hold.
+  CutSetOptions options;
+  options.engine = CutSetEngine::kZbdd;
+  options.keep_diagram = true;
+  std::size_t created = 0;
+  std::size_t kept = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+  auto mix = [&](std::uint64_t value) {
+    digest = (digest ^ value) * 1099511628211ull;
+  };
+  for (const Deviation& top : tops) {
+    FaultTree tree = Synthesiser(*full_).synthesise(top);
+    const CutSetAnalysis analysis = compute_cut_sets(tree, options);
+    ASSERT_TRUE(analysis.diagram != nullptr);
+    const Zbdd& zbdd = analysis.diagram->zbdd;
+    created += zbdd.size() - 2;  // terminals excluded
+    kept += zbdd.node_count(analysis.diagram->root);
+    for (Zbdd::Ref ref = 2; ref < zbdd.size(); ++ref) {
+      const Zbdd::Node& n = zbdd.node(ref);
+      mix(static_cast<std::uint64_t>(n.var));
+      mix(n.low);
+      mix(n.high);
+    }
+    mix(analysis.diagram->root);
+  }
+  EXPECT_EQ(created, 25051u);
+  EXPECT_EQ(kept, 988u);
+  EXPECT_EQ(digest, 985997935269752543ull);
+}
+
 TEST_F(BbwTest, ControlLoopsAreCutNotInfinite) {
   Synthesiser synthesiser(*full_);
   FaultTree tree = synthesiser.synthesise("Value-vehicle_speed");

@@ -379,82 +379,6 @@ TEST_F(CliTest, NegativeDeadlineIsUsageError) {
   EXPECT_EQ(run({"analyse", model_path_, "--deadline-ms", "-5"}), 2);
 }
 
-TEST_F(CliTest, CacheStatesProduceByteIdenticalAnalysis) {
-  // The cone cache's acceptance bar: stdout must not depend on the cache
-  // being disabled, cold or warm, nor on the worker count, for any engine.
-  const std::string tag =
-      testing::UnitTest::GetInstance()->current_test_info()->name();
-  for (const char* engine : {"micsup", "mocus", "zbdd"}) {
-    const std::string dir =
-        testing::TempDir() + "/cli_cache_" + tag + "_" + engine;
-    std::string reference;
-    auto check = [&](std::vector<std::string> args, const char* label) {
-      args.insert(args.end(), {"--top", "Omission-brake_force_fl", "--time",
-                               "1000", "--engine", engine});
-      ASSERT_EQ(run(std::move(args)), 0) << engine << " " << label;
-      if (reference.empty()) {
-        reference = out_.str();
-        EXPECT_NE(reference.find("minimal cut sets:"), std::string::npos);
-      } else {
-        EXPECT_EQ(out_.str(), reference) << engine << " " << label;
-      }
-    };
-    check({"analyse", model_path_, "--no-cache", "--jobs", "1"}, "off/1");
-    check({"analyse", model_path_, "--no-cache", "--jobs", "4"}, "off/4");
-    check({"analyse", model_path_, "--cache", dir, "--jobs", "4"}, "cold/4");
-    check({"analyse", model_path_, "--cache", dir, "--jobs", "4"}, "warm/4");
-    check({"analyse", model_path_, "--cache", dir, "--jobs", "1"}, "warm/1");
-    check({"analyse", model_path_, "--jobs", "1"}, "memory-only");
-  }
-}
-
-TEST_F(CliTest, CorruptCacheIsIgnoredNeverTrusted) {
-  const std::string tag =
-      testing::UnitTest::GetInstance()->current_test_info()->name();
-  const std::string dir = testing::TempDir() + "/cli_cache_" + tag;
-  const std::vector<std::string> args = {"analyse",  model_path_,
-                                         "--top",    "Omission-brake_force_fl",
-                                         "--cache",  dir,
-                                         "--jobs",   "1"};
-  ASSERT_EQ(run(args), 0);
-  const std::string reference = out_.str();
-  {
-    std::ofstream corrupt(dir + "/cones-micsup.ftsc", std::ios::trunc);
-    corrupt << "not a cache file\n";
-  }
-  // Completed-with-a-warning is still a clean exit: the cache is an
-  // optimisation, never a correctness input.
-  ASSERT_EQ(run(args), 0);
-  EXPECT_EQ(out_.str(), reference);
-  EXPECT_NE(err_.str().find("ignoring cone cache"), std::string::npos);
-  // The run rewrote the file, so the next one loads it silently again.
-  ASSERT_EQ(run(args), 0);
-  EXPECT_EQ(out_.str(), reference);
-  EXPECT_EQ(err_.str().find("ignoring cone cache"), std::string::npos);
-}
-
-TEST_F(CliTest, VerbosePrintsCacheStatsToStderrOnly) {
-  const std::string top = "Omission-brake_force_fl";
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--verbose"}), 0);
-  EXPECT_NE(err_.str().find("cone cache:"), std::string::npos);
-  EXPECT_NE(err_.str().find("hit(s)"), std::string::npos);
-  EXPECT_EQ(out_.str().find("cone cache:"), std::string::npos);
-
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--verbose",
-                 "--no-cache"}),
-            0);
-  EXPECT_NE(err_.str().find("cone cache: disabled"), std::string::npos);
-
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top}), 0);
-  EXPECT_EQ(err_.str().find("cone cache:"), std::string::npos);
-
-  // fmea and report take the same flags.
-  ASSERT_EQ(run({"fmea", model_path_, "--top", top, "--verbose"}), 0);
-  EXPECT_NE(err_.str().find("cone cache:"), std::string::npos);
-  ASSERT_EQ(run({"report", model_path_, "--top", top, "--verbose"}), 0);
-  EXPECT_NE(err_.str().find("cone cache:"), std::string::npos);
-}
-
 TEST_F(CliTest, UnknownOrderPolicyRejected) {
   EXPECT_EQ(run({"analyse", model_path_, "--top", "Omission-brake_force_fl",
                  "--order", "bogus"}),
@@ -477,39 +401,43 @@ TEST_F(CliTest, RetiredProbModeFlagIsUsageError) {
             std::string::npos);
 }
 
+TEST_F(CliTest, RetiredCacheFlagsAreUsageErrors) {
+  // The cone cache is gone: every run computes its cut sets afresh, so
+  // there is nothing to persist, disable or save periodically.
+  const std::string dir = testing::TempDir() + "/cli_retired_cache";
+  EXPECT_EQ(run({"analyse", model_path_, "--cache", dir}), 2);
+  EXPECT_NE(err_.str().find("unknown option '--cache'"), std::string::npos);
+  EXPECT_EQ(run({"analyse", model_path_, "--no-cache"}), 2);
+  EXPECT_NE(err_.str().find("unknown option '--no-cache'"),
+            std::string::npos);
+  EXPECT_EQ(run({"serve", "--socket", dir + ".sock", "--save-interval-ms",
+                 "1000"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown option '--save-interval-ms'"),
+            std::string::npos);
+}
+
 TEST_F(CliTest, OrderPoliciesAreByteIdentical) {
   const std::string top = "Omission-brake_force_fl";
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                 "--no-cache"}),
+  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd"}),
             0);
   const std::string reference = out_.str();
   ASSERT_FALSE(reference.empty());
   for (const std::string policy : {"static", "sift"}) {
     for (const std::string jobs : {"1", "4"}) {
       ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                     "--no-cache", "--order", policy, "--jobs", jobs}),
+                     "--order", policy, "--jobs", jobs}),
                 0)
           << policy << " jobs=" << jobs;
       EXPECT_EQ(out_.str(), reference) << policy << " jobs=" << jobs;
     }
-  }
-  // Cold then warm cone cache under a sifting policy: same bytes.
-  const std::string cache_path =
-      testing::TempDir() + "/cli_order_cache_" +
-      testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
-  for (int round = 0; round < 2; ++round) {
-    ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                   "--order", "sift", "--cache", cache_path}),
-              0)
-        << "round " << round;
-    EXPECT_EQ(out_.str(), reference) << "round " << round;
   }
 }
 
 TEST_F(CliTest, VerbosePrintsReorderStatsToStderrOnly) {
   const std::string top = "Omission-brake_force_fl";
   ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                 "--order", "sift", "--verbose", "--no-cache"}),
+                 "--order", "sift", "--verbose"}),
             0);
   EXPECT_NE(err_.str().find("variable order ["), std::string::npos);
   EXPECT_NE(err_.str().find("policy sift"), std::string::npos);
@@ -518,7 +446,7 @@ TEST_F(CliTest, VerbosePrintsReorderStatsToStderrOnly) {
 
   // Without --verbose the stats stay quiet.
   ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                 "--order", "sift", "--no-cache"}),
+                 "--order", "sift"}),
             0);
   EXPECT_EQ(err_.str().find("variable order"), std::string::npos);
 }

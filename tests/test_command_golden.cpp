@@ -98,8 +98,8 @@ std::vector<CorpusModel> corpus() {
 
 /// The argument lists run against one model (the model path is argv[1];
 /// `{}` stands for it). Runs fan out over two workers -- output is
-/// byte-identical for every --jobs -- except --verbose, whose cone-cache
-/// counters are only pinned serially.
+/// byte-identical for every --jobs -- except --verbose, which is pinned
+/// serially.
 std::vector<std::vector<std::string>> commands(const CorpusModel& model) {
   std::vector<std::vector<std::string>> runs = {
       {"info"},

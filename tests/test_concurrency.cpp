@@ -418,8 +418,8 @@ TEST(ConcurrencyMonteCarlo, ShardedRunIsIdenticalWithAndWithoutPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Cut sets under batch-level --jobs: each tree on one worker, the cone
-// cache shared by all of them.
+// Cut sets under batch-level --jobs: each tree on one worker, each worker
+// with its own diagram manager.
 
 FaultTree synthesise_replicated(int channels, int stages) {
   synthetic::ReplicatedConfig config;
@@ -434,8 +434,8 @@ FaultTree synthesise_replicated(int channels, int stages) {
 
 TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
   // The acceptance matrix: a batch of overlapping trees, every engine x
-  // order policy, --jobs {1, 2, 8}. Trees run concurrently and race on one
-  // shared cone cache; every item must produce the serial item's bytes.
+  // order policy, --jobs {1, 2, 8}. Trees run and reorder concurrently;
+  // every item must produce the serial item's bytes.
   auto trees = [] {
     std::vector<FaultTree> out;
     for (const auto& [channels, stages] :

@@ -27,14 +27,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <random>
 #include <string>
 #include <unordered_map>
 #include <variant>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "analysis/cutsets.h"
 #include "analysis/importance.h"
 #include "analysis/probability.h"
@@ -439,59 +437,6 @@ TEST(DiagramNativeTest, DeadlineMidSweepFallsBackToFamily) {
     EXPECT_EQ(degraded.importance[i].cut_set_count,
               family.importance[i].cut_set_count);
   }
-}
-
-// -- Cone cache: diagram records and the oversize counter ---------------------
-
-TEST(ConeCacheDiagramTest, BigConeRoundTripsThroughDiagramRecord) {
-  // 20^3 = 8000 sets in the voter cone: past kMaxCachedSets (4096), so
-  // only the diagram record kind can cache it.
-  FaultTree tree = replicated_tree(3, 20);
-  CutSetOptions options;
-  options.engine = CutSetEngine::kZbdd;
-
-  ConeCache producer(cone_keyspace(options));
-  options.cone_cache = &producer;
-  const std::string cold = compute_cut_sets(tree, options).to_string();
-  EXPECT_GT(producer.stats().diagram_entries, 0u);
-  EXPECT_EQ(producer.stats().skipped_oversize, 0u);
-
-  const std::string dir =
-      testing::TempDir() + "/prob_native_diagram_cache";
-  std::filesystem::remove_all(dir);
-  DiagnosticSink sink;
-  ASSERT_TRUE(producer.save(dir, &sink));
-
-  ConeCache warm(cone_keyspace(options));
-  ASSERT_TRUE(warm.load(dir, &sink));
-  EXPECT_GT(warm.stats().diagram_entries, 0u);
-  options.cone_cache = &warm;
-  EXPECT_EQ(compute_cut_sets(tree, options).to_string(), cold);
-  EXPECT_GT(warm.stats().hits, 0u);
-}
-
-TEST(ConeCacheDiagramTest, SetEngineCountsOversizeSkip) {
-  // The bottom-up engine has no structural fallback: the same 8000-set
-  // cone is clean but uncacheable, and the stats must say so.
-  FaultTree tree = replicated_tree(3, 20);
-  CutSetOptions options;  // micsup
-  ConeCache cache(cone_keyspace(options));
-  options.cone_cache = &cache;
-  compute_cut_sets(tree, options);
-  EXPECT_GT(cache.stats().skipped_oversize, 0u);
-  EXPECT_NE(cache.stats().to_string().find("oversize skip"),
-            std::string::npos);
-}
-
-TEST(ConeCacheDiagramTest, OversizeCounterIsDirectlyObservable) {
-  ConeCache cache;
-  EXPECT_EQ(cache.stats().skipped_oversize, 0u);
-  // The line only appears once there is something to report.
-  EXPECT_EQ(cache.stats().to_string().find("oversize"), std::string::npos);
-  cache.note_oversize_skip();
-  cache.note_oversize_skip();
-  EXPECT_EQ(cache.stats().skipped_oversize, 2u);
-  EXPECT_NE(cache.stats().to_string().find("oversize"), std::string::npos);
 }
 
 }  // namespace

@@ -8,12 +8,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "analysis/cutsets.h"
 #include "bdd/zbdd.h"
 #include "casestudy/synthetic.h"
-#include "core/parallel.h"
-#include "core/thread_pool.h"
 #include "fta/synthesis.h"
 
 namespace ftsynth {
@@ -205,53 +202,6 @@ TEST(ReorderEngine, PoliciesAgreeWithTheSetEngineOnEveryFixture) {
   check(synthetic::build_adversarial_product(6), "Omission-sink");
   check(synthetic::build_adversarial_voters(3), "Omission-sink");
   check(synthetic::build_diamond(6), "Omission-sink");
-}
-
-TEST(ReorderEngine, WarmConeCacheStaysByteIdenticalAcrossPolicies) {
-  Model model = synthetic::build_adversarial_product(8);
-  Synthesiser synthesiser(model);
-  FaultTree tree = synthesiser.synthesise("Omission-sink");
-  CutSetOptions options;
-  options.engine = CutSetEngine::kZbdd;
-  const std::string baseline = compute_cut_sets(tree, options).to_string();
-  // A cache populated by a SIFTED run must replay byte-identically into a
-  // static run and vice versa: stored families are order-canonicalised.
-  ConeCache cache(cone_keyspace(options));
-  options.cone_cache = &cache;
-  options.order = OrderPolicy::kSift;
-  EXPECT_EQ(compute_cut_sets(tree, options).to_string(), baseline);  // cold
-  options.order = OrderPolicy::kStatic;
-  EXPECT_EQ(compute_cut_sets(tree, options).to_string(), baseline);  // warm
-  options.order = OrderPolicy::kSift;
-  EXPECT_EQ(compute_cut_sets(tree, options).to_string(), baseline);  // warm
-  EXPECT_GT(cache.stats().hits, 0u);
-}
-
-TEST(ReorderConcurrency, ParallelSiftedRunsShareOneCache) {
-  // TSan coverage: four workers, each with its own Zbdd manager but one
-  // shared cone cache, all reordering concurrently.
-  std::vector<FaultTree> trees;
-  for (int pairs : {6, 7, 8, 6}) {
-    Model model = synthetic::build_adversarial_product(pairs);
-    Synthesiser synthesiser(model);
-    trees.push_back(synthesiser.synthesise("Omission-sink"));
-  }
-  CutSetOptions options;
-  options.engine = CutSetEngine::kZbdd;
-  options.order = OrderPolicy::kSift;
-  ConeCache cache(cone_keyspace(options));
-  options.cone_cache = &cache;
-  ThreadPool pool(4);
-  std::vector<std::string> parallel_results =
-      parallel_map(&pool, trees.size(), [&](std::size_t i) {
-        return compute_cut_sets(trees[i], options).to_string();
-      });
-  CutSetOptions serial;
-  serial.engine = CutSetEngine::kZbdd;
-  for (std::size_t i = 0; i < trees.size(); ++i)
-    EXPECT_EQ(parallel_results[i],
-              compute_cut_sets(trees[i], serial).to_string())
-        << "tree " << i;
 }
 
 }  // namespace

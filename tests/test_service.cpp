@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "casestudy/setta.h"
 #include "mdl/writer.h"
 #include "service/client.h"
@@ -80,11 +79,6 @@ ServiceRequest make_request(std::string command, std::string model) {
   request.jobs = 1;
   return request;
 }
-
-/// Clears the persistence fault hook even when a test fails mid-way.
-struct PersistHookGuard {
-  ~PersistHookGuard() { set_cone_cache_persist_hook(nullptr); }
-};
 
 // ---------------------------------------------------------------------------
 // ServiceJson: the wire codec
@@ -229,7 +223,7 @@ TEST(ServiceProtocol, ParsesEveryRequestField) {
     "id": 3, "command": "analyse", "model": "m.mdl",
     "tops": ["Omission-a", "Commission-b"], "time_hours": 1000,
     "tree": true, "strict": true, "max_errors": 7, "max_depth": 99,
-    "max_nodes": 1234, "no_cache": true, "verbose": true,
+    "max_nodes": 1234, "verbose": true,
     "engine": "zbdd", "order": "sift", "deadline_ms": 2500
   })");
   const WireRequest* wire = std::get_if<WireRequest>(&parsed);
@@ -245,7 +239,6 @@ TEST(ServiceProtocol, ParsesEveryRequestField) {
   EXPECT_EQ(request.max_errors, 7u);
   EXPECT_EQ(request.max_depth, 99u);
   EXPECT_EQ(request.max_nodes, 1234u);
-  EXPECT_TRUE(request.no_cache);
   EXPECT_TRUE(request.verbose);
   EXPECT_EQ(request.engine, CutSetEngine::kZbdd);
   EXPECT_EQ(request.order, OrderPolicy::kSift);
@@ -345,8 +338,9 @@ TEST_F(ServiceRunnerTest, WarmRunsAreByteIdenticalToTheSerialCliForEveryCommand)
       if (c.extra_cli[i] == "--against")
         request.against_path = c.extra_cli[i + 1];
     }
-    // Twice: the first warm run fills the model/cone caches, the second
-    // hits them. Both must reproduce the cold serial run exactly.
+    // Twice: the first warm run fills the model cache and the response
+    // memo, the second hits them. Both must reproduce the cold serial run
+    // exactly.
     for (int round = 0; round < 2; ++round) {
       const ServiceResult result = runner.execute(request);
       EXPECT_EQ(result.output, reference.out)
@@ -552,7 +546,6 @@ class ServiceDaemonTest : public ::testing::Test {
     options.socket_path = socket_path_;
     options.jobs = 2;
     options.executors = 2;
-    options.save_interval_ms = 0;  // tests drive persistence explicitly
     return options;
   }
 
@@ -648,6 +641,20 @@ TEST_F(ServiceDaemonTest, RetiredProbModeFieldIsIgnored) {
     Json request = plain;
     request.set("prob_mode", Json::string(mode));
     EXPECT_EQ(roundtrip(request.dump()).dump(), reference) << mode;
+  }
+}
+
+TEST_F(ServiceDaemonTest, RetiredNoCacheFieldIsIgnored) {
+  // The retired "no_cache" field is ignored like any unknown field: the
+  // response carries exactly the bytes of a request without it.
+  start(base_options());
+  const Json plain = analyse_request(model_path_, "micsup");
+  const std::string reference = roundtrip(plain.dump()).dump();
+  EXPECT_NE(reference.find("minimal cut sets:"), std::string::npos);
+  for (const bool value : {true, false}) {
+    Json request = plain;
+    request.set("no_cache", Json::boolean(value));
+    EXPECT_EQ(roundtrip(request.dump()).dump(), reference) << value;
   }
 }
 
@@ -858,124 +865,6 @@ TEST_F(ServiceDaemonTest, ShutdownRequestUnblocksWait) {
   server_->wait();  // returns once the shutdown request lands
   EXPECT_TRUE(server_->shutdown_requested());
   requester.join();
-}
-
-// ---------------------------------------------------------------------------
-// ServiceFault: crash-safe persistence under fault injection
-
-class ServiceFaultTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    model_path_ = write_bbw("fault");
-    cache_dir_ = testing::TempDir() + "/svc_cache_" + test_tag();
-    std::filesystem::remove_all(cache_dir_);
-    reference_ = run_cli({"analyse", model_path_, "--jobs", "1"});
-    ASSERT_EQ(reference_.code, 0);
-  }
-
-  void TearDown() override { set_cone_cache_persist_hook(nullptr); }
-
-  std::string cache_file() const {
-    ConeCache probe{cone_keyspace(CutSetOptions{})};
-    return probe.file_path(cache_dir_);
-  }
-
-  static std::string read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  }
-
-  /// A warm runner's analyse through the persistent cache dir.
-  ServiceResult warm_analyse() {
-    ServiceRunner::Options options;
-    options.warm = true;
-    options.jobs = 1;
-    options.cache_dir = cache_dir_;
-    ServiceRunner runner(options);
-    ServiceResult result = runner.execute(make_request("analyse", model_path_));
-    save_ok_ = runner.save_warm_state(nullptr);
-    return result;
-  }
-
-  std::string model_path_;
-  std::string cache_dir_;
-  CliRun reference_;
-  bool save_ok_ = false;
-};
-
-TEST_F(ServiceFaultTest, KillBeforePublishKeepsTheLastGoodFile) {
-  PersistHookGuard guard;
-  // First save publishes a good file.
-  ASSERT_EQ(warm_analyse().output, reference_.out);
-  ASSERT_TRUE(save_ok_);
-  const std::string good = read_file(cache_file());
-  ASSERT_FALSE(good.empty());
-
-  // Second save dies between write and rename (simulated kill).
-  set_cone_cache_persist_hook([](const std::string&) { return false; });
-  ASSERT_EQ(warm_analyse().output, reference_.out);
-  EXPECT_FALSE(save_ok_);
-  // The published file is still the previous good one, byte for byte.
-  EXPECT_EQ(read_file(cache_file()), good);
-
-  // And a fresh daemon restarting from it is warm AND correct.
-  set_cone_cache_persist_hook(nullptr);
-  EXPECT_EQ(warm_analyse().output, reference_.out);
-}
-
-TEST_F(ServiceFaultTest, TornWriteIsRejectedOnLoadColdNotWrong) {
-  PersistHookGuard guard;
-  // Publish a file whose tail was torn off after the checksum header was
-  // written (the worst case a non-atomic writer could leave behind).
-  set_cone_cache_persist_hook([](const std::string& temp_path) {
-    const std::string full = read_file(temp_path);
-    std::ofstream torn(temp_path, std::ios::binary | std::ios::trunc);
-    torn << full.substr(0, full.size() * 2 / 3);
-    return true;
-  });
-  ASSERT_EQ(warm_analyse().output, reference_.out);
-  set_cone_cache_persist_hook(nullptr);
-
-  // The torn file must cost freshness only: the next run rejects it with
-  // a warning and recomputes -- byte-identical output, clean exit.
-  DiagnosticSink sink;
-  ConeCache cache{cone_keyspace(CutSetOptions{})};
-  EXPECT_FALSE(cache.load(cache_dir_, &sink));
-  EXPECT_GT(sink.warning_count(), 0u);
-  const ServiceResult recovered = warm_analyse();
-  EXPECT_EQ(recovered.output, reference_.out);
-  EXPECT_EQ(recovered.exit_code, 0);
-}
-
-TEST_F(ServiceFaultTest, ScribbledCacheBodyIsRejectedByTheChecksum) {
-  PersistHookGuard guard;
-  ASSERT_EQ(warm_analyse().output, reference_.out);
-  ASSERT_TRUE(save_ok_);
-  std::string bytes = read_file(cache_file());
-  ASSERT_GT(bytes.size(), 20u);
-  bytes[bytes.size() - 10] ^= 0x20;  // bit rot in the body
-  {
-    std::ofstream out(cache_file(), std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-  DiagnosticSink sink;
-  ConeCache cache{cone_keyspace(CutSetOptions{})};
-  EXPECT_FALSE(cache.load(cache_dir_, &sink));
-  EXPECT_EQ(warm_analyse().output, reference_.out);
-}
-
-TEST_F(ServiceFaultTest, CliCacheRunsSurviveInjectedSaveFailures) {
-  PersistHookGuard guard;
-  // The CLI's per-run --cache round trip under an injected kill: the run
-  // itself must stay clean and byte-identical; only persistence is lost.
-  set_cone_cache_persist_hook([](const std::string&) { return false; });
-  const CliRun run =
-      run_cli({"analyse", model_path_, "--cache", cache_dir_, "--jobs", "1"});
-  EXPECT_EQ(run.out, reference_.out);
-  EXPECT_EQ(run.code, 0);
-  EXPECT_NE(run.err.find("cannot write cone cache"), std::string::npos);
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ commands:
   report       full Markdown safety report (--top, --time, --output)
   diff         structural diff vs a revised model (--against FILE)
   load         parse the model and print the info summary (daemon: pins
-               the parsed model in the warm cache)
+               the parsed model in the warm model cache)
   serve        run the analysis daemon on --socket PATH (line-delimited
                JSON; see docs/FORMATS.md for the wire protocol)
   call         send one request to a running daemon (--socket PATH)
@@ -81,16 +81,8 @@ options:
                      (Rudell sifting on unique-table pressure). Both emit
                      identical output; sift keeps the diagram small on
                      adversarially shaped models.
-  --cache DIR        persist per-cone cut-set results in DIR and reuse them
-                     on later runs of analyse/fmea/report (incremental
-                     re-analysis: after an edit only affected cones are
-                     recomputed). Stale or corrupt cache files are ignored
-                     with a warning; output is byte-identical either way.
-                     `serve` keeps DIR warm across requests and restarts.
-  --no-cache         disable all cone-result reuse, including the default
-                     in-memory sharing across the top events of one run
-  --verbose          print run statistics (cone-cache counters, final
-                     variable order and reorder effort) to stderr
+  --verbose          print run statistics (final variable order, reorder
+                     effort, bound-engine frontier counters) to stderr
 
 daemon options:
   --socket PATH          serve/call: AF_UNIX socket path
@@ -99,8 +91,6 @@ daemon options:
   --queue N              serve: admission queue bound; requests beyond it
                          are shed with `overloaded` (default 16)
   --max-deadline-ms N    serve: clamp every client deadline to N
-  --save-interval-ms N   serve: warm-state save period (default 30000;
-                         0 disables the periodic save)
 
 exit codes:
   0  clean run                       1  completed, but with diagnostics
@@ -111,14 +101,12 @@ exit codes:
 
 struct Options {
   service::ServiceRequest request;
-  std::string cache_dir;
   // serve/call:
   std::string socket_path;
   bool json_output = false;
   int executors = 2;
   std::size_t queue_limit = 16;
   long max_deadline_ms = 0;
-  long save_interval_ms = 30000;
 };
 
 bool is_control_verb(const std::string& command) {
@@ -255,12 +243,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
             << "' (expected static or sift)\n";
         return std::nullopt;
       }
-    } else if (arg == "--cache") {
-      auto v = value();
-      if (!v) return std::nullopt;
-      options.cache_dir = *v;
-    } else if (arg == "--no-cache") {
-      options.request.no_cache = true;
     } else if (arg == "--verbose") {
       options.request.verbose = true;
     } else if (arg == "--socket") {
@@ -275,9 +257,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
       if (!count_value("--queue", &options.queue_limit)) return std::nullopt;
     } else if (arg == "--max-deadline-ms") {
       if (!count_value("--max-deadline-ms", &options.max_deadline_ms))
-        return std::nullopt;
-    } else if (arg == "--save-interval-ms") {
-      if (!count_value("--save-interval-ms", &options.save_interval_ms))
         return std::nullopt;
     } else if (arg == "--help" || arg == "-h") {
       err << kUsage;
@@ -319,9 +298,7 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   server_options.jobs = options.request.jobs;
   server_options.executors = options.executors;
   server_options.queue_limit = options.queue_limit;
-  server_options.cache_dir = options.cache_dir;
   server_options.max_deadline_ms = options.max_deadline_ms;
-  server_options.save_interval_ms = options.save_interval_ms;
   service::ServiceServer server(server_options);
   std::string error;
   if (!server.start(&error)) {
@@ -330,8 +307,8 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   }
   err << "listening on " << options.socket_path << "\n";
   err.flush();
-  // Runs until a `shutdown` request arrives. A SIGKILL instead is the
-  // crash path: the periodic warm-state saves bound what a restart loses.
+  // Runs until a `shutdown` request arrives. Nothing is persisted, so a
+  // restarted daemon starts cold.
   server.wait();
   server.stop();
   if (options.request.verbose) err << server.runner().stats_text();
@@ -368,7 +345,6 @@ service::Json build_wire_request(const Options& options) {
     json.set("max_depth", Json::number(static_cast<double>(request.max_depth)));
   if (request.max_nodes != 0)
     json.set("max_nodes", Json::number(static_cast<double>(request.max_nodes)));
-  if (request.no_cache) json.set("no_cache", Json::boolean(true));
   if (request.verbose) json.set("verbose", Json::boolean(true));
   if (request.engine != CutSetEngine::kMicsup)
     json.set("engine", Json::string(to_string(request.engine)));
@@ -459,9 +435,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   // Local cold run: one request through the shared runner, byte-for-byte
   // the pre-daemon CLI behaviour. Unknown commands are caught up front so
   // the usage text can accompany the error.
-  service::ServiceRunner::Options runner_options;
-  runner_options.cache_dir = options->cache_dir;
-  service::ServiceRunner runner(runner_options);
+  service::ServiceRunner runner;
   // The request's --output path is handled inside the runner; the CLI only
   // relays the streams.
   service::ServiceResult result = runner.execute(options->request);

@@ -18,7 +18,7 @@
 //   ftsynth report     <model.mdl> [--top ...] [--time HOURS]
 //                      [--output FILE]                 Markdown safety report
 //   ftsynth diff       <model.mdl> --against FILE     structural model diff
-//   ftsynth serve      --socket PATH [--cache DIR]    analysis daemon
+//   ftsynth serve      --socket PATH                  analysis daemon
 //   ftsynth call       <command> [model.mdl] --socket PATH
 //                                                      one daemon request
 //
@@ -28,8 +28,8 @@
 // The command logic itself lives in src/service/runner.h (shared with the
 // `serve` daemon); this module is the argv front end. `serve` answers
 // line-delimited JSON requests over a local socket with warm state --
-// parsed models and cone caches -- kept across requests and persisted
-// crash-safely to --cache DIR (docs/FORMATS.md documents the protocol).
+// parsed models and memoised results -- kept across requests; nothing is
+// persisted (docs/FORMATS.md documents the protocol).
 //
 // By default the driver runs resiliently: the parser recovers from syntax
 // errors, synthesis degrades unresolvable propagations to marked

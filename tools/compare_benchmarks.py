@@ -22,9 +22,9 @@ move with the machine).
 
 --service-report reads ONE results file (bench_results/BENCH_service.json,
 produced by bench/bench_service.cpp) and reports the daemon's warm-vs-cold
-request latency per workload: every BM_Service<Workload>Cold* record is
-read against its BM_Service<Workload>WarmDaemon counterpart, BBW
-warm/cold-cache methodology. With --min-speedup X the report exits 1 when
+request latency per workload: every BM_Service<Workload>ColdProcess record
+is read against its BM_Service<Workload>WarmDaemon counterpart. With
+--min-speedup X the report exits 1 when
 any workload's ColdProcess/WarmDaemon ratio falls below X (the acceptance
 bar runs it with --min-speedup 5).
 
@@ -107,7 +107,7 @@ def contexts_match(baseline_path: str, candidate_path: str) -> bool:
 def service_report(path: str, metric: str, min_speedup: float) -> int:
     """Warm-vs-cold daemon latency from one BENCH_service.json file."""
     times = load_benchmarks(path, metric)
-    pattern = re.compile(r"^BM_Service(.+?)(ColdProcess|ColdWithDiskCache|WarmDaemon)$")
+    pattern = re.compile(r"^BM_Service(.+?)(ColdProcess|WarmDaemon)$")
     workloads: dict[str, dict[str, float]] = {}
     for name, value in times.items():
         match = pattern.match(name)
@@ -117,34 +117,28 @@ def service_report(path: str, metric: str, min_speedup: float) -> int:
     pairs = {
         name: axes
         for name, axes in sorted(workloads.items())
-        if "WarmDaemon" in axes and ("ColdProcess" in axes or "ColdWithDiskCache" in axes)
+        if "WarmDaemon" in axes and "ColdProcess" in axes
     }
     if not pairs:
         print(
-            "error: no Cold*/WarmDaemon benchmark pairs in " + path,
+            "error: no ColdProcess/WarmDaemon benchmark pairs in " + path,
             file=sys.stderr,
         )
         return 1
 
     width = max(len(name) for name in pairs)
     too_slow = []
-    print(
-        f"{'workload':<{width}}  {'cold ms':>10}  {'cold+disk ms':>13}  "
-        f"{'warm ms':>10}  speedup"
-    )
+    print(f"{'workload':<{width}}  {'cold ms':>10}  {'warm ms':>10}  speedup")
     for name, axes in pairs.items():
         warm = axes["WarmDaemon"]
-        cold = axes.get("ColdProcess")
-        disk = axes.get("ColdWithDiskCache")
-        cold_text = f"{cold:>10.2f}" if cold is not None else f"{'-':>10}"
-        disk_text = f"{disk:>13.2f}" if disk is not None else f"{'-':>13}"
-        if cold is not None and warm > 0:
+        cold = axes["ColdProcess"]
+        if warm > 0:
             speedup = cold / warm
             speedup_text = f"{speedup:>6.1f}x"
         else:
             speedup = None
             speedup_text = f"{'-':>7}"
-        print(f"{name:<{width}}  {cold_text}  {disk_text}  {warm:>10.2f}  {speedup_text}")
+        print(f"{name:<{width}}  {cold:>10.2f}  {warm:>10.2f}  {speedup_text}")
         if speedup is not None and min_speedup > 0 and speedup < min_speedup:
             too_slow.append((name, speedup))
 

@@ -18,9 +18,9 @@ robustness ladder end to end, from outside the process boundary:
     into the CLI's diagnostic exit codes inside an ok envelope;
   * tiny deadlines, which must come back promptly as either a partial
     result or a `deadline` shed -- never a hang;
-  * a mid-run SIGKILL of the daemon followed by a warm restart from the
-    same --cache directory: the survivor must answer the same requests
-    byte-identically (crash costs freshness, never correctness);
+  * a mid-run SIGKILL of the daemon followed by a restart, which starts
+    cold: the new daemon must answer the same requests byte-identically
+    (a crash costs warm state, never correctness);
   * an orderly `shutdown` request, after which the process must exit 0.
 
 Exits non-zero on the first contract violation, printing what diverged.
@@ -92,22 +92,11 @@ def wait_for_socket(path: str, process: subprocess.Popen, timeout: float = 30.0)
     raise RuntimeError("daemon socket never came up")
 
 
-def start_daemon(ftsynth: str, sock: str, cache: str) -> subprocess.Popen:
+def start_daemon(ftsynth: str, sock: str) -> subprocess.Popen:
     if os.path.exists(sock):
         os.unlink(sock)
     process = subprocess.Popen(
-        [
-            ftsynth,
-            "serve",
-            "--socket",
-            sock,
-            "--cache",
-            cache,
-            "--save-interval-ms",
-            "500",
-            "--executors",
-            "2",
-        ],
+        [ftsynth, "serve", "--socket", sock, "--executors", "2"],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -133,7 +122,6 @@ def main() -> int:
 
     workdir = tempfile.mkdtemp(prefix="ftsynth_soak_")
     sock = os.path.join(workdir, "daemon.sock")
-    cache = os.path.join(workdir, "cache")
 
     malformed_model = os.path.join(workdir, "malformed.mdl")
     with open(malformed_model, "w", encoding="utf-8") as handle:
@@ -308,17 +296,15 @@ def main() -> int:
 
     half = args.requests // 2
     print(f"phase 1: {half} mixed requests against a cold daemon ...")
-    daemon = start_daemon(args.ftsynth, sock, cache)
+    daemon = start_daemon(args.ftsynth, sock)
     run_mixed_traffic(half)
 
-    # Let the periodic saver persist the warm state, then kill hard:
-    # no shutdown handler runs, exactly like a crash.
-    time.sleep(1.0)
-    print("SIGKILL mid-run; restarting warm from the same --cache ...")
+    # Kill hard: no shutdown handler runs, exactly like a crash.
+    print("SIGKILL mid-run; restarting cold ...")
     daemon.send_signal(signal.SIGKILL)
     daemon.wait()
 
-    daemon = start_daemon(args.ftsynth, sock, cache)
+    daemon = start_daemon(args.ftsynth, sock)
     print(f"phase 2: {args.requests - half} mixed requests after the crash ...")
     run_mixed_traffic(args.requests - half)
 
