@@ -1,12 +1,11 @@
 // Experiment E5 (analysis side): cost of the downstream cut-set analysis
-// that the paper delegates to Fault Tree Plus, comparing the 2001-era
-// top-down MOCUS engine against the bottom-up engine, the symbolic ZBDD
-// engine and the exact BDD encoding on the same synthesized trees.
+// that the paper delegates to Fault Tree Plus, comparing the bottom-up
+// engine against the symbolic ZBDD engine and the exact BDD encoding on
+// the same synthesized trees.
 //
-// Expected shape: MOCUS's working set (rows) grows combinatorially with
-// the number of AND-combined replicated lanes, the bottom-up engine with
-// early absorption pays for every intermediate set, and the decision
-// diagrams stay polynomial in the diagram size.
+// Expected shape: the bottom-up engine with early absorption pays for
+// every intermediate set as AND-combined replicated lanes are added, and
+// the decision diagrams stay polynomial in the diagram size.
 //
 // The file also A/B-tests the subsumption kernel itself: the interned
 // word-array bitset representation against the sorted literal-vector
@@ -55,22 +54,6 @@ void BM_BottomUpReplicated(benchmark::State& state) {
   state.counters["peak_sets"] = static_cast<double>(peak);
 }
 BENCHMARK(BM_BottomUpReplicated)
-    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
-
-void BM_MocusReplicated(benchmark::State& state) {
-  FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),
-                                   static_cast<int>(state.range(1)));
-  std::size_t sets = 0;
-  std::size_t peak = 0;
-  for (auto _ : state) {
-    CutSetAnalysis analysis = mocus_cut_sets(tree);
-    sets = analysis.cut_sets.size();
-    peak = analysis.peak_sets;
-  }
-  state.counters["cut_sets"] = static_cast<double>(sets);
-  state.counters["peak_sets"] = static_cast<double>(peak);
-}
-BENCHMARK(BM_MocusReplicated)
     ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
 
 void BM_ZbddReplicated(benchmark::State& state) {
@@ -123,25 +106,6 @@ void BM_CutSetsBbw(benchmark::State& state) {
 // demonstrator (an AND over four replicated brake lanes), and the headline
 // engine comparison against BM_ZbddBbw/12.
 BENCHMARK(BM_CutSetsBbw)->DenseRange(0, 15, 5)->Arg(12);
-
-void BM_MocusBbw(benchmark::State& state) {
-  static Model model = setta::build_bbw();
-  Synthesiser synthesiser(model);
-  const std::vector<std::string> tops = setta::bbw_top_events();
-  const std::string& top = tops[static_cast<std::size_t>(state.range(0))];
-  state.SetLabel(top);
-  FaultTree tree = synthesiser.synthesise(top);
-  std::size_t sets = 0;
-  for (auto _ : state) {
-    CutSetAnalysis analysis = mocus_cut_sets(tree);
-    sets = analysis.cut_sets.size();
-  }
-  state.counters["cut_sets"] = static_cast<double>(sets);
-}
-// No Arg(12) here: MOCUS's row expansion on the four-lane AND of
-// Omission-total_braking runs for minutes and truncates at max_sets --
-// the set-limit tests cover that behaviour; timing it teaches nothing.
-BENCHMARK(BM_MocusBbw)->DenseRange(0, 15, 5);
 
 void BM_ZbddBbw(benchmark::State& state) {
   static Model model = setta::build_bbw();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -56,9 +55,9 @@ namespace {
 //
 // Every (event, polarity) literal of the tree under analysis is interned
 // once into a dense id (2 * event_rank + negated), so a working cut set is
-// a fixed-width word-array bitset. micsup and mocus rank events by name,
-// which makes set_less the canonical output order; zbdd and bound
-// rank them in their variable order (see Context::intern). The two
+// a fixed-width word-array bitset. micsup ranks events by name, which
+// makes set_less the canonical output order; zbdd and bound rank them in
+// their variable order (see Context::intern). The two
 // derived fields make the subsumption hot loop cheap:
 //
 //   * count: cached popcount -- a set can only be subsumed by a set with
@@ -158,7 +157,7 @@ class Context {
   /// literal_id() lookup and bitset width derives from this table, so it
   /// must run before any set is built. zbdd and bound pass their
   /// variable order, since a literal id is a diagram variable or PDAG
-  /// literal; finish() then sorts by name rank. micsup and mocus use
+  /// literal; finish() then sorts by name rank. micsup uses
   /// intern_by_name.
   /// `original` is the caller's tree: finish() points every literal at
   /// its equally-named leaf there (the engines run on a normalised copy
@@ -290,10 +289,10 @@ class Context {
 
   /// Lists `sets` in the canonical (size, name, polarity) order, every
   /// literal pointing into the original tree. Name-ranked ids in set_less
-  /// order -- every clean micsup or mocus run -- are that order already
-  /// and are emitted in one pass. Otherwise (zbdd, bdd, bound, partial
-  /// runs) each set becomes its sorted `2 * name_rank + negated` keys and
-  /// the keys are sorted once: integers only, never names.
+  /// order -- every clean micsup run -- are that order already and are
+  /// emitted in one pass. Otherwise (zbdd, bound, partial runs) each set
+  /// becomes its sorted `2 * name_rank + negated` keys and the keys are
+  /// sorted once: integers only, never names.
   CutSetAnalysis finish(std::vector<Set> sets) const {
     CutSetAnalysis analysis;
     analysis.truncated = truncated_;
@@ -585,95 +584,12 @@ class BottomUp {
   std::unordered_map<const FtNode*, std::size_t> uses_;
 };
 
-// -- Top-down MOCUS engine -------------------------------------------------------
-
-class Mocus {
- public:
-  Mocus(const FaultTree& tree, Context& context)
-      : tree_(tree), context_(context) {}
-
-  std::vector<Set> run() {
-    const FtNode* top = tree_.top();
-    if (top == nullptr) return {};
-
-    // A row is a conjunction of unresolved nodes plus resolved literals.
-    struct Row {
-      std::vector<const FtNode*> gates;
-      Set literals;
-    };
-    std::deque<Row> rows;
-    rows.push_back({{top}, context_.empty_set()});
-    std::vector<Set> done;
-
-    while (!rows.empty()) {
-      if (context_.deadline_hit()) break;  // finish with the sets done so far
-      Row row = std::move(rows.front());
-      rows.pop_front();
-      context_.track_peak(rows.size() + done.size());
-      if (row.gates.empty()) {
-        if (row.literals.count > context_.options().max_order) {
-          context_.mark_truncated();
-        } else if (!contradictory(row.literals)) {
-          done.push_back(std::move(row.literals));
-        }
-        continue;
-      }
-      const FtNode* node = row.gates.back();
-      row.gates.pop_back();
-      switch (node->kind()) {
-        case NodeKind::kHouse:
-          rows.push_back(std::move(row));  // true: contributes nothing
-          break;
-        case NodeKind::kBasic:
-        case NodeKind::kUndeveloped:
-        case NodeKind::kLoop:
-          set_insert(row.literals, context_.literal_id(node, false));
-          rows.push_back(std::move(row));
-          break;
-        case NodeKind::kGate:
-          if (node->gate() == GateKind::kNot) {
-            const FtNode* child = node->children().front();
-            check_internal(child->is_leaf(),
-                           "MOCUS needs a normalised tree (NOT over leaf)");
-            set_insert(row.literals, context_.literal_id(child, true));
-            rows.push_back(std::move(row));
-          } else if (node->gate() == GateKind::kAnd ||
-                     node->gate() == GateKind::kPand) {
-            for (const FtNode* child : node->children())
-              row.gates.push_back(child);
-            rows.push_back(std::move(row));
-          } else {  // OR: one row per child
-            for (const FtNode* child : node->children()) {
-              Row branch = row;
-              branch.gates.push_back(child);
-              rows.push_back(std::move(branch));
-            }
-          }
-          break;
-      }
-      if (rows.size() > context_.options().max_sets * 4) {
-        // Row explosion guard: finish the rows we have, drop the rest.
-        context_.mark_truncated();
-        while (rows.size() > context_.options().max_sets) rows.pop_back();
-      }
-    }
-    if (context_.deadline_hit()) return context_.clamp(std::move(done));
-    return context_.clamp(minimise(std::move(done), &context_));
-  }
-
- private:
-  const FaultTree& tree_;
-  Context& context_;
-};
-
 }  // namespace
 
 std::string to_string(CutSetEngine engine) {
   switch (engine) {
     case CutSetEngine::kMicsup:
       return "micsup";
-    case CutSetEngine::kMocus:
-      return "mocus";
     case CutSetEngine::kZbdd:
       return "zbdd";
     case CutSetEngine::kBound:
@@ -684,7 +600,6 @@ std::string to_string(CutSetEngine engine) {
 
 std::optional<CutSetEngine> parse_cut_set_engine(std::string_view text) {
   if (text == "micsup") return CutSetEngine::kMicsup;
-  if (text == "mocus") return CutSetEngine::kMocus;
   if (text == "zbdd") return CutSetEngine::kZbdd;
   if (text == "bound") return CutSetEngine::kBound;
   return std::nullopt;
@@ -698,19 +613,9 @@ CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
   return context.finish(BottomUp(flat, context).run());
 }
 
-CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
-                              const CutSetOptions& options) {
-  FaultTree flat = normalise(tree);
-  Context context(options);
-  context.intern_by_name(dfs_variable_order(flat), tree);
-  return context.finish(Mocus(flat, context).run());
-}
-
 CutSetAnalysis compute_cut_sets(const FaultTree& tree,
                                 const CutSetOptions& options) {
   switch (options.engine) {
-    case CutSetEngine::kMocus:
-      return mocus_cut_sets(tree, options);
     case CutSetEngine::kZbdd:
       return zbdd_cut_sets(tree, options);
     case CutSetEngine::kBound:

@@ -2,21 +2,18 @@
 //
 // The paper hands synthesized trees to Fault Tree Plus for "cut-set
 // analysis, for example" (section 2). This module provides that analysis
-// natively, with four selectable engines (CutSetOptions::engine, CLI
+// natively, with three selectable engines (CutSetOptions::engine, CLI
 // --engine):
 //
 //   * minimal_cut_sets -- bottom-up combination over the tree DAG
 //     (MICSUP-style): each node's minimal cut sets are computed from its
 //     children's, with absorption applied at every step. The default.
-//   * mocus_cut_sets -- the classic top-down MOCUS row expansion as run by
-//     2001-era FTA tools. Kept as an independently-implemented oracle and
-//     for the engine-comparison benchmark (bench_cutsets).
 //   * zbdd_cut_sets -- symbolic: converts the tree DAG bottom-up into a
 //     zero-suppressed BDD (src/bdd/zbdd.h) with per-node memoisation, so
 //     shared subtrees convert once, keeps every intermediate family
 //     minimal with Rauzy's minsol, and only enumerates the final minimal
-//     family. Polynomial in the diagram size where the enumerating
-//     engines pay for every intermediate set.
+//     family. Polynomial in the diagram size where bottom-up set
+//     combination pays for every intermediate set.
 //   * bound_cut_sets -- anytime: compiles the tree to a PDAG (src/bound/)
 //     and drains a best-first frontier of partial products,
 //     most-probable-first, maintaining certified lower/upper bounds on
@@ -26,25 +23,30 @@
 //     to the exact engines. The engine for trees beyond exact reach: a
 //     fixed budget always buys a guaranteed interval.
 //
-// The set-based engines share an interned-bitset kernel: every (event,
-// polarity) literal of the normalised tree is mapped once to the dense id
+// micsup runs on an interned-bitset kernel: every (event, polarity)
+// literal of the normalised tree is mapped once to the dense id
 // 2 * rank + negated, and a working cut set is a word-array bitset with a
 // cached popcount and a 64-bit membership signature. Subsumption is a
 // `(a & ~b) == 0` word loop behind a signature pre-filter, and the
 // minimisation pass buckets candidates by popcount so a candidate is only
-// screened against strictly smaller survivors. micsup and mocus rank
-// events by name, so the kernel's working order is the canonical output
-// order: minimised families are merged at OR gates and listed as they
-// are, with no re-sort. zbdd and bound keep their variable order
-// (depth-first occurrence, analysis/ordering.h), because there a literal
-// id is a diagram variable or PDAG literal; their listings are sorted
-// once on integer name-rank keys.
+// screened against strictly smaller survivors. micsup ranks events by
+// name, so the kernel's working order is the canonical output order:
+// minimised families are merged at OR gates and listed as they are, with
+// no re-sort. zbdd and bound keep their variable order (depth-first
+// occurrence, analysis/ordering.h), because there a literal id is a
+// diagram variable or PDAG literal; their listings are sorted once on
+// integer name-rank keys.
 //
 // All engines return the same canonical result: cut sets sorted by
 // (order, lexicographic event names). Negated literals (from NOT gates)
 // are supported; a set containing x and NOT x is contradictory and dropped.
 // Every call analyses its tree from scratch and keeps nothing afterwards,
 // so the result is a function of the tree and the options alone.
+//
+// micsup and zbdd are two separate exact algorithms (set combination with
+// absorption against Rauzy's minsol on a diagram), so the tests check
+// each against the other on large trees; on small ones both are checked
+// against a brute-force enumeration (tests/test_reorder_fuzz.cpp).
 
 #pragma once
 
@@ -68,12 +70,11 @@ class ThreadPool;
 /// Which algorithm computes the minimal cut sets (see header comment).
 enum class CutSetEngine {
   kMicsup,  ///< bottom-up set combination (default)
-  kMocus,   ///< top-down MOCUS row expansion
   kZbdd,    ///< symbolic ZBDD engine
   kBound,   ///< anytime best-first engine with certified bounds
 };
 
-/// CLI and wire spelling: "micsup" | "mocus" | "zbdd" | "bound".
+/// CLI and wire spelling: "micsup" | "zbdd" | "bound".
 std::string to_string(CutSetEngine engine);
 
 /// Parses a CLI/wire spelling; std::nullopt when unrecognised.
@@ -119,9 +120,9 @@ struct CutSetOptions {
   /// family larger than max_sets, only a bounded sample of sets is
   /// extracted for the listing (flagged truncated exactly as the full
   /// extraction would have been) -- the reliability numbers no longer
-  /// need the paths. analyse_tree and the FMEA command set it for every
-  /// ZBDD run; false gives the cut-set reference path that tests and
-  /// bench_prob compare against. The set-based engines ignore the flag.
+  /// need the paths. cut_set_options (analysis/report.h) sets it for
+  /// every ZBDD run; false gives the cut-set reference path that tests and
+  /// bench_prob compare against. micsup and bound ignore the flag.
   bool keep_diagram = false;
   /// Bound engine only: stop once p_upper - p_lower <= bound_epsilon
   /// (CLI --bound-epsilon). Negative disables early stopping: the run goes
@@ -131,8 +132,8 @@ struct CutSetOptions {
   /// Bound engine only: basic-event probability inputs (the enumeration
   /// order and the interval are probability-driven, so the engine needs
   /// them up front where the exact engines defer probability to the
-  /// reporting stage). The analysis layer copies these from
-  /// ProbabilityOptions; direct callers set them to match.
+  /// reporting stage). cut_set_options (analysis/report.h) copies these
+  /// from ProbabilityOptions; direct callers set them to match.
   double bound_mission_time_hours = 1.0;
   double bound_default_probability = 0.0;
 };
@@ -234,10 +235,6 @@ CutSetAnalysis compute_cut_sets(const FaultTree& tree,
 /// Bottom-up engine (default).
 CutSetAnalysis minimal_cut_sets(const FaultTree& tree,
                                 const CutSetOptions& options = {});
-
-/// Classic top-down MOCUS engine (oracle / benchmark comparator).
-CutSetAnalysis mocus_cut_sets(const FaultTree& tree,
-                              const CutSetOptions& options = {});
 
 /// Symbolic ZBDD engine (see header comment). Handles NOT gates: both
 /// polarities of an event are distinct ZBDD variables and contradictory

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
-#include "bdd/zbdd_prob.h"
+#include "analysis/importance.h"
 #include "core/error.h"
 #include "core/strings.h"
 #include "core/text_table.h"
@@ -46,44 +47,28 @@ std::vector<FmeaRow> synthesise_fmea(
     const FaultTree& tree = *trees[i];
     const CutSetAnalysis& analysis = *cut_sets[i];
 
-    // Diagram regime, per tree: same condition as analyse_reliability --
-    // exact diagram present, extraction cut short. Clean trees keep the
-    // family path so output is byte-identical with and without a diagram.
-    const CutSetDiagram* diagram = analysis.diagram.get();
-    if (diagram != nullptr && diagram->exact &&
-        (analysis.truncated || analysis.deadline_exceeded)) {
-      std::vector<double> var_probs(2 * diagram->events.size(), 0.0);
-      for (std::size_t r = 0; r < diagram->events.size(); ++r) {
-        const FtNode* event = diagram->events[r];
+    // Diagram regime, per tree: the one analyse_reliability uses.
+    if (const std::optional<ZbddMeasures> measures =
+            diagram_measures(analysis, options)) {
+      // Only the plain polarity is a failure mode (the family loop below
+      // skips negated literals the same way).
+      const CutSetDiagram& diagram = *analysis.diagram;
+      for (std::size_t r = 0; r < diagram.events.size(); ++r) {
+        const FtNode* event = diagram.events[r];
         if (event == nullptr) continue;
-        const double q = event_probability(*event, options);
-        var_probs[2 * r] = q;
-        var_probs[2 * r + 1] = 1.0 - q;
+        if (event->kind() != NodeKind::kBasic) continue;
+        if (event->has_fixed_probability()) continue;
+        const std::size_t order = measures->var_min_order[2 * r];
+        if (order == 0) continue;  // no set holds the plain literal
+        FmeaEffect& effect = effect_of(event, tree.top_description());
+        effect.direct = effect.direct || order == 1;
+        if (effect.smallest_order == 0 || order < effect.smallest_order)
+          effect.smallest_order = order;
+        if (measures->total_mass > 0.0)
+          effect.fussell_vesely +=
+              measures->var_mass[2 * r] / measures->total_mass;
       }
-      ZbddMeasures measures = zbdd_measures(diagram->zbdd, diagram->root,
-                                            var_probs, options.budget);
-      if (measures.complete) {
-        // Only the plain polarity is a failure mode (the family loop
-        // below skips negated literals the same way).
-        for (std::size_t r = 0; r < diagram->events.size(); ++r) {
-          const FtNode* event = diagram->events[r];
-          if (event == nullptr) continue;
-          if (event->kind() != NodeKind::kBasic) continue;
-          if (event->has_fixed_probability()) continue;
-          const std::size_t order = measures.var_min_order[2 * r];
-          if (order == 0) continue;  // no set holds the plain literal
-          FmeaEffect& effect = effect_of(event, tree.top_description());
-          effect.direct = effect.direct || order == 1;
-          if (effect.smallest_order == 0 || order < effect.smallest_order)
-            effect.smallest_order = order;
-          if (measures.total_mass > 0.0)
-            effect.fussell_vesely +=
-                measures.var_mass[2 * r] / measures.total_mass;
-        }
-        continue;
-      }
-      // Sweep interrupted by the deadline: fall through to the (equally
-      // partial) family numbers, the classic degradation.
+      continue;
     }
 
     const std::vector<double> set_probs =

@@ -39,6 +39,26 @@ struct RareEventMasses {
 
 }  // namespace
 
+std::optional<ZbddMeasures> diagram_measures(
+    const CutSetAnalysis& analysis, const ProbabilityOptions& options) {
+  const CutSetDiagram* diagram = analysis.diagram.get();
+  if (diagram == nullptr || !diagram->exact ||
+      !(analysis.truncated || analysis.deadline_exceeded))
+    return std::nullopt;
+  std::vector<double> var_probs(2 * diagram->events.size(), 0.0);
+  for (std::size_t r = 0; r < diagram->events.size(); ++r) {
+    const FtNode* event = diagram->events[r];
+    if (event == nullptr) continue;  // variable absent from the diagram
+    const double q = event_probability(*event, options);
+    var_probs[2 * r] = q;
+    var_probs[2 * r + 1] = 1.0 - q;
+  }
+  ZbddMeasures measures = zbdd_measures(diagram->zbdd, diagram->root,
+                                        var_probs, options.budget);
+  if (!measures.complete) return std::nullopt;
+  return measures;
+}
+
 ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                        const CutSetAnalysis& analysis,
                                        const ProbabilityOptions& options,
@@ -56,37 +76,10 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
   const bool bound_run = analysis.p_lower.has_value();
   std::unordered_map<const FtNode*, RareEventMasses> rare_masses;
 
-  // The diagram regime: an exact diagram is present AND extraction was
-  // cut short. On clean runs both regimes evaluate the extracted family
-  // with the same kernels, so the rendered output is byte-identical with
-  // and without a diagram; once extraction truncates, the family numbers
-  // are partial while the diagram's are exact -- the whole point of
-  // keeping the diagram.
-  const CutSetDiagram* diagram = analysis.diagram.get();
-  bool use_diagram = diagram != nullptr && diagram->exact &&
-                     (analysis.truncated || analysis.deadline_exceeded);
-  ZbddMeasures measures;
-  if (use_diagram) {
-    // ZBDD variable 2r is the plain polarity of events[r], 2r + 1 the
-    // negated one with probability 1 - q -- the same convention
-    // cut_set_probability applies per literal.
-    std::vector<double> var_probs(2 * diagram->events.size(), 0.0);
-    for (std::size_t r = 0; r < diagram->events.size(); ++r) {
-      const FtNode* event = diagram->events[r];
-      if (event == nullptr) continue;  // variable absent from the diagram
-      const double q = event_probability(*event, options);
-      var_probs[2 * r] = q;
-      var_probs[2 * r + 1] = 1.0 - q;
-    }
-    measures = zbdd_measures(diagram->zbdd, diagram->root, var_probs,
-                             options.budget);
-    // A deadline mid-sweep degrades to the family numbers: partial sweep
-    // results are unusable, while the (equally partial) family numbers
-    // preserve the classic deadline behaviour.
-    if (!measures.complete) use_diagram = false;
-  }
-
-  if (use_diagram) {
+  if (const std::optional<ZbddMeasures> swept =
+          diagram_measures(analysis, options)) {
+    const ZbddMeasures& measures = *swept;
+    const CutSetDiagram* diagram = analysis.diagram.get();
     out.diagram_native = true;
     out.p_rare_event = measures.total_mass;
     out.p_esary_proschan = measures.esary_proschan;

@@ -12,11 +12,13 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
+#include "bdd/zbdd_prob.h"
 
 namespace ftsynth {
 
@@ -65,6 +67,20 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                        const CutSetAnalysis& analysis,
                                        const ProbabilityOptions& options,
                                        ProbMode = ProbMode::kDiagram);
+
+/// The diagram regime that analyse_reliability and synthesise_fmea share:
+/// the ZBDD measure sweep over `analysis`'s diagram when that diagram is
+/// exact AND extraction was cut short (truncated or past the deadline) --
+/// the case where the diagram numbers are exact while the family numbers
+/// would be partial. ZBDD variable 2r is the plain polarity of
+/// diagram->events[r] with probability q, 2r + 1 the negated one with
+/// 1 - q, the convention cut_set_probability applies per literal. Empty
+/// on clean runs (both regimes would print the same bytes, so the family
+/// path runs), without a usable diagram, and when the deadline interrupts
+/// the sweep: partial sweep results are unusable, while the equally
+/// partial family numbers keep the classic deadline behaviour.
+std::optional<ZbddMeasures> diagram_measures(const CutSetAnalysis& analysis,
+                                             const ProbabilityOptions& options);
 
 /// Renders the ranking as a text table.
 std::string render_importance(const std::vector<ImportanceEntry>& ranking);

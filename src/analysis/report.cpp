@@ -4,22 +4,22 @@
 
 namespace ftsynth {
 
+CutSetOptions cut_set_options(const AnalysisOptions& options) {
+  CutSetOptions cut_options = options.cut_sets;
+  cut_options.keep_diagram = cut_options.engine == CutSetEngine::kZbdd;
+  cut_options.bound_mission_time_hours =
+      options.probability.mission_time_hours;
+  cut_options.bound_default_probability =
+      options.probability.default_event_probability;
+  return cut_options;
+}
+
 TreeAnalysis analyse_tree(const FaultTree& tree,
                           const AnalysisOptions& options) {
   TreeAnalysis analysis;
   analysis.top_event = tree.top_description();
   analysis.tree_stats = tree.stats();
-  // The ZBDD engine always keeps its diagram: the reliability stage
-  // evaluates it when extraction is cut short.
-  CutSetOptions cut_options = options.cut_sets;
-  cut_options.keep_diagram = cut_options.engine == CutSetEngine::kZbdd;
-  // The bound engine consumes probabilities during enumeration; hand it
-  // the same inputs the reporting stage below will use.
-  cut_options.bound_mission_time_hours =
-      options.probability.mission_time_hours;
-  cut_options.bound_default_probability =
-      options.probability.default_event_probability;
-  analysis.cut_sets = compute_cut_sets(tree, cut_options);
+  analysis.cut_sets = compute_cut_sets(tree, cut_set_options(options));
   analysis.common_cause = analyse_common_cause(tree, analysis.cut_sets);
   // One call computes the whole probability stage: exact P(top) and all
   // importance measures share a single BDD encoding and probability memo,
@@ -107,21 +107,6 @@ std::string render(const FaultTree& tree, const TreeAnalysis& analysis,
             static_cast<std::ptrdiff_t>(std::min(
                 analysis.importance.size(), options.max_importance_rows)));
     out += render_importance(top);
-  }
-  return out;
-}
-
-std::string analyse_model_report(const Model& model,
-                                 const std::vector<std::string>& top_events,
-                                 const SynthesisOptions& synthesis,
-                                 const AnalysisOptions& options) {
-  std::string out = "Model: " + model.name() + " (" +
-                    std::to_string(model.block_count()) + " blocks)\n\n";
-  Synthesiser synthesiser(model, synthesis);
-  for (const std::string& top : top_events) {
-    FaultTree tree = synthesiser.synthesise(top);
-    TreeAnalysis analysis = analyse_tree(tree, options);
-    out += render(tree, analysis, options) + "\n";
   }
   return out;
 }

@@ -16,8 +16,6 @@
 #include "analysis/importance.h"
 #include "analysis/probability.h"
 #include "fta/fault_tree.h"
-#include "fta/synthesis.h"
-#include "model/model.h"
 
 namespace ftsynth {
 
@@ -59,6 +57,13 @@ struct TreeAnalysis {
   std::optional<FrontierStats> frontier_stats;
 };
 
+/// The cut-set options an analysis runs with: options.cut_sets plus what
+/// the later stages need from the engine. The ZBDD engine keeps its
+/// diagram, which the reliability and FMEA stages evaluate when extraction
+/// is cut short; the bound engine, which consumes probabilities during
+/// enumeration, gets the inputs the probability stage will use.
+CutSetOptions cut_set_options(const AnalysisOptions& options);
+
 /// Runs cut sets, probabilities, importance and common-cause on `tree`.
 /// The result holds FtNode pointers INTO `tree`: the tree must outlive the
 /// returned TreeAnalysis (do not pass a temporary).
@@ -68,12 +73,5 @@ TreeAnalysis analyse_tree(const FaultTree& tree,
 /// Renders one tree analysis as a text report.
 std::string render(const FaultTree& tree, const TreeAnalysis& analysis,
                    const AnalysisOptions& options = {});
-
-/// Synthesises and analyses several top events of a model, returning the
-/// full textual report (the paper's demonstration output).
-std::string analyse_model_report(const Model& model,
-                                 const std::vector<std::string>& top_events,
-                                 const SynthesisOptions& synthesis = {},
-                                 const AnalysisOptions& options = {});
 
 }  // namespace ftsynth

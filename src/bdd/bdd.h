@@ -2,8 +2,9 @@
 //
 // The analysis layer uses BDDs as its exact engine: top-event probability
 // without the rare-event approximation, equivalence checks between trees
-// (design-iteration comparisons), and an oracle for the MOCUS cut-set
-// engine in the property tests. 2001-era FTA tools (the Fault Tree Plus of
+// (design-iteration comparisons), and an exactness oracle for the cut-set
+// engines in the property tests (the disjunction of a tree's minimal cut
+// sets must be BDD-equivalent to the tree). 2001-era FTA tools (the Fault Tree Plus of
 // the paper's tool chain) shipped exactly this pairing of a classical
 // cut-set engine with an exact evaluator.
 //

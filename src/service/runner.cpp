@@ -633,14 +633,7 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
   constexpr const char* kNoTops = "no derivable top events in this model";
   if (loaded.top_count() == 0) return no_tops(loaded, exec, kNoTops);
   const AnalysisOptions analysis = analysis_options(exec);
-  CutSetOptions cut_set_options = analysis.cut_sets;
-  // FMEA calls compute_cut_sets directly (no analyse_tree to copy the
-  // probability inputs over), so hand the bound engine its inputs here.
-  cut_set_options.bound_mission_time_hours = exec.request.mission_time_hours;
-  cut_set_options.bound_default_probability =
-      analysis.probability.default_event_probability;
-  // Diagram-native FMEA columns need the ZBDD engine's retained diagram.
-  cut_set_options.keep_diagram = exec.request.engine == CutSetEngine::kZbdd;
+  const CutSetOptions cut_options = cut_set_options(analysis);
   BatchOptions batch_options;
   batch_options.analyse = false;
   BatchResult batch = run_tops(loaded, exec, batch_options);
@@ -654,7 +647,7 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
   if (trees.empty()) return no_tops(loaded, exec, kNoTops);
   std::vector<CutSetAnalysis> cut_sets =
       parallel_map(exec.pool, trees.size(), [&](std::size_t i) {
-        return compute_cut_sets(*trees[i], cut_set_options);
+        return compute_cut_sets(*trees[i], cut_options);
       });
   for (std::size_t i = 0; i < trees.size(); ++i) {
     report_reorder_stats(exec,

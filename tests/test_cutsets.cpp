@@ -36,7 +36,7 @@ TEST(CutSets, SingleEvent) {
 TEST(CutSets, EmptyTreeHasNone) {
   FaultTree tree("t");
   EXPECT_TRUE(minimal_cut_sets(tree).cut_sets.empty());
-  EXPECT_TRUE(mocus_cut_sets(tree).cut_sets.empty());
+  EXPECT_TRUE(zbdd_cut_sets(tree).cut_sets.empty());
 }
 
 TEST(CutSets, AbsorptionRemovesSupersets) {
@@ -116,20 +116,6 @@ TEST(CutSets, CanonicalOrderingIsByOrderThenName) {
   EXPECT_EQ(analysis.of_order(1).size(), 1u);
   EXPECT_EQ(analysis.of_order(2).size(), 1u);
   EXPECT_TRUE(analysis.of_order(3).empty());
-}
-
-TEST(CutSets, MocusAgreesOnHandExamples) {
-  FaultTree tree("t");
-  FtNode* a = basic(tree, "a");
-  FtNode* b = basic(tree, "b");
-  FtNode* c = basic(tree, "c");
-  FtNode* x = basic(tree, "x");
-  FtNode* left = tree.add_gate(GateKind::kOr, "", {a, x});
-  FtNode* right = tree.add_gate(GateKind::kOr, "", {b, x});
-  FtNode* conj = tree.add_gate(GateKind::kAnd, "", {left, right});
-  tree.set_top(tree.add_gate(GateKind::kOr, "", {conj, c}));
-  EXPECT_EQ(mocus_cut_sets(tree).to_string(),
-            minimal_cut_sets(tree).to_string());
 }
 
 /// Ground truth by exhaustion: the minimal sets of events whose failure
@@ -214,7 +200,6 @@ TEST_P(CutSetEngines, AgreeOnRandomTrees) {
   ASSERT_FALSE(truth.empty());
   CutSetAnalysis bottom_up = minimal_cut_sets(tree);
   EXPECT_EQ(bottom_up.to_string(), truth);
-  EXPECT_EQ(mocus_cut_sets(tree).to_string(), truth);
   EXPECT_EQ(zbdd_cut_sets(tree).to_string(), truth);
 
   // Probability sandwich (coherent trees only -- no NOT here).
@@ -303,10 +288,11 @@ TEST(ComputeCutSets, DispatchesOnTheEngineOption) {
   FtNode* a = basic(tree, "a");
   FtNode* b = basic(tree, "b");
   tree.set_top(tree.add_gate(GateKind::kOr, "", {a, b}));
-  for (CutSetEngine engine :
-       {CutSetEngine::kMicsup, CutSetEngine::kMocus, CutSetEngine::kZbdd}) {
+  for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kZbdd,
+                              CutSetEngine::kBound}) {
     CutSetOptions options;
     options.engine = engine;
+    options.bound_epsilon = -1.0;  // the bound engine runs to exhaustion
     EXPECT_EQ(compute_cut_sets(tree, options).to_string(), "{a}\n{b}\n");
   }
 }
@@ -326,8 +312,7 @@ TEST(CutSetEnginesDeadline, PartialResultsKeepTheFlags) {
     ors.push_back(tree.add_gate(GateKind::kOr, "", std::move(leaves)));
   }
   tree.set_top(tree.add_gate(GateKind::kAnd, "", std::move(ors)));
-  for (CutSetEngine engine :
-       {CutSetEngine::kMicsup, CutSetEngine::kMocus, CutSetEngine::kZbdd}) {
+  for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kZbdd}) {
     CutSetOptions options;
     options.engine = engine;
     options.budget.set_deadline_ms(0);  // expired before the run starts
@@ -339,8 +324,9 @@ TEST(CutSetEnginesDeadline, PartialResultsKeepTheFlags) {
   }
 }
 
-/// Property: random trees WITH NOT gates (non-coherent, so no BDD oracle):
-/// the three set engines agree, including on contradictory products.
+/// Property: random trees WITH NOT gates: the two exact engines agree,
+/// including on contradictory products (DifferentialFuzz checks the same
+/// family against brute force).
 class NegatedCutSetEngines : public ::testing::TestWithParam<int> {};
 
 TEST_P(NegatedCutSetEngines, AgreeOnRandomNegatedTrees) {
@@ -370,20 +356,15 @@ TEST_P(NegatedCutSetEngines, AgreeOnRandomNegatedTrees) {
   }
   tree.set_top(pool.back());
 
-  CutSetAnalysis bottom_up = minimal_cut_sets(tree);
-  CutSetAnalysis mocus = mocus_cut_sets(tree);
-  CutSetAnalysis zbdd = zbdd_cut_sets(tree);
-  EXPECT_EQ(bottom_up.to_string(), mocus.to_string());
-  EXPECT_EQ(bottom_up.to_string(), zbdd.to_string());
+  EXPECT_EQ(minimal_cut_sets(tree).to_string(),
+            zbdd_cut_sets(tree).to_string());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NegatedCutSetEngines, ::testing::Range(0, 30));
 
 TEST(CutSetEngines, AgreeOnCaseStudyModels) {
-  // The synthesized case-study trees are the representative workload: all
-  // three engines must produce identical canonical families on them.
-  // (MOCUS only gets the single-lane tops -- its row expansion genuinely
-  // explodes on the 4-lane AND, which is why the other engines exist.)
+  // The synthesized case-study trees are the representative workload: both
+  // exact engines must produce identical canonical families on them.
   struct Case {
     Model model;
     std::string top;
@@ -398,9 +379,9 @@ TEST(CutSetEngines, AgreeOnCaseStudyModels) {
     Synthesiser synthesiser(c.model);
     FaultTree tree = synthesiser.synthesise(c.top);
     ASSERT_NE(tree.top(), nullptr) << c.top;
-    const std::string reference = minimal_cut_sets(tree).to_string();
-    EXPECT_EQ(mocus_cut_sets(tree).to_string(), reference) << c.top;
-    EXPECT_EQ(zbdd_cut_sets(tree).to_string(), reference) << c.top;
+    EXPECT_EQ(zbdd_cut_sets(tree).to_string(),
+              minimal_cut_sets(tree).to_string())
+        << c.top;
   }
 
   // The 4-lane top is the heavyweight case: the symbolic engine must match
@@ -479,8 +460,8 @@ TEST(CanonicalOrder, EveryEngineListsByOrderNameAndPolarity) {
   FaultTree replicated = synthesiser.synthesise("Omission-sink");
   ASSERT_NE(replicated.top(), nullptr);
   for (const FaultTree* tree : {&reverse, &replicated}) {
-    for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kMocus,
-                                CutSetEngine::kZbdd, CutSetEngine::kBound}) {
+    for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kZbdd,
+                                CutSetEngine::kBound}) {
       CutSetOptions options;
       options.engine = engine;
       options.bound_epsilon = -1.0;  // the bound engine runs to exhaustion
@@ -504,8 +485,8 @@ TEST(CanonicalOrder, TruncatedAndPartialListingsStayCanonical) {
   ASSERT_NE(replicated.top(), nullptr);
   const CutSetAnalysis clean = minimal_cut_sets(replicated);
   ASSERT_GT(clean.cut_sets.size(), 20u);
-  for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kMocus,
-                              CutSetEngine::kZbdd, CutSetEngine::kBound}) {
+  for (CutSetEngine engine : {CutSetEngine::kMicsup, CutSetEngine::kZbdd,
+                              CutSetEngine::kBound}) {
     CutSetOptions limited;
     limited.engine = engine;
     limited.max_sets = 20;

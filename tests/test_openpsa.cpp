@@ -84,8 +84,7 @@ const MefTop* find_top(const MefModel& mef, const std::string& name) {
 }
 
 constexpr CutSetEngine kAllEngines[] = {
-    CutSetEngine::kMicsup, CutSetEngine::kMocus, CutSetEngine::kZbdd,
-    CutSetEngine::kBound};
+    CutSetEngine::kMicsup, CutSetEngine::kZbdd, CutSetEngine::kBound};
 
 /// The analysable corpus models (the negative ones are tested separately).
 constexpr const char* kPositiveModels[] = {
@@ -302,7 +301,7 @@ TEST(OpenpsaCorpus, EveryModelMatchesItsOracleOnEveryEngine) {
 TEST(OpenpsaCorpus, AnalyseOutputIsByteIdenticalAcrossEnginesAndJobs) {
   for (const char* file : kPositiveModels) {
     SCOPED_TRACE(file);
-    // The three exact engines must agree byte-for-byte with each other and
+    // The two exact engines must agree byte-for-byte with each other and
     // across worker counts; the bound engine prints the certified interval
     // instead of the classic probability block, so it is held identical
     // across job counts and to its own serial run.

@@ -6,6 +6,7 @@
 
 #include "analysis/report.h"
 #include "casestudy/setta.h"
+#include "fta/synthesis.h"
 #include "ftp/ftp_writer.h"
 #include "ftp/json_writer.h"
 #include "ftp/xml_writer.h"

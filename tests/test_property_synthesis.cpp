@@ -94,6 +94,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisAgreesWithSimulation,
 class EnginesAgreeOnSynthesizedTrees : public ::testing::TestWithParam<int> {
 };
 
+// The name predates the retired MOCUS engine, whose leg zbdd (a separate
+// algorithm) now fills; it is kept so the seeded instances keep their
+// history.
 TEST_P(EnginesAgreeOnSynthesizedTrees, MocusEqualsBottomUpEqualsBdd) {
   synthetic::RandomModelConfig config;
   config.seed = 1000u + static_cast<unsigned>(GetParam());
@@ -107,8 +110,7 @@ TEST_P(EnginesAgreeOnSynthesizedTrees, MocusEqualsBottomUpEqualsBdd) {
     FaultTree tree = synthesiser.synthesise(top);
     if (tree.top() == nullptr) continue;
     CutSetAnalysis bottom_up = minimal_cut_sets(tree);
-    CutSetAnalysis mocus = mocus_cut_sets(tree);
-    EXPECT_EQ(bottom_up.to_string(), mocus.to_string()) << top;
+    EXPECT_EQ(bottom_up.to_string(), zbdd_cut_sets(tree).to_string()) << top;
 
     // The disjunction of the minimal cut sets must be BDD-equivalent to
     // the tree itself (exactness of the cut-set representation).

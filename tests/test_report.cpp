@@ -62,14 +62,5 @@ TEST(Report, RenderTruncatesLongCutSetLists) {
   }
 }
 
-TEST(Report, ModelReportCoversAllRequestedTops) {
-  Model model = synthetic::build_chain(3);
-  const std::string text = analyse_model_report(
-      model, {"Omission-sink", "Value-sink"});
-  EXPECT_NE(text.find("Model: chain"), std::string::npos);
-  EXPECT_NE(text.find("Omission-sink at chain"), std::string::npos);
-  EXPECT_NE(text.find("Value-sink at chain"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ftsynth

@@ -357,7 +357,7 @@ TEST_F(ServiceRunnerTest, WarmAnalyseMatchesSerialAcrossEnginesAndOrders) {
   options.warm = true;
   options.jobs = 4;
   ServiceRunner runner(options);
-  for (const char* engine : {"micsup", "mocus", "zbdd"}) {
+  for (const char* engine : {"micsup", "zbdd"}) {
     for (const char* order : {"static", "sift"}) {
       const CliRun reference =
           run_cli({"analyse", model_path_, "--engine", engine, "--order",
@@ -366,9 +366,8 @@ TEST_F(ServiceRunnerTest, WarmAnalyseMatchesSerialAcrossEnginesAndOrders) {
       ASSERT_NE(reference.out.find("minimal cut sets:"), std::string::npos);
 
       ServiceRequest request = make_request("analyse", model_path_);
-      request.engine = engine == std::string("mocus")  ? CutSetEngine::kMocus
-                       : engine == std::string("zbdd") ? CutSetEngine::kZbdd
-                                                       : CutSetEngine::kMicsup;
+      request.engine = engine == std::string("zbdd") ? CutSetEngine::kZbdd
+                                                     : CutSetEngine::kMicsup;
       request.order = order == std::string("sift") ? OrderPolicy::kSift
                                                    : OrderPolicy::kStatic;
       for (int round = 0; round < 2; ++round) {
@@ -616,6 +615,10 @@ TEST_F(ServiceDaemonTest, MalformedAndUnbudgetedRequestsDegradePerRequest) {
                 .find("error")
                 ->as_string(),
             "bad-request");
+  // The retired MOCUS engine's name is as unknown as any other.
+  const Json mocus = roundtrip(analyse_request(model_path_, "mocus").dump());
+  EXPECT_EQ(mocus.find("error")->as_string(), "bad-request");
+  EXPECT_EQ(mocus.find("message")->as_string(), "unknown engine 'mocus'");
   // A request for a missing model is well-formed: it executes and
   // degrades into the CLI's exit-code-2 response, not a wire error.
   Json missing = analyse_request("/nonexistent/x.mdl", "micsup");
@@ -660,7 +663,7 @@ TEST_F(ServiceDaemonTest, RetiredNoCacheFieldIsIgnored) {
 
 TEST_F(ServiceDaemonTest, ConcurrentMixedEngineTrafficIsByteIdentical) {
   start(base_options());
-  const char* engines[] = {"micsup", "mocus", "zbdd"};
+  const char* engines[] = {"micsup", "zbdd", "bound"};
   std::string references[3];
   for (int e = 0; e < 3; ++e) {
     const CliRun reference =

@@ -65,8 +65,8 @@ options:
                      (default: hardware concurrency; 1 = serial; output
                      is byte-identical for every N)
   --engine ENG       cut-set engine for analyse/fmea/report: micsup
-                     (default), mocus, zbdd (symbolic; fastest on large
-                     trees), or bound (anytime best-first: emits the most
+                     (default), zbdd (symbolic; fastest on large trees),
+                     or bound (anytime best-first: emits the most
                      probable cut sets first and certifies a [lower, upper]
                      interval on P(top); the only engine that returns a
                      sound probability statement on trees beyond exact
@@ -221,7 +221,7 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
         options.request.engine = *engine;
       } else {
         err << "error: unknown --engine '" << *v
-            << "' (expected micsup, mocus, zbdd or bound)\n";
+            << "' (expected micsup, zbdd or bound)\n";
         return std::nullopt;
       }
     } else if (arg == "--bound-epsilon") {

@@ -131,15 +131,16 @@ def main() -> int:
     # output must be byte-identical to the serial CLI.
     model = "examples/duplex.mdl"
     workload = []
-    for engine in ("micsup", "mocus", "zbdd"):
-        for order in ("static", "sift"):
-            workload.append(
-                (
-                    {"command": "analyse", "model": model, "engine": engine,
-                     "order": order},
-                    ["analyse", model, "--engine", engine, "--order", order],
-                )
+    # micsup ignores --order, so only zbdd runs under both policies.
+    for engine, order in (("micsup", "static"), ("zbdd", "static"),
+                          ("zbdd", "sift")):
+        workload.append(
+            (
+                {"command": "analyse", "model": model, "engine": engine,
+                 "order": order},
+                ["analyse", model, "--engine", engine, "--order", order],
             )
+        )
     # FMEA on the zbdd engine, which keeps its diagram for the columns.
     workload.append(
         (
