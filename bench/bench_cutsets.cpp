@@ -7,6 +7,15 @@
 // every intermediate set as AND-combined replicated lanes are added, and
 // the decision diagrams stay polynomial in the diagram size.
 //
+// Beside the {N, 4} lane series, the replicated benchmarks run the two
+// extremes of the benchmark's cutset_heavy workload: {3, 58} (long lanes)
+// and {5, 13} (the largest product). BM_BottomUpReplicated reports an exact
+// `allocs` counter (heap allocations per analysis, alloc_counter.cpp). A
+// working family is one word arena, so beyond the one vector per listed
+// cut set that CutSetAnalysis holds, the count follows the number of
+// families and sorts, not the number of sets: a return to one heap block
+// per working set doubles it on the large shapes.
+//
 // The file also A/B-tests the subsumption kernel itself: the interned
 // word-array bitset representation against the sorted literal-vector
 // representation it replaced (kept here as a local replica).
@@ -18,6 +27,7 @@
 #include <random>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
 #include "casestudy/setta.h"
@@ -45,16 +55,21 @@ void BM_BottomUpReplicated(benchmark::State& state) {
                                    static_cast<int>(state.range(1)));
   std::size_t sets = 0;
   std::size_t peak = 0;
+  std::size_t allocations = 0;
   for (auto _ : state) {
+    const std::size_t before = allocations_so_far();
     CutSetAnalysis analysis = minimal_cut_sets(tree);
+    allocations += allocations_so_far() - before;
     sets = analysis.cut_sets.size();
     peak = analysis.peak_sets;
   }
+  report_allocations(state, allocations);
   state.counters["cut_sets"] = static_cast<double>(sets);
   state.counters["peak_sets"] = static_cast<double>(peak);
 }
 BENCHMARK(BM_BottomUpReplicated)
-    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
+    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4})
+    ->Args({3, 58})->Args({5, 13});
 
 void BM_ZbddReplicated(benchmark::State& state) {
   FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),
@@ -70,7 +85,8 @@ void BM_ZbddReplicated(benchmark::State& state) {
   state.counters["peak_nodes"] = static_cast<double>(peak);
 }
 BENCHMARK(BM_ZbddReplicated)
-    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4});
+    ->Args({2, 4})->Args({3, 4})->Args({4, 4})->Args({5, 4})->Args({6, 4})
+    ->Args({3, 58})->Args({5, 13});
 
 void BM_BddEncodeReplicated(benchmark::State& state) {
   FaultTree tree = replicated_tree(static_cast<int>(state.range(0)),

@@ -8,60 +8,18 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.h"
 #include "casestudy/setta.h"
 #include "failure/expr_parser.h"
 #include "casestudy/synthetic.h"
 #include "fta/synthesis.h"
 
-// -- Heap allocation counter --------------------------------------------------
-//
-// This binary replaces the global operator new (and its matching deletes)
-// with malloc/free plus a counter, so a benchmark can report how many heap
-// allocations one iteration makes. Unlike a time, the count is the same on
-// every run and does not move with machine load (only with the standard
-// library), which makes it a noise-free regression guard for the
-// synthesis kernel's string and table churn.
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-// GCC pairs inlined `new` expressions with these frees and warns of a
-// mismatch; both ends are the replacements below, so it is a false alarm.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-  throw std::bad_alloc();
-}
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+// The `allocs` counters come from alloc_counter.cpp, which replaces the
+// global operator new in this binary.
 
 namespace {
 
 using namespace ftsynth;
-
-std::size_t allocations_so_far() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-/// Reports `made` heap allocations, counted inside the loop body only (the
-/// harness's own bookkeeping stays out), as the per-iteration "allocs"
-/// counter.
-void report_allocations(benchmark::State& state, std::size_t made) {
-  state.counters["allocs"] = benchmark::Counter(
-      static_cast<double>(made), benchmark::Counter::kAvgIterations);
-}
 
 void BM_SynthesiseChain(benchmark::State& state) {
   Model model = synthetic::build_chain(static_cast<int>(state.range(0)));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -51,31 +50,153 @@ std::string CutSetAnalysis::to_string() const {
 
 namespace {
 
-// -- Interned-bitset working sets ---------------------------------------------
+// -- Flat cut-set families ----------------------------------------------------
 //
 // Every (event, polarity) literal of the tree under analysis is interned
-// once into a dense id (2 * event_rank + negated), so a working cut set is
-// a fixed-width word-array bitset. micsup ranks events by name, which
+// once into a dense id (2 * event_rank + negated), so a cut set is a
+// fixed-width word-array bitset. micsup ranks events by name, which
 // makes set_less the canonical output order; zbdd and bound rank them in
-// their variable order (see Context::intern). The two
-// derived fields make the subsumption hot loop cheap:
+// their variable order (see Context::intern).
 //
-//   * count: cached popcount -- a set can only be subsumed by a set with
+// A family of sets is one arena: its rows of `width` words lie back to
+// back in one array, so building, copying or sorting a family costs a
+// handful of allocations however many sets it holds. Two parallel arrays
+// carry each row's derived fields, which make the subsumption hot loop
+// cheap:
+//
+//   * counts: cached popcount -- a set can only be subsumed by a set with
 //     strictly fewer literals (equal counts subsume only on equality,
 //     which deduplication removes first), so minimisation buckets by it;
-//   * signature: the OR-fold of all words -- `(a.sig & ~b.sig) != 0`
+//   * signatures: the OR-fold of all words -- `(a.sig & ~b.sig) != 0`
 //     disproves "a subset of b" with one AND-NOT before the word loop.
-struct Set {
-  std::vector<std::uint64_t> words;
-  std::uint32_t count = 0;       ///< popcount over all words
-  std::uint64_t signature = 0;   ///< OR of all words
+//
+// Sorting never moves a row until the order is known: each row becomes a
+// 16-byte (prefix key, index) pair, the pairs are sorted, and the rows
+// are gathered once (see sorted_order).
+
+/// A row's place in a sort: its prefix key and its index.
+struct KeyIndex {
+  std::uint64_t key;
+  std::size_t index;
 };
 
-/// Calls `visit(literal)` for every literal of `set`, ascending.
+/// Masks the plain-polarity bit of every (x, NOT x) pair in a word.
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
+class Family {
+ public:
+  explicit Family(std::size_t width) : width_(width) {}
+
+  std::size_t width() const noexcept { return width_; }
+  std::size_t size() const noexcept { return counts_.size(); }
+  bool empty() const noexcept { return counts_.empty(); }
+
+  const std::uint64_t* row(std::size_t i) const noexcept {
+    return words_.data() + i * width_;
+  }
+  std::uint32_t count(std::size_t i) const noexcept { return counts_[i]; }
+  std::uint64_t signature(std::size_t i) const noexcept {
+    return signatures_[i];
+  }
+
+  void reserve(std::size_t rows) {
+    words_.reserve(rows * width_);
+    counts_.reserve(rows);
+    signatures_.reserve(rows);
+  }
+
+  /// Appends the set of `literals` (duplicates collapse).
+  void push_literals(const std::vector<int>& literals) {
+    const std::size_t base = words_.size();
+    words_.resize(base + width_);
+    std::uint64_t* out = words_.data() + base;
+    std::uint32_t count = 0;
+    std::uint64_t signature = 0;
+    for (int literal : literals) {
+      std::uint64_t& word = out[static_cast<std::size_t>(literal) >> 6];
+      const std::uint64_t bit = 1ULL << (literal & 63);
+      if ((word & bit) != 0) continue;
+      word |= bit;
+      ++count;
+      signature |= bit;
+    }
+    counts_.push_back(count);
+    signatures_.push_back(signature);
+  }
+
+  /// Appends row `i` of `from`, a family of the same width.
+  void push_row(const Family& from, std::size_t i) {
+    words_.insert(words_.end(), from.row(i), from.row(i) + width_);
+    counts_.push_back(from.counts_[i]);
+    signatures_.push_back(from.signatures_[i]);
+  }
+
+  /// Appends the union of row `i` of `a` and row `j` of `b` -- the
+  /// cut-set semantics of an AND combination -- unless it holds both x
+  /// and NOT x. Polarities of one event are the adjacent bit pair
+  /// (2k, 2k + 1), which never straddles a word. The count is the two
+  /// counts less the shared literals, so only words the rows share are
+  /// popcounted.
+  void push_union(const Family& a, std::size_t i, const Family& b,
+                  std::size_t j) {
+    const std::size_t base = words_.size();
+    words_.resize(base + width_);
+    std::uint64_t* out = words_.data() + base;
+    const std::uint64_t* x = a.row(i);
+    const std::uint64_t* y = b.row(j);
+    std::uint32_t count = a.counts_[i] + b.counts_[j];
+    std::uint64_t clash = 0;
+    for (std::size_t w = 0; w < width_; ++w) {
+      const std::uint64_t word = x[w] | y[w];
+      out[w] = word;
+      if (const std::uint64_t shared = x[w] & y[w]; shared != 0)
+        count -= static_cast<std::uint32_t>(std::popcount(shared));
+      clash |= word & (word >> 1) & kEvenBits;
+    }
+    if (clash != 0) {
+      words_.resize(base);
+      return;
+    }
+    counts_.push_back(count);
+    signatures_.push_back(a.signatures_[i] | b.signatures_[j]);
+  }
+
+  /// Copies row `from` over row `to` (the in-place compactions).
+  void move_row(std::size_t to, std::size_t from) noexcept {
+    std::copy_n(row(from), width_, words_.data() + to * width_);
+    counts_[to] = counts_[from];
+    signatures_[to] = signatures_[from];
+  }
+
+  /// Keeps the first `rows` rows.
+  void truncate(std::size_t rows) {
+    words_.resize(rows * width_);
+    counts_.resize(rows);
+    signatures_.resize(rows);
+  }
+
+  /// Reorders the rows so that row k is the old row order[k].index: one
+  /// gather into fresh arrays.
+  void gather(const std::vector<KeyIndex>& order) {
+    Family out(width_);
+    out.reserve(order.size());
+    for (const KeyIndex& at : order) out.push_row(*this, at.index);
+    *this = std::move(out);
+  }
+
+ private:
+  std::size_t width_;                    ///< words per row
+  std::vector<std::uint64_t> words_;     ///< size() * width_ words
+  std::vector<std::uint32_t> counts_;    ///< popcount of each row
+  std::vector<std::uint64_t> signatures_;  ///< OR of each row's words
+};
+
+/// Calls `visit(literal)` for every literal of row `i`, ascending.
 template <typename Visit>
-void for_each_literal(const Set& set, Visit&& visit) {
-  for (std::size_t w = 0; w < set.words.size(); ++w) {
-    std::uint64_t bits = set.words[w];
+void for_each_literal(const Family& sets, std::size_t i, Visit&& visit) {
+  const std::uint64_t* words = sets.row(i);
+  for (std::size_t w = 0; w < sets.width(); ++w) {
+    std::uint64_t bits = words[w];
     while (bits != 0) {
       visit(static_cast<int>(w * 64) + std::countr_zero(bits));
       bits &= bits - 1;
@@ -83,68 +204,172 @@ void for_each_literal(const Set& set, Visit&& visit) {
   }
 }
 
-void set_insert(Set& set, int literal) {
-  std::uint64_t& word = set.words[static_cast<std::size_t>(literal) >> 6];
-  const std::uint64_t bit = 1ULL << (literal & 63);
-  if ((word & bit) == 0) {
-    word |= bit;
-    ++set.count;
-    set.signature |= bit;
-  }
-}
-
-/// Set union: the cut-set semantics of an AND combination.
-Set set_or(const Set& a, const Set& b) {
-  Set out;
-  out.words.resize(a.words.size());
-  std::uint32_t count = 0;
-  for (std::size_t i = 0; i < a.words.size(); ++i) {
-    const std::uint64_t word = a.words[i] | b.words[i];
-    out.words[i] = word;
-    count += static_cast<std::uint32_t>(std::popcount(word));
-  }
-  out.count = count;
-  out.signature = a.signature | b.signature;
-  return out;
-}
-
-/// True if the set contains both x and NOT x. Polarities of one event are
-/// the adjacent bit pair (2k, 2k + 1), which never straddles a word.
-bool contradictory(const Set& set) noexcept {
-  constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
-  for (const std::uint64_t word : set.words) {
-    if ((word & (word >> 1) & kEvenBits) != 0) return true;
+/// True if row `i` contains both x and NOT x.
+bool contradictory(const Family& sets, std::size_t i) noexcept {
+  const std::uint64_t* words = sets.row(i);
+  for (std::size_t w = 0; w < sets.width(); ++w) {
+    if ((words[w] & (words[w] >> 1) & kEvenBits) != 0) return true;
   }
   return false;
 }
 
-/// Subset-or-equal test: signature and popcount pre-filters, then the
-/// word loop.
-bool subset(const Set& small, const Set& big) noexcept {
-  if (small.count > big.count) return false;
-  if ((small.signature & ~big.signature) != 0) return false;
-  for (std::size_t i = 0; i < small.words.size(); ++i) {
-    if ((small.words[i] & ~big.words[i]) != 0) return false;
+/// Subset-or-equal test of row `small` against row `big`: signature and
+/// popcount pre-filters, then the word loop.
+bool subset(const Family& sets, std::size_t small, std::size_t big) noexcept {
+  if (sets.count(small) > sets.count(big)) return false;
+  if ((sets.signature(small) & ~sets.signature(big)) != 0) return false;
+  const std::uint64_t* a = sets.row(small);
+  const std::uint64_t* b = sets.row(big);
+  for (std::size_t w = 0; w < sets.width(); ++w) {
+    if ((a[w] & ~b[w]) != 0) return false;
   }
   return true;
 }
 
-bool set_equal(const Set& a, const Set& b) noexcept {
-  return a.count == b.count && a.words == b.words;
+bool rows_equal(const Family& sets, std::size_t i, std::size_t j) noexcept {
+  return sets.count(i) == sets.count(j) &&
+         sets.signature(i) == sets.signature(j) &&
+         std::equal(sets.row(i), sets.row(i) + sets.width(), sets.row(j));
 }
 
-/// Canonical working order: by popcount, then by the ascending literal
-/// sequence. For equal counts, lexicographic order of the sorted id lists
-/// is decided by the lowest differing bit: the common literals below it
-/// are shared, so whichever set owns that bit has the smaller id there.
-bool set_less(const Set& a, const Set& b) noexcept {
-  if (a.count != b.count) return a.count < b.count;
-  for (std::size_t i = 0; i < a.words.size(); ++i) {
-    if (a.words[i] == b.words[i]) continue;
-    const std::uint64_t diff = a.words[i] ^ b.words[i];
-    return (a.words[i] & (diff & -diff)) != 0;
+/// Canonical working order on row `i` of `a` and row `j` of `b`: by
+/// popcount, then by the ascending literal sequence. For equal counts,
+/// lexicographic order of the sorted id lists is decided by the lowest
+/// differing bit: the common literals below it are shared, so whichever
+/// set owns that bit has the smaller id there.
+bool set_less(const Family& a, std::size_t i, const Family& b,
+              std::size_t j) noexcept {
+  if (a.count(i) != b.count(j)) return a.count(i) < b.count(j);
+  const std::uint64_t* x = a.row(i);
+  const std::uint64_t* y = b.row(j);
+  for (std::size_t w = 0; w < a.width(); ++w) {
+    if (x[w] == y[w]) continue;
+    const std::uint64_t diff = x[w] ^ y[w];
+    return (x[w] & (diff & -diff)) != 0;
   }
   return false;
+}
+
+bool rows_sorted(const Family& sets) noexcept {
+  for (std::size_t i = 1; i < sets.size(); ++i) {
+    if (set_less(sets, i, sets, i - 1)) return false;
+  }
+  return true;
+}
+
+// -- Prefix-key sort ------------------------------------------------------------
+//
+// A prefix key packs what decides most comparisons of the canonical order
+// (popcount, then ascending ids) into one integer: 10 bits of popcount,
+// then the set's lowest literal ids in the 54 bits below, each in a field
+// just wide enough for every id of the family's universe -- three 18-bit
+// fields at the widest, 2^18 ids; nine 6-bit fields for a one-word family.
+// A missing literal (a set smaller than the field count) reads as zero.
+// Within one popcount every set fills the same number of fields, so the
+// key is monotone with the order: a smaller key means an earlier set. The
+// literal fields are filled only when every id of the universe fits 18
+// bits and the popcount is below the 10-bit cap; otherwise the key is the
+// (capped) popcount alone. Equal keys fall back to the full comparison,
+// which a set no larger than the field count only reaches on a duplicate.
+
+constexpr unsigned kKeyLiteralBits = 54;  ///< below the popcount field
+constexpr unsigned kKeyMaxFieldBits = 18;
+constexpr std::uint32_t kKeyCountCap = (1u << 10) - 1;
+
+/// The literal field width for `width`-word rows: the bits of the largest
+/// id, or 0 (no literal fields) past 18 bits or when there is no literal.
+unsigned key_field_bits(std::size_t width) noexcept {
+  if (width == 0) return 0;
+  const auto bits = static_cast<unsigned>(std::bit_width(width * 64 - 1));
+  return bits <= kKeyMaxFieldBits ? bits : 0;
+}
+
+/// Builds one prefix key from a set's popcount and its ascending ids.
+class PrefixKey {
+ public:
+  PrefixKey(std::uint32_t count, unsigned field_bits) noexcept
+      : key_(std::uint64_t{std::min(count, kKeyCountCap)} << kKeyLiteralBits),
+        field_bits_(field_bits),
+        fields_(field_bits != 0 && count < kKeyCountCap
+                    ? kKeyLiteralBits / field_bits
+                    : 0),
+        shift_(kKeyLiteralBits) {}
+
+  /// True while a literal field is still open.
+  bool wants_more() const noexcept { return fields_ != 0; }
+
+  /// Fills the next field with `id` (the next-lowest literal).
+  void add(std::size_t id) noexcept {
+    shift_ -= field_bits_;
+    key_ |= std::uint64_t{id} << shift_;
+    --fields_;
+  }
+
+  std::uint64_t key() const noexcept { return key_; }
+
+ private:
+  std::uint64_t key_;
+  unsigned field_bits_;
+  unsigned fields_;  ///< literal fields still open
+  unsigned shift_;   ///< bit offset of the last field filled
+};
+
+/// Row `i`'s prefix key.
+std::uint64_t row_key(const Family& sets, std::size_t i,
+                      unsigned field_bits) noexcept {
+  PrefixKey key(sets.count(i), field_bits);
+  const std::uint64_t* words = sets.row(i);
+  for (std::size_t w = 0; w < sets.width() && key.wants_more(); ++w) {
+    std::uint64_t bits = words[w];
+    while (bits != 0 && key.wants_more()) {
+      key.add(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+  return key.key();
+}
+
+/// The order of `n` items under `less`, as (key, index) pairs sorted by
+/// key with `less` deciding ties. `key_of(i)` must be monotone with
+/// `less`: key_of(a) < key_of(b) implies less(a, b).
+template <typename KeyOf, typename Less>
+std::vector<KeyIndex> sorted_order(std::size_t n, KeyOf&& key_of,
+                                   Less&& less) {
+  std::vector<KeyIndex> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = KeyIndex{key_of(i), i};
+  std::sort(order.begin(), order.end(),
+            [&](const KeyIndex& a, const KeyIndex& b) {
+              if (a.key != b.key) return a.key < b.key;
+              return less(a.index, b.index);
+            });
+  return order;
+}
+
+/// Sorts `sets` into set_less order.
+void sort_rows(Family& sets) {
+  const unsigned field_bits = key_field_bits(sets.width());
+  sets.gather(sorted_order(
+      sets.size(),
+      [&](std::size_t i) { return row_key(sets, i, field_bits); },
+      [&](std::size_t a, std::size_t b) {
+        return set_less(sets, a, sets, b);
+      }));
+}
+
+/// Merges two families in set_less order into one (std::merge's rule: on
+/// a tie the row of `a` comes first).
+Family merge(const Family& a, const Family& b) {
+  Family out(a.width());
+  out.reserve(a.size() + b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (set_less(b, j, a, i)) out.push_row(b, j++);
+    else out.push_row(a, i++);
+  }
+  for (; i < a.size(); ++i) out.push_row(a, i);
+  for (; j < b.size(); ++j) out.push_row(b, j);
+  return out;
 }
 
 /// Shared bookkeeping: the literal interning table and limit tracking.
@@ -154,7 +379,7 @@ class Context {
       : options_(options), budget_(options.budget) {}
 
   /// Interns `events` (their rank is their listing index); every
-  /// literal_id() lookup and bitset width derives from this table, so it
+  /// literal_id() lookup and family width derives from this table, so it
   /// must run before any set is built. zbdd and bound pass their
   /// variable order, since a literal id is a diagram variable or PDAG
   /// literal; finish() then sorts by name rank. micsup uses
@@ -232,59 +457,48 @@ class Context {
     return leaves_[static_cast<std::size_t>(rank_[index])];
   }
 
-  Set empty_set() const { return Set{std::vector<std::uint64_t>(words_), 0, 0}; }
+  /// A family sized for the interned literals, holding no set yet.
+  Family family() const { return Family(words_); }
 
-  Set literal_set(int literal) const {
-    Set set = empty_set();
-    set_insert(set, literal);
-    return set;
-  }
-
-  Set set_from_literals(const std::vector<int>& literals) const {
-    Set set = empty_set();
-    for (int literal : literals) set_insert(set, literal);
-    return set;
+  /// The family holding the one set of `literals`.
+  Family single(const std::vector<int>& literals) const {
+    Family sets = family();
+    sets.push_literals(literals);
+    return sets;
   }
 
   /// Applies the order/count limits; sets the truncation flag when they
   /// bite. Keeps the smallest sets when over the count limit.
-  std::vector<Set> clamp(std::vector<Set> sets) {
-    std::vector<Set> kept;
-    kept.reserve(sets.size());
-    for (Set& set : sets) {
-      if (set.count > options_.max_order) {
+  Family clamp(Family sets) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      if (sets.count(i) > options_.max_order) {
         truncated_ = true;
         continue;
       }
-      kept.push_back(std::move(set));
+      if (kept != i) sets.move_row(kept, i);
+      ++kept;
     }
-    if (kept.size() > options_.max_sets) {
+    sets.truncate(kept);
+    if (kept > options_.max_sets) {
       truncated_ = true;
       // The kept prefix is the first max_sets sets of the listing order,
       // whatever the engine.
-      sort_canonical(kept);
-      kept.resize(options_.max_sets);
+      sort_canonical(sets);
+      sets.truncate(options_.max_sets);
     }
-    return kept;
+    return sets;
   }
 
   /// Sorts `sets` into the canonical (size, name, polarity) order that
   /// finish() lists. Under name-ranked ids that is set_less (a no-op on
-  /// minimise() output); otherwise it sorts on each set's name_keys.
-  void sort_canonical(std::vector<Set>& sets) const {
-    if (ids_by_name_) {
-      if (!std::is_sorted(sets.begin(), sets.end(), set_less))
-        std::sort(sets.begin(), sets.end(), set_less);
-      return;
+  /// minimise() output); otherwise it sorts on each set's name keys.
+  void sort_canonical(Family& sets) const {
+    if (!ids_by_name_) {
+      sets.gather(name_order(name_keys(sets), sets.width()));
+    } else if (!rows_sorted(sets)) {
+      sort_rows(sets);
     }
-    std::vector<std::pair<std::vector<int>, Set>> keyed;
-    keyed.reserve(sets.size());
-    for (Set& set : sets) keyed.emplace_back(name_keys(set), std::move(set));
-    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
-      return keys_less(a.first, b.first);
-    });
-    for (std::size_t i = 0; i < sets.size(); ++i)
-      sets[i] = std::move(keyed[i].second);
   }
 
   /// Lists `sets` in the canonical (size, name, polarity) order, every
@@ -293,7 +507,7 @@ class Context {
   /// emitted in one pass. Otherwise (zbdd, bound, partial runs) each set
   /// becomes its sorted `2 * name_rank + negated` keys and the keys are
   /// sorted once: integers only, never names.
-  CutSetAnalysis finish(std::vector<Set> sets) const {
+  CutSetAnalysis finish(const Family& sets) const {
     CutSetAnalysis analysis;
     analysis.truncated = truncated_;
     analysis.deadline_exceeded = deadline_exceeded_;
@@ -309,45 +523,25 @@ class Context {
       }
       return CutLiteral{leaf, (key & 1) != 0};
     };
-    if (ids_by_name_ && std::is_sorted(sets.begin(), sets.end(), set_less)) {
-      for (const Set& set : sets) {
+    if (ids_by_name_ && rows_sorted(sets)) {
+      for (std::size_t i = 0; i < sets.size(); ++i) {
         CutSet cs;
-        cs.reserve(set.count);
-        for_each_literal(set, [&](int lit) { cs.push_back(literal(lit)); });
+        cs.reserve(sets.count(i));
+        for_each_literal(sets, i, [&](int lit) { cs.push_back(literal(lit)); });
         analysis.cut_sets.push_back(std::move(cs));
       }
       return analysis;
     }
-    std::vector<std::vector<int>> keyed;
-    keyed.reserve(sets.size());
-    for (const Set& set : sets) keyed.push_back(name_keys(set));
-    std::sort(keyed.begin(), keyed.end(), keys_less);
-    for (const std::vector<int>& keys : keyed) {
+    const NameKeys names = name_keys(sets);
+    for (const KeyIndex& at : name_order(names, sets.width())) {
       CutSet cs;
-      cs.reserve(keys.size());
-      for (int key : keys) cs.push_back(literal(key));
+      cs.reserve(names.offsets[at.index + 1] - names.offsets[at.index]);
+      for (std::size_t k = names.offsets[at.index];
+           k < names.offsets[at.index + 1]; ++k)
+        cs.push_back(literal(names.keys[k]));
       analysis.cut_sets.push_back(std::move(cs));
     }
     return analysis;
-  }
-
-  /// `set` as its ascending `2 * name_rank + negated` keys.
-  std::vector<int> name_keys(const Set& set) const {
-    std::vector<int> keys;
-    keys.reserve(set.count);
-    for_each_literal(set, [&](int lit) {
-      keys.push_back(2 * rank_[static_cast<std::size_t>(lit / 2)] +
-                     (lit & 1));
-    });
-    if (!ids_by_name_) std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-
-  /// The canonical order on name_keys: size first, then lexicographic.
-  static bool keys_less(const std::vector<int>& a,
-                        const std::vector<int>& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a < b;
   }
 
   void track_peak(std::size_t size) noexcept {
@@ -357,6 +551,62 @@ class Context {
   const CutSetOptions& options() const noexcept { return options_; }
 
  private:
+  /// Every row's ascending `2 * name_rank + negated` keys, back to back:
+  /// row i's keys are keys[offsets[i], offsets[i + 1]).
+  struct NameKeys {
+    std::vector<int> keys;
+    std::vector<std::size_t> offsets;
+  };
+
+  NameKeys name_keys(const Family& sets) const {
+    NameKeys names;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < sets.size(); ++i) total += sets.count(i);
+    names.keys.reserve(total);
+    names.offsets.reserve(sets.size() + 1);
+    names.offsets.push_back(0);
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      for_each_literal(sets, i, [&](int lit) {
+        names.keys.push_back(2 * rank_[static_cast<std::size_t>(lit / 2)] +
+                             (lit & 1));
+      });
+      if (!ids_by_name_)
+        std::sort(names.keys.begin() +
+                      static_cast<std::ptrdiff_t>(names.offsets.back()),
+                  names.keys.end());
+      names.offsets.push_back(names.keys.size());
+    }
+    return names;
+  }
+
+  /// The canonical order on name keys (size first, then lexicographic),
+  /// for rows of `width` words: a name key is below 2 * events, so it
+  /// fits a prefix-key field whenever a literal id does.
+  static std::vector<KeyIndex> name_order(const NameKeys& names,
+                                          std::size_t width) {
+    const unsigned field_bits = key_field_bits(width);
+    const auto begin = [&](std::size_t i) {
+      return names.keys.begin() +
+             static_cast<std::ptrdiff_t>(names.offsets[i]);
+    };
+    const auto end = [&](std::size_t i) { return begin(i + 1); };
+    return sorted_order(
+        names.offsets.size() - 1,
+        [&](std::size_t i) {
+          PrefixKey key(static_cast<std::uint32_t>(end(i) - begin(i)),
+                        field_bits);
+          for (auto k = begin(i); k != end(i) && key.wants_more(); ++k)
+            key.add(static_cast<std::size_t>(*k));
+          return key.key();
+        },
+        [&](std::size_t a, std::size_t b) {
+          if (end(a) - begin(a) != end(b) - begin(b))
+            return end(a) - begin(a) < end(b) - begin(b);
+          return std::lexicographical_compare(begin(a), end(a), begin(b),
+                                              end(b));
+        });
+  }
+
   const CutSetOptions& options_;
   Budget budget_;  ///< run-local copy (amortised deadline tick)
   std::unordered_map<const FtNode*, int> event_index_;
@@ -372,7 +622,8 @@ class Context {
 
 /// Removes non-minimal, duplicate and contradictory sets; result is sorted
 /// canonically (set_less). Input already in that order (merged or
-/// minimised families) skips the sort. The subsumption pass is quadratic
+/// minimised families) skips the sort. Survivors are compacted to the
+/// front of the family's own arena. The subsumption pass is quadratic
 /// in the worst case, so on large batches it probes the deadline (when a
 /// context is given) and returns the partially-minimised prefix on
 /// expiry. Two observations cut the constant far below the naive scan:
@@ -388,65 +639,71 @@ class Context {
 ///     literals is screened against just those k buckets, a small slice of
 ///     the survivors. Bucket entries carry (count, signature) so the scan
 ///     stays in one dense array until a signature actually passes.
-std::vector<Set> minimise(std::vector<Set> sets, Context* context = nullptr) {
-  if (!std::is_sorted(sets.begin(), sets.end(), set_less))
-    std::sort(sets.begin(), sets.end(), set_less);
-  sets.erase(std::unique(sets.begin(), sets.end(), set_equal), sets.end());
-  if (sets.empty()) return {};
+Family minimise(Family sets, Context* context = nullptr) {
+  if (!rows_sorted(sets)) sort_rows(sets);
+  std::size_t unique = 0;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    if (unique > 0 && rows_equal(sets, unique - 1, i)) continue;
+    if (unique != i) sets.move_row(unique, i);
+    ++unique;
+  }
+  sets.truncate(unique);
+  if (sets.empty()) return sets;
   // The empty set sorts first and absorbs every other set. It also has no
   // lowest literal to index under, so it gets its own exit rather than a
   // bucket.
-  if (sets[0].count == 0) {
-    std::vector<Set> kept;
-    kept.push_back(std::move(sets[0]));
-    return kept;
+  if (sets.count(0) == 0) {
+    sets.truncate(1);
+    return sets;
   }
   struct IndexEntry {
-    std::uint32_t count;      ///< popcount of kept[index]
-    std::uint32_t index;      ///< position in the kept list
-    std::uint64_t signature;  ///< signature of kept[index]
+    std::uint32_t count;      ///< popcount of the kept row
+    std::uint32_t index;      ///< the kept row's index
+    std::uint64_t signature;  ///< signature of the kept row
   };
-  const std::size_t universe = sets[0].words.size() * 64;
-  std::vector<std::vector<IndexEntry>> buckets(universe);
-  std::vector<Set> kept;
-  // True when some survivor subsumes the candidate. Only the buckets of
+  std::vector<std::vector<IndexEntry>> buckets(sets.width() * 64);
+  // Rows [0, kept) are the survivors so far; candidate i >= kept.
+  std::size_t kept = 0;
+  // True when some survivor subsumes candidate `i`. Only the buckets of
   // the candidate's own literals can hold one, and entries are appended
   // in ascending count order, so each bucket scan breaks early.
-  const auto screened_out = [&](const Set& candidate) {
-    const std::uint64_t not_sig = ~candidate.signature;
-    for (std::size_t w = 0; w < candidate.words.size(); ++w) {
-      std::uint64_t bits = candidate.words[w];
+  const auto screened_out = [&](std::size_t i) {
+    const std::uint64_t not_sig = ~sets.signature(i);
+    const std::uint32_t count = sets.count(i);
+    const std::uint64_t* words = sets.row(i);
+    for (std::size_t w = 0; w < sets.width(); ++w) {
+      std::uint64_t bits = words[w];
       while (bits != 0) {
         const std::size_t literal =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
         for (const IndexEntry& entry : buckets[literal]) {
-          if (entry.count >= candidate.count) break;
+          if (entry.count >= count) break;
           if ((entry.signature & not_sig) != 0) continue;
-          if (subset(kept[entry.index], candidate)) return true;
+          if (subset(sets, entry.index, i)) return true;
         }
       }
     }
     return false;
   };
-  const auto keep = [&](Set& candidate) {
-    for (std::size_t w = 0; w < candidate.words.size(); ++w) {
-      if (candidate.words[w] == 0) continue;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    if (context != nullptr && context->deadline_hit()) break;
+    if (contradictory(sets, i)) continue;
+    if (screened_out(i)) continue;
+    const std::uint64_t* words = sets.row(i);
+    for (std::size_t w = 0; w < sets.width(); ++w) {
+      if (words[w] == 0) continue;
       const std::size_t lowest =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(candidate.words[w]));
-      buckets[lowest].push_back(
-          IndexEntry{candidate.count, static_cast<std::uint32_t>(kept.size()),
-                     candidate.signature});
+          w * 64 + static_cast<std::size_t>(std::countr_zero(words[w]));
+      buckets[lowest].push_back(IndexEntry{
+          sets.count(i), static_cast<std::uint32_t>(kept), sets.signature(i)});
       break;
     }
-    kept.push_back(std::move(candidate));
-  };
-  for (Set& candidate : sets) {
-    if (context != nullptr && context->deadline_hit()) break;
-    if (contradictory(candidate)) continue;
-    if (!screened_out(candidate)) keep(candidate);
+    if (kept != i) sets.move_row(kept, i);
+    ++kept;
   }
-  return kept;
+  sets.truncate(kept);
+  return sets;
 }
 
 /// How many sets the ZBDD engine samples for the LISTING once keep_diagram
@@ -461,9 +718,9 @@ class BottomUp {
   BottomUp(const FaultTree& tree, Context& context)
       : tree_(tree), context_(context) {}
 
-  std::vector<Set> run() {
+  Family run() {
     const FtNode* top = tree_.top();
-    if (top == nullptr) return {};
+    if (top == nullptr) return context_.family();
     // Every AND/OR edge is one use of its child's family; the caller's
     // use of the top's is one more.
     tree_.for_each_reachable([&](const FtNode& node) {
@@ -478,11 +735,11 @@ class BottomUp {
  private:
   /// Returns a reference into the memo (stable: unordered_map nodes do not
   /// move on rehash). A memo hit on a diamond-shaped DAG used to copy the
-  /// whole intermediate set list on every revisit; callers now copy only
+  /// whole intermediate family on every revisit; callers now copy only
   /// what they combine.
-  std::vector<Set>& resolve(const FtNode* node) {
+  Family& resolve(const FtNode* node) {
     if (auto it = memo_.find(node); it != memo_.end()) return it->second;
-    std::vector<Set> result = compute(node);
+    Family result = compute(node);
     context_.track_peak(result.size());
     return memo_.emplace(node, std::move(result)).first->second;
   }
@@ -493,10 +750,10 @@ class BottomUp {
 
   /// One use of `node`'s family, as a value: moved out of the memo on its
   /// last use (see last_use), copied otherwise.
-  std::vector<Set> take(const FtNode* node) {
-    std::vector<Set>& sets = resolve(node);
+  Family take(const FtNode* node) {
+    Family& sets = resolve(node);
     if (!last_use(node)) return sets;
-    std::vector<Set> out = std::move(sets);
+    Family out = std::move(sets);
     memo_.erase(node);
     return out;
   }
@@ -506,14 +763,14 @@ class BottomUp {
     if (last_use(node)) memo_.erase(node);
   }
 
-  std::vector<Set> compute(const FtNode* node) {
+  Family compute(const FtNode* node) {
     switch (node->kind()) {
       case NodeKind::kHouse:
-        return {context_.empty_set()};  // constant true: the empty cut set
+        return context_.single({});  // constant true: the empty cut set
       case NodeKind::kBasic:
       case NodeKind::kUndeveloped:
       case NodeKind::kLoop:
-        return {context_.literal_set(context_.literal_id(node, false))};
+        return context_.single({context_.literal_id(node, false)});
       case NodeKind::kGate:
         break;
     }
@@ -521,14 +778,15 @@ class BottomUp {
       const FtNode* child = node->children().front();
       check_internal(child->is_leaf(),
                      "cut sets need a normalised tree (NOT over leaf)");
-      return {context_.literal_set(context_.literal_id(child, true))};
+      return context_.single({context_.literal_id(child, true)});
     }
     // Child families arrive minimal and in set_less order. OR merges them
     // (minimise() then only screens); AND minimises after every operand,
     // which is exact -- min(min(A x B) x C) = min(A x B x C) -- and keeps
     // the next cross product small.
     const bool is_or = node->gate() == GateKind::kOr;
-    std::vector<Set> acc;
+    const std::size_t max_product = context_.options().max_sets * 4;
+    Family acc = context_.family();
     bool first = true;
     // kPand is quantified by analysis/temporal.h; for cut-set purposes the
     // *event sets* are those of the AND (a conservative upper bound).
@@ -537,27 +795,19 @@ class BottomUp {
       if (first) {
         acc = take(child);
       } else if (is_or) {
-        std::vector<Set> sets = take(child);
-        std::vector<Set> merged;
-        merged.reserve(acc.size() + sets.size());
-        std::merge(std::make_move_iterator(acc.begin()),
-                   std::make_move_iterator(acc.end()),
-                   std::make_move_iterator(sets.begin()),
-                   std::make_move_iterator(sets.end()),
-                   std::back_inserter(merged), set_less);
-        acc = std::move(merged);
+        acc = merge(acc, take(child));
       } else {
         // AND: cross product, dropping contradictions as they appear.
-        const std::vector<Set>& sets = resolve(child);
-        std::vector<Set> product;
-        product.reserve(acc.size() * sets.size());
-        for (const Set& a : acc) {
+        // The product never outgrows one clamp bound plus one row of it.
+        const Family& sets = resolve(child);
+        Family product = context_.family();
+        product.reserve(std::min(acc.size() * sets.size(),
+                                 max_product + sets.size()));
+        for (std::size_t i = 0; i < acc.size(); ++i) {
           if (context_.deadline_hit()) break;
-          for (const Set& b : sets) {
-            Set merged = set_or(a, b);
-            if (!contradictory(merged)) product.push_back(std::move(merged));
-          }
-          if (product.size() > context_.options().max_sets * 4) {
+          for (std::size_t j = 0; j < sets.size(); ++j)
+            product.push_union(acc, i, sets, j);
+          if (product.size() > max_product) {
             // Keep the blow-up bounded before minimisation.
             product = context_.clamp(minimise(std::move(product), &context_));
           }
@@ -579,7 +829,7 @@ class BottomUp {
 
   const FaultTree& tree_;
   Context& context_;
-  std::unordered_map<const FtNode*, std::vector<Set>> memo_;
+  std::unordered_map<const FtNode*, Family> memo_;
   /// Remaining uses of each node's family (run() counts them).
   std::unordered_map<const FtNode*, std::size_t> uses_;
 };
@@ -631,23 +881,22 @@ std::vector<std::vector<int>> minimise_literal_sets(
   check_internal(universe >= 0, "literal universe must be non-negative");
   const std::size_t words =
       (static_cast<std::size_t>(universe) + 63) / 64;
-  std::vector<Set> packed;
+  Family packed(words);
   packed.reserve(sets.size());
   for (const std::vector<int>& literals : sets) {
-    Set set{std::vector<std::uint64_t>(words), 0, 0};
     for (int literal : literals) {
       check_internal(literal >= 0 && literal < universe,
                      "literal id outside the declared universe");
-      set_insert(set, literal);
     }
-    packed.push_back(std::move(set));
+    packed.push_literals(literals);
   }
+  const Family minimal = minimise(std::move(packed));
   std::vector<std::vector<int>> out;
-  out.reserve(packed.size());
-  for (const Set& set : minimise(std::move(packed))) {
+  out.reserve(minimal.size());
+  for (std::size_t i = 0; i < minimal.size(); ++i) {
     std::vector<int> literals;
-    literals.reserve(set.count);
-    for_each_literal(set, [&](int lit) { literals.push_back(lit); });
+    literals.reserve(minimal.count(i));
+    for_each_literal(minimal, i, [&](int lit) { literals.push_back(lit); });
     out.push_back(std::move(literals));
   }
   return out;
@@ -661,7 +910,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   Context context(options);
   std::vector<const FtNode*> order = dfs_variable_order(flat);
   context.intern(order, tree);
-  if (flat.top() == nullptr) return context.finish({});
+  if (flat.top() == nullptr) return context.finish(context.family());
 
   // The manager lives inside the diagram handle so that keep_diagram can
   // hand it to the caller without a move; without the flag the handle
@@ -681,7 +930,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   const bool dynamic_order = options.order != OrderPolicy::kStatic;
   if (dynamic_order) zbdd.set_auto_reorder(true);
 
-  std::vector<Set> sets;
+  Family sets = context.family();
   // Declared outside the try so the post-run report covers interrupted
   // runs too: the diagram stays valid when an operation throws.
   Zbdd::Ref contra = Zbdd::kEmpty;
@@ -849,7 +1098,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
             truncated_paths = true;
             return;
           }
-          sets.push_back(context.set_from_literals(path));
+          sets.push_literals(path);
           return;
         }
         const Zbdd::Node node = zbdd.node(ref);
@@ -893,7 +1142,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
           std::min(root_bounds.second, context.options().max_order);
       const std::size_t ceiling =
           std::max<std::size_t>(4 * extract_cap, std::size_t{1} << 16);
-      std::vector<Set> order_sets;
+      Family order_sets = context.family();
       auto enumerate = [&](auto&& self, Zbdd::Ref ref,
                            std::size_t want) -> bool {
         if (ref == Zbdd::kEmpty) return true;
@@ -901,7 +1150,7 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
         if (ref == Zbdd::kBase) {
           if (want == 0) {
             if (order_sets.size() >= ceiling) return false;
-            order_sets.push_back(context.set_from_literals(path));
+            order_sets.push_literals(path);
           }
           return true;
         }
@@ -921,13 +1170,12 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
       bool stop = false;
       for (std::size_t k = root_bounds.first;
            !stop && k <= k_hi && sets.size() < extract_cap; ++k) {
-        order_sets.clear();
+        order_sets.truncate(0);
         if (!enumerate(enumerate, root, k)) stop = true;
         context.sort_canonical(order_sets);
-        for (Set& set : order_sets) {
-          if (sets.size() >= extract_cap) break;
-          sets.push_back(std::move(set));
-        }
+        for (std::size_t i = 0;
+             i < order_sets.size() && sets.size() < extract_cap; ++i)
+          sets.push_row(order_sets, i);
       }
     }
     if (truncated_paths) context.mark_truncated();
@@ -1023,10 +1271,10 @@ CutSetAnalysis bound_cut_sets(const FaultTree& tree,
   // minimisation pass still runs. On exhausted runs the result is the
   // exact minimal family -- literal-for-literal what the exact engines
   // return through this same kernel.
-  std::vector<Set> sets;
+  Family sets = context.family();
   sets.reserve(outcome.products.size());
   for (const std::vector<int>& product : outcome.products)
-    sets.push_back(context.set_from_literals(product));
+    sets.push_literals(product);
   CutSetAnalysis analysis =
       context.finish(context.clamp(minimise(std::move(sets), &context)));
 

@@ -23,19 +23,23 @@
 //     to the exact engines. The engine for trees beyond exact reach: a
 //     fixed budget always buys a guaranteed interval.
 //
-// micsup runs on an interned-bitset kernel: every (event, polarity)
-// literal of the normalised tree is mapped once to the dense id
-// 2 * rank + negated, and a working cut set is a word-array bitset with a
-// cached popcount and a 64-bit membership signature. Subsumption is a
-// `(a & ~b) == 0` word loop behind a signature pre-filter, and the
-// minimisation pass buckets candidates by popcount so a candidate is only
-// screened against strictly smaller survivors. micsup ranks events by
-// name, so the kernel's working order is the canonical output order:
-// minimised families are merged at OR gates and listed as they are, with
-// no re-sort. zbdd and bound keep their variable order (depth-first
-// occurrence, analysis/ordering.h), because there a literal id is a
-// diagram variable or PDAG literal; their listings are sorted once on
-// integer name-rank keys.
+// micsup runs on an interned-bitset kernel, and zbdd and bound list their
+// families through it: every (event, polarity) literal of the normalised
+// tree is mapped once to the dense id 2 * rank + negated, and a cut set is
+// a word-array bitset with a cached popcount and a 64-bit membership
+// signature. A family of sets is one contiguous arena of fixed-width rows,
+// the popcounts and signatures in parallel arrays, so it costs a few heap
+// blocks however many sets it holds. A sort orders 16-byte (prefix key,
+// index) pairs -- the key packs the popcount and the lowest literal ids --
+// and then gathers the rows once. Subsumption is a `(a & ~b) == 0` word
+// loop behind a signature pre-filter, and the minimisation pass buckets
+// candidates by popcount so a candidate is only screened against strictly
+// smaller survivors. micsup ranks events by name, so the kernel's working
+// order is the canonical output order: minimised families are merged at
+// OR gates and listed as they are, with no re-sort. zbdd and bound keep
+// their variable order (depth-first occurrence, analysis/ordering.h),
+// because there a literal id is a diagram variable or PDAG literal; their
+// listings are sorted once on integer name-rank keys.
 //
 // All engines return the same canonical result: cut sets sorted by
 // (order, lexicographic event names). Negated literals (from NOT gates)

@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "service/json.h"
@@ -39,6 +40,10 @@ enum class WireErrorCode {
 std::string_view to_string(WireErrorCode code) noexcept;
 
 struct WireError {
+  WireError() = default;
+  WireError(WireErrorCode code, std::string message)
+      : code(code), message(std::move(message)) {}
+
   WireErrorCode code = WireErrorCode::kBadRequest;
   std::string message;
   /// The request's id when one was readable (echoed in the error

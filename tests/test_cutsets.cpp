@@ -585,5 +585,189 @@ TEST(MinimiseLiteralSets, WideUniverseCrossesWordBoundaries) {
   EXPECT_EQ(minimal[1], (std::vector<int>{66, 130}));
 }
 
+// -- Kernel edge cases against a plain sort ---------------------------------------
+//
+// minimise_literal_sets sorts through a 64-bit prefix key: the popcount,
+// then the lowest ids, each in a field as wide as the universe's largest
+// id (three 18-bit fields for 2^18 ids, seven 7-bit fields for 128, nine
+// 6-bit fields for 64), with a full comparison on ties. Each case below is
+// checked against the family worked out by plain set operations and
+// ordered by a std::sort of the id lists: size first, then lexicographic.
+
+/// The minimal family of `sets`: duplicates collapsed, sets holding both
+/// 2k and 2k + 1 dropped, supersets of another set dropped, listed by
+/// (size, ascending ids).
+std::vector<std::vector<int>> reference_minimise(
+    std::vector<std::vector<int>> sets) {
+  for (std::vector<int>& set : sets) {
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+  }
+  std::erase_if(sets, [](const std::vector<int>& set) {
+    for (int id : set) {
+      if (id % 2 == 0 && std::binary_search(set.begin(), set.end(), id + 1))
+        return true;
+    }
+    return false;
+  });
+  std::sort(sets.begin(), sets.end(),
+            [](const std::vector<int>& a, const std::vector<int>& b) {
+              if (a.size() != b.size()) return a.size() < b.size();
+              return a < b;
+            });
+  sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+  std::vector<std::vector<int>> kept;
+  for (const std::vector<int>& set : sets) {
+    const bool subsumed = std::any_of(
+        kept.begin(), kept.end(), [&](const std::vector<int>& small) {
+          return std::includes(set.begin(), set.end(), small.begin(),
+                               small.end());
+        });
+    if (!subsumed) kept.push_back(set);
+  }
+  return kept;
+}
+
+/// Runs the kernel on `sets` in the given order and in reverse (so the
+/// sort has work to do either way) and checks both against the reference.
+void expect_kernel_matches_reference(
+    const std::vector<std::vector<int>>& sets, int universe) {
+  const std::vector<std::vector<int>> expected = reference_minimise(sets);
+  EXPECT_EQ(minimise_literal_sets(sets, universe), expected);
+  const std::vector<std::vector<int>> reversed(sets.rbegin(), sets.rend());
+  EXPECT_EQ(minimise_literal_sets(reversed, universe), expected);
+}
+
+TEST(MinimiseLiteralSets, EqualKeyPrefixesLeaveTheOrderToTheTieBreak) {
+  // Every set of one universe shares as many lowest ids as its key has
+  // fields, so the keys of equal-size sets tie and the word comparison
+  // decides the order.
+  const auto sharing = [](std::vector<int> shared,
+                          std::vector<std::vector<int>> tails) {
+    for (std::vector<int>& tail : tails)
+      tail.insert(tail.begin(), shared.begin(), shared.end());
+    return tails;
+  };
+  // 2^18 ids: three 18-bit fields.
+  const std::vector<std::vector<int>> wide =
+      sharing({0, 2, 4}, {{10, 12}, {8, 30}, {8, 14}, {6, 100},
+                          {66, 70}, {6, 98}, {126}, {64}, {200000}});
+  std::vector<std::vector<int>> minimal = minimise_literal_sets(wide, 1 << 18);
+  ASSERT_EQ(minimal.size(), wide.size());
+  EXPECT_EQ(minimal.front(), (std::vector<int>{0, 2, 4, 64}));
+  EXPECT_EQ(minimal.back(), (std::vector<int>{0, 2, 4, 66, 70}));
+  expect_kernel_matches_reference(wide, 1 << 18);
+
+  // 128 ids: seven 7-bit fields.
+  const std::vector<int> seven = {0, 2, 4, 6, 8, 10, 12};
+  const std::vector<std::vector<int>> mid = sharing(
+      seven, {{30, 32}, {14, 126}, {14, 100}, {120}, {16}, {15, 20}});
+  minimal = minimise_literal_sets(mid, 128);
+  ASSERT_EQ(minimal.size(), mid.size());
+  EXPECT_EQ(minimal[2], sharing(seven, {{14, 100}}).front());
+  expect_kernel_matches_reference(mid, 128);
+
+  // 64 ids: nine 6-bit fields, the narrowest.
+  const std::vector<int> nine = {0, 2, 4, 6, 8, 10, 12, 14, 16};
+  const std::vector<std::vector<int>> narrow = sharing(
+      nine, {{40, 62}, {18, 60}, {18, 22}, {19, 20}, {63}, {21}, {17}});
+  expect_kernel_matches_reference(narrow, 64);
+}
+
+TEST(MinimiseLiteralSets, LongSetsMatchAPlainSort) {
+  // Sets of 4..9 literals over 32 ids, drawn with repeats so that some
+  // lists collapse to duplicates and some hold x and NOT x.
+  for (unsigned seed = 0; seed < 20; ++seed) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<int> id(0, 31);
+    std::uniform_int_distribution<int> size(4, 9);
+    std::vector<std::vector<int>> sets(200);
+    for (std::vector<int>& set : sets) {
+      const int n = size(rng);
+      for (int i = 0; i < n; ++i) set.push_back(id(rng));
+    }
+    SCOPED_TRACE(seed);
+    expect_kernel_matches_reference(sets, 32);
+  }
+}
+
+TEST(MinimiseLiteralSets, PopcountsAroundTheKeyCapSortByCountFirst) {
+  // 1022 literals fit the key's 10-bit count field with literal fields;
+  // from 1023 on the key is the capped count alone and the comparison
+  // decides. The larger sets start at lower ids, so a key that kept its
+  // literal fields past the cap would list them first. Each set misses
+  // one id that every other set holds, so none contains another.
+  const auto evens = [](int first, int count, int hole) {
+    std::vector<int> set;
+    for (int k = first; static_cast<int>(set.size()) < count; ++k) {
+      if (k != hole) set.push_back(2 * k);
+    }
+    return set;
+  };
+  const std::vector<std::vector<int>> sets = {
+      evens(0, 1100, 900), evens(0, 1100, 950), evens(2, 1024, 800),
+      evens(4, 1023, 700), evens(6, 1022, 600),
+  };
+  const std::vector<std::vector<int>> minimal =
+      minimise_literal_sets(sets, 4096);
+  ASSERT_EQ(minimal.size(), 5u);
+  EXPECT_EQ(minimal[0], evens(6, 1022, 600));
+  EXPECT_EQ(minimal[1], evens(4, 1023, 700));
+  EXPECT_EQ(minimal[2], evens(2, 1024, 800));
+  EXPECT_EQ(minimal[3], evens(0, 1100, 950));
+  EXPECT_EQ(minimal[4], evens(0, 1100, 900));
+  expect_kernel_matches_reference(sets, 4096);
+}
+
+TEST(MinimiseLiteralSets, WideUniversesFallBackToThePopcountKey) {
+  // 2^18 literal ids is the widest universe whose ids all fit an 18-bit
+  // key field; one word more and the key is the popcount alone.
+  constexpr int kTop = (1 << 18) - 1;
+  const std::vector<std::vector<int>> fitting = {
+      {kTop},           {kTop - 3, kTop - 1},    {0, kTop - 3},
+      {2, 4, kTop - 1}, {2, 4, kTop - 5},        {2, 6, 8, kTop - 5},
+      {kTop - 5, kTop - 3},
+  };
+  EXPECT_EQ(minimise_literal_sets(fitting, 1 << 18).size(), fitting.size());
+  expect_kernel_matches_reference(fitting, 1 << 18);
+
+  constexpr int kWide = (1 << 18) + 64;
+  const std::vector<std::vector<int>> wide = {
+      {kWide - 2},           {kTop + 1, 6},      {kTop - 1, kTop + 1},
+      {0, kWide - 4},        {2, 4, kWide - 6},  {2, 4, kTop + 3},
+      {kTop + 3, kTop + 5},  {6, 8, kTop + 3},
+  };
+  const std::vector<std::vector<int>> minimal =
+      minimise_literal_sets(wide, kWide);
+  ASSERT_EQ(minimal.size(), wide.size());
+  EXPECT_EQ(minimal.front(), (std::vector<int>{kWide - 2}));
+  EXPECT_EQ(minimal[1], (std::vector<int>{0, kWide - 4}));
+  expect_kernel_matches_reference(wide, kWide);
+}
+
+TEST(MinimiseLiteralSets, DuplicatesContradictionsAndTheEmptySet) {
+  // Duplicates in any literal order collapse to one set, x AND NOT x sets
+  // vanish (also when duplicated), and survivors stay in canonical order.
+  const std::vector<std::vector<int>> sets = {
+      {6, 4}, {4, 6},    {4, 6, 4}, {2, 3},    {3, 2},   {8, 9, 10},
+      {5, 8}, {8, 5},    {0, 1, 6}, {12, 14},  {14, 12}, {5, 8, 12},
+  };
+  expect_kernel_matches_reference(sets, 16);
+  const std::vector<std::vector<int>> minimal = minimise_literal_sets(sets, 16);
+  EXPECT_EQ(minimal, (std::vector<std::vector<int>>{{4, 6}, {5, 8}, {12, 14}}));
+
+  // The empty set is a subset of every set: it alone survives, duplicated
+  // or not, whatever else the family holds.
+  std::vector<std::vector<int>> with_empty = sets;
+  with_empty.push_back({});
+  with_empty.insert(with_empty.begin(), std::vector<int>{});
+  EXPECT_EQ(minimise_literal_sets(with_empty, 16),
+            (std::vector<std::vector<int>>{{}}));
+  expect_kernel_matches_reference(with_empty, 16);
+
+  // A family of nothing but contradictions minimises to nothing.
+  EXPECT_TRUE(minimise_literal_sets({{0, 1}, {1, 0}, {2, 3, 4}}, 6).empty());
+}
+
 }  // namespace
 }  // namespace ftsynth

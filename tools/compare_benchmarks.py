@@ -16,9 +16,9 @@ relative change. Exits 1 when any matched benchmark regressed by more than
 one file are listed but never fail the comparison, and two files with no
 benchmark in common compare clean with a warning (a new suite simply has
 no baseline yet). --metric picks the record field compared: real_time
-(the default), cpu_time, or a user counter such as bench_synthesis's
-allocs (heap allocations per iteration, which unlike a time does not
-move with the machine).
+(the default), cpu_time, or a user counter such as the allocs of
+bench_synthesis and bench_cutsets (heap allocations per iteration, which
+unlike a time does not move with the machine).
 
 --service-report reads ONE results file (bench_results/BENCH_service.json,
 produced by bench/bench_service.cpp) and reports the daemon's warm-vs-cold
