@@ -1,5 +1,5 @@
 // Heap allocation counter shared by the benchmarks that report an exact
-// `allocs` counter (bench_synthesis, bench_cutsets).
+// `allocs` counter (bench_synthesis, bench_cutsets, bench_reliability).
 //
 // alloc_counter.cpp replaces the global operator new (and its matching
 // deletes) with malloc/free plus a counter, so a benchmark can report how

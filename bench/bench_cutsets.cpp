@@ -11,10 +11,10 @@
 // extremes of the benchmark's cutset_heavy workload: {3, 58} (long lanes)
 // and {5, 13} (the largest product). BM_BottomUpReplicated reports an exact
 // `allocs` counter (heap allocations per analysis, alloc_counter.cpp). A
-// working family is one word arena, so beyond the one vector per listed
-// cut set that CutSetAnalysis holds, the count follows the number of
-// families and sorts, not the number of sets: a return to one heap block
-// per working set doubles it on the large shapes.
+// working family is one word arena and the listing one literal arena, so
+// the count follows the number of families and sorts, not the number of
+// sets: a return to one heap block per working or listed set multiplies
+// it on the large shapes.
 //
 // The file also A/B-tests the subsumption kernel itself: the interned
 // word-array bitset representation against the sorted literal-vector

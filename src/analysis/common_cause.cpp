@@ -28,8 +28,8 @@ CommonCauseReport analyse_common_cause(const FaultTree& tree,
                                        const CutSetAnalysis& analysis) {
   CommonCauseReport report;
 
-  for (const CutSet* cs : analysis.of_order(1)) {
-    const CutLiteral& literal = cs->front();
+  for (const CutSet cs : analysis.of_order(1)) {
+    const CutLiteral& literal = cs.front();
     if (!literal.negated &&
         std::find(report.single_points_of_failure.begin(),
                   report.single_points_of_failure.end(),

@@ -24,17 +24,15 @@ std::size_t CutSetAnalysis::min_order() const noexcept {
   return cut_sets.empty() ? 0 : cut_sets.front().size();
 }
 
-std::vector<const CutSet*> CutSetAnalysis::of_order(std::size_t order) const {
-  std::vector<const CutSet*> out;
-  for (const CutSet& cs : cut_sets) {
-    if (cs.size() == order) out.push_back(&cs);
-  }
-  return out;
+std::ranges::subrange<CutSetList::Iterator> CutSetAnalysis::of_order(
+    std::size_t order) const {
+  return std::ranges::equal_range(cut_sets, order, std::ranges::less{},
+                                  [](CutSet cs) { return cs.size(); });
 }
 
 std::string CutSetAnalysis::to_string() const {
   std::string out;
-  for (const CutSet& cs : cut_sets) {
+  for (const CutSet cs : cut_sets) {
     out += "{";
     for (std::size_t i = 0; i < cs.size(); ++i) {
       if (i != 0) out += ", ";
@@ -506,13 +504,17 @@ class Context {
   /// order -- every clean micsup run -- are that order already and are
   /// emitted in one pass. Otherwise (zbdd, bound, partial runs) each set
   /// becomes its sorted `2 * name_rank + negated` keys and the keys are
-  /// sorted once: integers only, never names.
+  /// sorted once: integers only, never names. The listing's arena is
+  /// reserved once from the rows' popcounts, so it is two allocations.
   CutSetAnalysis finish(const Family& sets) const {
     CutSetAnalysis analysis;
     analysis.truncated = truncated_;
     analysis.deadline_exceeded = deadline_exceeded_;
     analysis.peak_sets = peak_sets_;
-    analysis.cut_sets.reserve(sets.size());
+    std::size_t literals = 0;
+    for (std::size_t i = 0; i < sets.size(); ++i) literals += sets.count(i);
+    CutSetList& listing = analysis.cut_sets;
+    listing.reserve(sets.size(), literals);
     const auto literal = [&](int key) {
       const FtNode* leaf = leaves_[static_cast<std::size_t>(key / 2)];
       if (leaf == nullptr) {
@@ -525,21 +527,18 @@ class Context {
     };
     if (ids_by_name_ && rows_sorted(sets)) {
       for (std::size_t i = 0; i < sets.size(); ++i) {
-        CutSet cs;
-        cs.reserve(sets.count(i));
-        for_each_literal(sets, i, [&](int lit) { cs.push_back(literal(lit)); });
-        analysis.cut_sets.push_back(std::move(cs));
+        for_each_literal(sets, i,
+                         [&](int lit) { listing.push_literal(literal(lit)); });
+        listing.end_set();
       }
       return analysis;
     }
     const NameKeys names = name_keys(sets);
     for (const KeyIndex& at : name_order(names, sets.width())) {
-      CutSet cs;
-      cs.reserve(names.offsets[at.index + 1] - names.offsets[at.index]);
       for (std::size_t k = names.offsets[at.index];
            k < names.offsets[at.index + 1]; ++k)
-        cs.push_back(literal(names.keys[k]));
-      analysis.cut_sets.push_back(std::move(cs));
+        listing.push_literal(literal(names.keys[k]));
+      listing.end_set();
     }
     return analysis;
   }
@@ -620,25 +619,85 @@ class Context {
   std::size_t peak_sets_ = 0;
 };
 
+/// Survivors of a subsumption screen, bucketed by lowest literal id. A
+/// subsumer is a subset of the candidate, so its lowest literal is one of
+/// the candidate's own literals: a candidate with k literals is screened
+/// against just those k buckets (the ones any survivor occupies), a small
+/// slice of the survivors. Entries are added in ascending count order and
+/// carry (count, signature), so a bucket scan stops at the first entry
+/// whose count reaches the candidate's and stays in one dense array until
+/// a signature actually passes. Each entry also carries the operand it
+/// came from, so a screen can skip the candidate's own operand.
+class SubsumerIndex {
+ public:
+  /// Operand tag that matches no entry: the candidate is screened against
+  /// every survivor.
+  static constexpr std::uint32_t kAnyOperand =
+      std::numeric_limits<std::uint32_t>::max();
+
+  explicit SubsumerIndex(std::size_t width)
+      : buckets_(width * 64), occupied_(width, 0) {}
+
+  /// Indexes row `i` of `sets` (not the empty set) under its lowest
+  /// literal, as a row of `operand`.
+  void add(const Family& sets, std::size_t i, std::uint32_t operand = 0) {
+    const std::uint64_t* words = sets.row(i);
+    std::size_t w = 0;
+    while (words[w] == 0) ++w;
+    const std::size_t lowest =
+        w * 64 + static_cast<std::size_t>(std::countr_zero(words[w]));
+    buckets_[lowest].push_back(
+        Entry{sets.count(i), static_cast<std::uint32_t>(i), operand,
+              sets.signature(i)});
+    occupied_[w] |= words[w] & -words[w];
+  }
+
+  /// True when an indexed row of `sets` from an operand other than
+  /// `operand` is a strict subset of row `i`.
+  bool subsumes(const Family& sets, std::size_t i,
+                std::uint32_t operand = kAnyOperand) const noexcept {
+    const std::uint64_t not_sig = ~sets.signature(i);
+    const std::uint32_t count = sets.count(i);
+    const std::uint64_t* words = sets.row(i);
+    for (std::size_t w = 0; w < sets.width(); ++w) {
+      std::uint64_t bits = words[w] & occupied_[w];
+      while (bits != 0) {
+        const std::size_t literal =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        for (const Entry& entry : buckets_[literal]) {
+          if (entry.count >= count) break;
+          if (entry.operand == operand || (entry.signature & not_sig) != 0)
+            continue;
+          if (subset(sets, entry.index, i)) return true;
+        }
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t count;      ///< popcount of the indexed row
+    std::uint32_t index;      ///< the indexed row's index
+    std::uint32_t operand;    ///< the operand the row came from
+    std::uint64_t signature;  ///< signature of the indexed row
+  };
+  std::vector<std::vector<Entry>> buckets_;  ///< by lowest literal id
+  std::vector<std::uint64_t> occupied_;      ///< bit per non-empty bucket
+};
+
 /// Removes non-minimal, duplicate and contradictory sets; result is sorted
 /// canonically (set_less). Input already in that order (merged or
 /// minimised families) skips the sort. Survivors are compacted to the
 /// front of the family's own arena. The subsumption pass is quadratic
 /// in the worst case, so on large batches it probes the deadline (when a
 /// context is given) and returns the partially-minimised prefix on
-/// expiry. Two observations cut the constant far below the naive scan:
-///
-///   * popcount bucketing -- after the canonical sort candidates arrive in
-///     ascending popcount order, duplicates are adjacent (removed up
-///     front), and a survivor can only subsume a candidate with strictly
-///     more literals, so every bucket scan stops at the first entry whose
-///     count reaches the candidate's;
-///   * lowest-literal indexing -- a subsumer is a subset of the candidate,
-///     so its lowest literal is one of the candidate's own literals: the
-///     kept list is bucketed by lowest literal id and a candidate with k
-///     literals is screened against just those k buckets, a small slice of
-///     the survivors. Bucket entries carry (count, signature) so the scan
-///     stays in one dense array until a signature actually passes.
+/// expiry. After the canonical sort candidates arrive in ascending
+/// popcount order and duplicates are adjacent (removed up front); a
+/// survivor can only subsume a candidate with strictly more literals, and
+/// SubsumerIndex screens each candidate against the few survivors that
+/// can.
 Family minimise(Family sets, Context* context = nullptr) {
   if (!rows_sorted(sets)) sort_rows(sets);
   std::size_t unique = 0;
@@ -656,54 +715,94 @@ Family minimise(Family sets, Context* context = nullptr) {
     sets.truncate(1);
     return sets;
   }
-  struct IndexEntry {
-    std::uint32_t count;      ///< popcount of the kept row
-    std::uint32_t index;      ///< the kept row's index
-    std::uint64_t signature;  ///< signature of the kept row
-  };
-  std::vector<std::vector<IndexEntry>> buckets(sets.width() * 64);
+  SubsumerIndex index(sets.width());
+  // A survivor of the largest count has no larger candidate left to
+  // subsume, so it is never indexed.
+  const std::uint32_t largest = sets.count(sets.size() - 1);
   // Rows [0, kept) are the survivors so far; candidate i >= kept.
   std::size_t kept = 0;
-  // True when some survivor subsumes candidate `i`. Only the buckets of
-  // the candidate's own literals can hold one, and entries are appended
-  // in ascending count order, so each bucket scan breaks early.
-  const auto screened_out = [&](std::size_t i) {
-    const std::uint64_t not_sig = ~sets.signature(i);
-    const std::uint32_t count = sets.count(i);
-    const std::uint64_t* words = sets.row(i);
-    for (std::size_t w = 0; w < sets.width(); ++w) {
-      std::uint64_t bits = words[w];
-      while (bits != 0) {
-        const std::size_t literal =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        for (const IndexEntry& entry : buckets[literal]) {
-          if (entry.count >= count) break;
-          if ((entry.signature & not_sig) != 0) continue;
-          if (subset(sets, entry.index, i)) return true;
-        }
-      }
-    }
-    return false;
-  };
   for (std::size_t i = 0; i < sets.size(); ++i) {
     if (context != nullptr && context->deadline_hit()) break;
     if (contradictory(sets, i)) continue;
-    if (screened_out(i)) continue;
-    const std::uint64_t* words = sets.row(i);
-    for (std::size_t w = 0; w < sets.width(); ++w) {
-      if (words[w] == 0) continue;
-      const std::size_t lowest =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(words[w]));
-      buckets[lowest].push_back(IndexEntry{
-          sets.count(i), static_cast<std::uint32_t>(kept), sets.signature(i)});
-      break;
-    }
+    if (index.subsumes(sets, i)) continue;
     if (kept != i) sets.move_row(kept, i);
+    if (sets.count(kept) < largest) index.add(sets, kept);
     ++kept;
   }
   sets.truncate(kept);
   return sets;
+}
+
+/// The OR of `operands`: minimise() of their merge, for operands that are
+/// each minimal and in set_less order (every family BottomUp memoises).
+/// No row of an operand subsumes another row of it, so a strict subset of
+/// a row, if the union holds one, lies in another operand; and since
+/// subsumption is transitive, screening a row against the other
+/// operands' survivors decides it exactly as minimise() would. The rows
+/// are walked in merged set_less order (on a tie the earlier operand
+/// first, as merge() does), equal rows collapse to the first, and the
+/// deadline is probed once per candidate, so an expired run keeps the
+/// survivors of a prefix of the merged order, again as minimise() would.
+/// A survivor is indexed only while another operand still holds a larger
+/// row it could subsume, so a large operand beside small ones is walked
+/// and copied once, never screened against itself.
+Family merge_minimal(const std::vector<Family>& operands, Context& context) {
+  Family out = context.family();
+  std::size_t total = 0;
+  for (const Family& operand : operands) {
+    // The empty set absorbs every other set (see minimise).
+    if (!operand.empty() && operand.count(0) == 0) {
+      out.push_literals({});
+      return out;
+    }
+    total += operand.size();
+  }
+  out.reserve(total);
+  // A row can only subsume rows with more literals than itself, so a row
+  // of operand k is worth indexing only below the largest row of any
+  // other operand: the runner-up's largest for the widest operand, the
+  // widest's for every other.
+  const std::size_t n = operands.size();
+  std::vector<std::uint32_t> largest(n, 0);
+  std::size_t widest = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!operands[k].empty())
+      largest[k] = operands[k].count(operands[k].size() - 1);
+    if (largest[k] > largest[widest]) widest = k;
+  }
+  std::uint32_t runner_up = 0;
+  for (std::size_t k = 0; k < n; ++k)
+    if (k != widest) runner_up = std::max(runner_up, largest[k]);
+  SubsumerIndex index(out.width());
+  std::vector<std::size_t> next(n, 0);
+  while (true) {
+    std::size_t from = n;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (next[k] == operands[k].size()) continue;
+      if (from == n ||
+          set_less(operands[k], next[k], operands[from], next[from]))
+        from = k;
+    }
+    if (from == n) break;
+    out.push_row(operands[from], next[from]++);
+    const std::size_t i = out.size() - 1;
+    if (i > 0 && rows_equal(out, i - 1, i)) {
+      out.truncate(i);
+      continue;
+    }
+    if (context.deadline_hit()) {
+      out.truncate(i);
+      break;
+    }
+    const auto operand = static_cast<std::uint32_t>(from);
+    if (index.subsumes(out, i, operand)) {
+      out.truncate(i);
+      continue;
+    }
+    const std::uint32_t limit = from == widest ? runner_up : largest[widest];
+    if (out.count(i) < limit) index.add(out, i, operand);
+  }
+  return out;
 }
 
 /// How many sets the ZBDD engine samples for the LISTING once keep_diagram
@@ -780,11 +879,12 @@ class BottomUp {
                      "cut sets need a normalised tree (NOT over leaf)");
       return context_.single({context_.literal_id(child, true)});
     }
-    // Child families arrive minimal and in set_less order. OR merges them
-    // (minimise() then only screens); AND minimises after every operand,
-    // which is exact -- min(min(A x B) x C) = min(A x B x C) -- and keeps
-    // the next cross product small.
-    const bool is_or = node->gate() == GateKind::kOr;
+    // Child families arrive minimal and in set_less order. OR screens
+    // each operand's rows against the other operands' (merge_minimal);
+    // AND minimises after every operand, which is exact --
+    // min(min(A x B) x C) = min(A x B x C) -- and keeps the next cross
+    // product small.
+    if (node->gate() == GateKind::kOr) return compute_or(node);
     const std::size_t max_product = context_.options().max_sets * 4;
     Family acc = context_.family();
     bool first = true;
@@ -794,8 +894,6 @@ class BottomUp {
       if (context_.deadline_hit()) break;  // keep the partial accumulation
       if (first) {
         acc = take(child);
-      } else if (is_or) {
-        acc = merge(acc, take(child));
       } else {
         // AND: cross product, dropping contradictions as they appear.
         // The product never outgrows one clamp bound plus one row of it.
@@ -821,10 +919,29 @@ class BottomUp {
       first = false;
       context_.track_peak(acc.size());
     }
-    // Past the deadline the result is partial anyway; skip the O(n^2)
-    // minimisation so the whole engine unwinds in O(n log n).
-    if (context_.deadline_hit() || !is_or) return context_.clamp(std::move(acc));
-    return context_.clamp(minimise(std::move(acc), &context_));
+    return context_.clamp(std::move(acc));
+  }
+
+  /// An OR gate: the children's families, screened against each other
+  /// by merge_minimal.
+  Family compute_or(const FtNode* node) {
+    std::vector<Family> operands;
+    operands.reserve(node->children().size());
+    std::size_t rows = 0;
+    for (const FtNode* child : node->children()) {
+      if (context_.deadline_hit()) break;  // keep the partial accumulation
+      operands.push_back(take(child));
+      rows += operands.back().size();
+      context_.track_peak(rows);
+    }
+    // Past the deadline the result is partial anyway; skip the screening
+    // so the whole engine unwinds in O(n log n).
+    if (context_.deadline_hit()) {
+      Family acc = context_.family();
+      for (const Family& operand : operands) acc = merge(acc, operand);
+      return context_.clamp(std::move(acc));
+    }
+    return context_.clamp(merge_minimal(operands, context_));
   }
 
   const FaultTree& tree_;

@@ -36,7 +36,8 @@
 // candidates by popcount so a candidate is only screened against strictly
 // smaller survivors. micsup ranks events by name, so the kernel's working
 // order is the canonical output order: minimised families are merged at
-// OR gates and listed as they are, with no re-sort. zbdd and bound keep
+// OR gates, each operand screened only against the others, and listed as
+// they are, with no re-sort. zbdd and bound keep
 // their variable order (depth-first occurrence, analysis/ordering.h),
 // because there a literal id is a diagram variable or PDAG literal; their
 // listings are sorted once on integer name-rank keys.
@@ -47,6 +48,13 @@
 // Every call analyses its tree from scratch and keeps nothing afterwards,
 // so the result is a function of the tree and the options alone.
 //
+// The listing is flat too: CutSetAnalysis::cut_sets is a CutSetList, one
+// arena of literals plus the end offset of each set, filled once from the
+// final family with its total literal count reserved up front. A CutSet
+// is a std::span view into that arena, so it is valid while the analysis
+// that lists it lives (and its listing is not reassigned); copy the
+// literals out to keep a set longer.
+//
 // micsup and zbdd are two separate exact algorithms (set combination with
 // absorption against Rauzy's minsol on a diagram), so the tests check
 // each against the other on large trees; on small ones both are checked
@@ -54,9 +62,13 @@
 
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -152,8 +164,110 @@ struct CutLiteral {
   }
 };
 
-/// A minimal cut set: literals sorted by event name.
-using CutSet = std::vector<CutLiteral>;
+/// A minimal cut set: its literals, sorted by event name. A view into the
+/// CutSetList that lists it, valid while that list lives unchanged.
+using CutSet = std::span<const CutLiteral>;
+
+/// A listing of cut sets in one literal arena: the literals of every set
+/// lie back to back in one array, and set i is the slice that ends at
+/// ends[i]. Two heap blocks hold the whole listing however many sets it
+/// has, and copies and moves carry the arena with them. Every access
+/// yields a CutSet view into this list's own arena.
+class CutSetList {
+ public:
+  /// Random-access iterator over the sets; dereferences to a CutSet.
+  class Iterator {
+   public:
+    using iterator_concept = std::random_access_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = CutSet;
+    using reference = CutSet;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    Iterator(const CutSetList* list, std::size_t index) noexcept
+        : list_(list), index_(index) {}
+
+    CutSet operator*() const noexcept { return (*list_)[index_]; }
+    CutSet operator[](difference_type n) const noexcept {
+      return (*list_)[index_ + static_cast<std::size_t>(n)];
+    }
+    Iterator& operator++() noexcept {
+      ++index_;
+      return *this;
+    }
+    Iterator operator++(int) noexcept {
+      Iterator at = *this;
+      ++index_;
+      return at;
+    }
+    Iterator& operator--() noexcept {
+      --index_;
+      return *this;
+    }
+    Iterator operator--(int) noexcept {
+      Iterator at = *this;
+      --index_;
+      return at;
+    }
+    Iterator& operator+=(difference_type n) noexcept {
+      index_ += static_cast<std::size_t>(n);
+      return *this;
+    }
+    Iterator& operator-=(difference_type n) noexcept { return *this += -n; }
+    friend Iterator operator+(Iterator at, difference_type n) noexcept {
+      return at += n;
+    }
+    friend Iterator operator+(difference_type n, Iterator at) noexcept {
+      return at += n;
+    }
+    friend Iterator operator-(Iterator at, difference_type n) noexcept {
+      return at -= n;
+    }
+    friend difference_type operator-(const Iterator& a,
+                                     const Iterator& b) noexcept {
+      return static_cast<difference_type>(a.index_) -
+             static_cast<difference_type>(b.index_);
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) noexcept {
+      return a.index_ == b.index_;
+    }
+    friend auto operator<=>(const Iterator& a, const Iterator& b) noexcept {
+      return a.index_ <=> b.index_;
+    }
+
+   private:
+    const CutSetList* list_ = nullptr;
+    std::size_t index_ = 0;
+  };
+  using const_iterator = Iterator;
+  using value_type = CutSet;
+
+  std::size_t size() const noexcept { return ends_.size(); }
+  bool empty() const noexcept { return ends_.empty(); }
+  CutSet operator[](std::size_t i) const noexcept {
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return CutSet(literals_.data() + begin, ends_[i] - begin);
+  }
+  CutSet front() const noexcept { return (*this)[0]; }
+  Iterator begin() const noexcept { return Iterator(this, 0); }
+  Iterator end() const noexcept { return Iterator(this, size()); }
+
+  /// Sizes the arena for `sets` sets of `literals` literals in all.
+  void reserve(std::size_t sets, std::size_t literals) {
+    ends_.reserve(sets);
+    literals_.reserve(literals);
+  }
+  /// Appends a literal to the set being built; end_set() closes it.
+  void push_literal(CutLiteral literal) { literals_.push_back(literal); }
+  void end_set() { ends_.push_back(literals_.size()); }
+
+  friend bool operator==(const CutSetList&, const CutSetList&) = default;
+
+ private:
+  std::vector<CutLiteral> literals_;  ///< every set's literals, in order
+  std::vector<std::size_t> ends_;     ///< one past set i's last literal
+};
 
 /// What dynamic reordering did during a ZBDD-engine run (--verbose stats).
 /// Populated for every zbdd run, including static-order ones (passes = 0,
@@ -199,9 +313,12 @@ struct FrontierStats {
 };
 
 /// Result of a cut-set computation. Literals point INTO the analysed tree:
-/// the FaultTree must outlive the analysis (do not pass a temporary).
+/// the FaultTree must outlive the analysis (do not pass a temporary). The
+/// listing is one CutSetList arena; a CutSet taken from it is a view that
+/// stays valid while this analysis lives and its listing is not assigned
+/// to. A copy owns its own arena, so its views read the copy.
 struct CutSetAnalysis {
-  std::vector<CutSet> cut_sets;  ///< minimal, canonically ordered
+  CutSetList cut_sets;           ///< minimal, canonically ordered
   bool truncated = false;        ///< some sets were dropped by the limits
   bool deadline_exceeded = false;  ///< the budget deadline cut the run short
   std::size_t peak_sets = 0;     ///< working-set high-water mark (bench metric)
@@ -224,8 +341,10 @@ struct CutSetAnalysis {
 
   /// Smallest cut set order present (0 when there are no cut sets).
   std::size_t min_order() const noexcept;
-  /// Cut sets of exactly `order` literals.
-  std::vector<const CutSet*> of_order(std::size_t order) const;
+  /// Cut sets of exactly `order` literals: one contiguous run of the
+  /// listing, which is ordered by cut-set order first.
+  std::ranges::subrange<CutSetList::Iterator> of_order(
+      std::size_t order) const;
 
   /// "{a, b} {c}" rendering, one line per cut set.
   std::string to_string() const;

@@ -76,7 +76,7 @@ std::vector<FmeaRow> synthesise_fmea(
     const double total = rare_event_bound(set_probs);
 
     for (std::size_t s = 0; s < analysis.cut_sets.size(); ++s) {
-      const CutSet& cs = analysis.cut_sets[s];
+      const CutSet cs = analysis.cut_sets[s];
       const double p = set_probs[s];
       for (const CutLiteral& literal : cs) {
         if (literal.negated) continue;  // an inhibitor is not a failure mode

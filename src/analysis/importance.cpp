@@ -1,8 +1,8 @@
 #include "analysis/importance.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "bdd/bdd_prob.h"
 #include "bdd/zbdd_prob.h"
@@ -32,9 +32,45 @@ std::size_t min_nonzero(std::size_t a, std::size_t b) noexcept {
 /// of sets mentioning the event, and the mass of those sets with the
 /// mentioning literal forced true, per polarity.
 struct RareEventMasses {
+  bool mentioned = false;  ///< some set of the family holds the event
   double with_literal = 0.0;
   double pos_without = 0.0;
   double neg_without = 0.0;
+};
+
+/// The importance entries of a tree's basic events, found by node id:
+/// literals point into the analysed tree, whose ids are dense. A literal
+/// whose id slot holds another event is no basic event of the tree.
+class EntryTable {
+ public:
+  explicit EntryTable(const FaultTree& tree)
+      : slot_(tree.nodes().size(), kNone) {
+    for (const FtNode* event : tree.basic_events()) {
+      slot_[static_cast<std::size_t>(event->id())] =
+          static_cast<std::uint32_t>(entries_.size());
+      entries_.push_back(ImportanceEntry{event, 0.0, 0.0, 0.0, 0.0, 0, 0});
+    }
+  }
+
+  /// Index of `event`'s entry, or kNone for undeveloped / loop leaves.
+  std::uint32_t find(const FtNode* event) const noexcept {
+    const auto id = static_cast<std::size_t>(event->id());
+    if (id >= slot_.size() || slot_[id] == kNone) return kNone;
+    return entries_[slot_[id]].event == event ? slot_[id] : kNone;
+  }
+
+  ImportanceEntry& operator[](std::uint32_t index) noexcept {
+    return entries_[index];
+  }
+  std::size_t size() const noexcept { return entries_.size(); }
+  std::vector<ImportanceEntry> release() && { return std::move(entries_); }
+
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+ private:
+  std::vector<std::uint32_t> slot_;  ///< node id -> entry index
+  std::vector<ImportanceEntry> entries_;
 };
 
 }  // namespace
@@ -64,9 +100,7 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
                                        const ProbabilityOptions& options,
                                        ProbMode) {
   ReliabilitySummary out;
-  std::unordered_map<const FtNode*, ImportanceEntry> entries;
-  for (const FtNode* event : tree.basic_events())
-    entries.emplace(event, ImportanceEntry{event, 0.0, 0.0, 0.0, 0.0, 0, 0});
+  EntryTable entries(tree);
 
   // Bound-engine runs target trees where whole-tree BDD encoding is off
   // the table (that is why the caller chose the engine), so the exact
@@ -74,7 +108,7 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
   // precisely on those inputs. Birnbaum/RAW/RRW instead come from
   // rare-event conditionals over the emitted family.
   const bool bound_run = analysis.p_lower.has_value();
-  std::unordered_map<const FtNode*, RareEventMasses> rare_masses;
+  std::vector<RareEventMasses> rare_masses(bound_run ? entries.size() : 0);
 
   if (const std::optional<ZbddMeasures> swept =
           diagram_measures(analysis, options)) {
@@ -87,9 +121,9 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     for (std::size_t r = 0; r < diagram->events.size(); ++r) {
       const FtNode* event = diagram->events[r];
       if (event == nullptr) continue;
-      auto it = entries.find(event);
-      if (it == entries.end()) continue;  // undeveloped / loop leaves
-      ImportanceEntry& entry = it->second;
+      const std::uint32_t at = entries.find(event);
+      if (at == EntryTable::kNone) continue;  // undeveloped / loop leaves
+      ImportanceEntry& entry = entries[at];
       // Both polarities attribute to the event, exactly like the family
       // loop below (a set holding NOT x still counts against x).
       const double mass =
@@ -112,14 +146,17 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     out.p_mcub = mcub_bound(set_probs);
     std::vector<double> literal_probs;
     for (std::size_t s = 0; s < analysis.cut_sets.size(); ++s) {
-      const CutSet& cs = analysis.cut_sets[s];
+      const CutSet cs = analysis.cut_sets[s];
       const double p = set_probs[s];
+      // The set's share of the rare-event sum: one quotient, added to the
+      // FV of each of its events (0 adds nothing when there is no mass).
+      const double share =
+          out.p_rare_event > 0.0 ? p / out.p_rare_event : 0.0;
       for (const CutLiteral& literal : cs) {
-        auto it = entries.find(literal.event);
-        if (it == entries.end()) continue;  // undeveloped / loop leaves
-        ImportanceEntry& entry = it->second;
-        if (out.p_rare_event > 0.0)
-          entry.fussell_vesely += p / out.p_rare_event;
+        const std::uint32_t at = entries.find(literal.event);
+        if (at == EntryTable::kNone) continue;  // undeveloped / loop leaves
+        ImportanceEntry& entry = entries[at];
+        entry.fussell_vesely += share;
         ++entry.cut_set_count;
         if (entry.smallest_order == 0 || cs.size() < entry.smallest_order)
           entry.smallest_order = cs.size();
@@ -135,12 +172,13 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
         literal_probs.push_back(literal.negated ? 1.0 - q : q);
       }
       for (std::size_t j = 0; j < cs.size(); ++j) {
-        auto it = entries.find(cs[j].event);
-        if (it == entries.end()) continue;
+        const std::uint32_t at = entries.find(cs[j].event);
+        if (at == EntryTable::kNone) continue;
         double without = 1.0;
         for (std::size_t i = 0; i < cs.size(); ++i)
           if (i != j) without *= literal_probs[i];
-        RareEventMasses& m = rare_masses[cs[j].event];
+        RareEventMasses& m = rare_masses[at];
+        m.mentioned = true;
         m.with_literal += p;
         if (cs[j].negated) m.neg_without += without;
         else m.pos_without += without;
@@ -156,14 +194,15 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     // p_exact stays 0: the interval in p_lower/p_upper is the probability
     // statement for these runs.
     const double s = out.p_rare_event;
-    for (const auto& [event, m] : rare_masses) {
-      auto it = entries.find(event);
-      if (it == entries.end()) continue;
+    for (std::uint32_t at = 0; at < rare_masses.size(); ++at) {
+      const RareEventMasses& m = rare_masses[at];
+      if (!m.mentioned) continue;
+      ImportanceEntry& entry = entries[at];
       const double s_with = s - m.with_literal + m.pos_without;
       const double s_without = s - m.with_literal + m.neg_without;
-      it->second.birnbaum = m.pos_without - m.neg_without;
-      it->second.raw = s > 0.0 ? s_with / s : 0.0;
-      it->second.rrw =
+      entry.birnbaum = m.pos_without - m.neg_without;
+      entry.raw = s > 0.0 ? s_with / s : 0.0;
+      entry.rrw =
           s_without > 0.0 ? s / s_without
           : s > 0.0       ? std::numeric_limits<double>::infinity()
                           : 0.0;
@@ -187,25 +226,24 @@ ReliabilitySummary analyse_reliability(const FaultTree& tree,
     out.p_exact = p_top;
     const std::vector<double> birnbaum = engine.birnbaum_all(encoding.root);
     for (std::size_t v = 0; v < encoding.events.size(); ++v) {
-      auto it = entries.find(encoding.events[v]);
-      if (it == entries.end()) continue;
+      const std::uint32_t at = entries.find(encoding.events[v]);
+      if (at == EntryTable::kNone) continue;
+      ImportanceEntry& entry = entries[at];
       const double bm = birnbaum[v];
       const double p_given =
           engine.probability_given(encoding.root, static_cast<int>(v), true);
       const double p_without = engine.probability_given(
           encoding.root, static_cast<int>(v), false);
-      it->second.birnbaum = bm;
-      it->second.raw = p_top > 0.0 ? p_given / p_top : 0.0;
-      it->second.rrw =
+      entry.birnbaum = bm;
+      entry.raw = p_top > 0.0 ? p_given / p_top : 0.0;
+      entry.rrw =
           p_without > 0.0 ? p_top / p_without
           : p_top > 0.0   ? std::numeric_limits<double>::infinity()
                           : 0.0;
     }
   }
 
-  std::vector<ImportanceEntry> ranking;
-  ranking.reserve(entries.size());
-  for (auto& [event, entry] : entries) ranking.push_back(entry);
+  std::vector<ImportanceEntry> ranking = std::move(entries).release();
   std::sort(ranking.begin(), ranking.end(),
             [](const ImportanceEntry& a, const ImportanceEntry& b) {
               if (a.fussell_vesely != b.fussell_vesely)

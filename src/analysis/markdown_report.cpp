@@ -127,7 +127,7 @@ void render_top_event(const TreeAnalysis& analysis,
     shown = std::min(shown, options.max_cut_sets);
   out += md_header({"#", "Minimal cut set", "Order"});
   for (std::size_t i = 0; i < shown; ++i) {
-    const CutSet& cs = analysis.cut_sets.cut_sets[i];
+    const CutSet cs = analysis.cut_sets.cut_sets[i];
     std::string cells;
     for (std::size_t j = 0; j < cs.size(); ++j) {
       if (j != 0) cells += ", ";

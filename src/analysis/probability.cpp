@@ -29,8 +29,7 @@ double event_probability(const FtNode& event,
               "event_probability called on a gate node");
 }
 
-double cut_set_probability(const CutSet& cut_set,
-                           const ProbabilityOptions& options) {
+double cut_set_probability(CutSet cut_set, const ProbabilityOptions& options) {
   double p = 1.0;
   for (const CutLiteral& literal : cut_set) {
     const double q = event_probability(*literal.event, options);
@@ -41,16 +40,26 @@ double cut_set_probability(const CutSet& cut_set,
 
 std::vector<double> cut_set_probabilities(const CutSetAnalysis& analysis,
                                           const ProbabilityOptions& options) {
-  std::unordered_map<const FtNode*, double> event_probabilities;
+  // Each event's probability, by node id: literals point into one tree,
+  // whose ids are dense. A slot remembers its event, so a literal of
+  // another tree sharing the id is recomputed, never misread.
+  struct Known {
+    const FtNode* event = nullptr;
+    double probability = 0.0;
+  };
+  std::vector<Known> known;
   std::vector<double> out;
   out.reserve(analysis.cut_sets.size());
-  for (const CutSet& cs : analysis.cut_sets) {
+  for (const CutSet cs : analysis.cut_sets) {
     // The same product cut_set_probability forms, literal by literal.
     double p = 1.0;
     for (const CutLiteral& literal : cs) {
-      auto [it, inserted] = event_probabilities.try_emplace(literal.event);
-      if (inserted) it->second = event_probability(*literal.event, options);
-      p *= literal.negated ? (1.0 - it->second) : it->second;
+      const auto id = static_cast<std::size_t>(literal.event->id());
+      if (id >= known.size()) known.resize(id + 1);
+      Known& slot = known[id];
+      if (slot.event != literal.event)
+        slot = {literal.event, event_probability(*literal.event, options)};
+      p *= literal.negated ? (1.0 - slot.probability) : slot.probability;
     }
     out.push_back(p);
   }

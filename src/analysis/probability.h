@@ -36,8 +36,7 @@ double event_probability(const FtNode& event, const ProbabilityOptions& options)
 
 /// Probability of one cut set: product over its literals (negated literals
 /// contribute 1 - p).
-double cut_set_probability(const CutSet& cut_set,
-                           const ProbabilityOptions& options);
+double cut_set_probability(CutSet cut_set, const ProbabilityOptions& options);
 
 /// cut_set_probability of every cut set of `analysis`, in listing order.
 /// Each distinct event's probability is computed once.

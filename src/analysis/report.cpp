@@ -64,7 +64,7 @@ std::string render(const FaultTree& tree, const TreeAnalysis& analysis,
   const std::size_t shown = std::min<std::size_t>(
       analysis.cut_sets.cut_sets.size(), 20);
   for (std::size_t i = 0; i < shown; ++i) {
-    const CutSet& cs = analysis.cut_sets.cut_sets[i];
+    const CutSet cs = analysis.cut_sets.cut_sets[i];
     out += "  {";
     for (std::size_t j = 0; j < cs.size(); ++j) {
       if (j != 0) out += ", ";

@@ -83,7 +83,7 @@ std::string write_json(const FaultTree& tree, const TreeAnalysis& analysis) {
 
   out += "  \"cut_sets\": [\n";
   for (std::size_t i = 0; i < analysis.cut_sets.cut_sets.size(); ++i) {
-    const CutSet& cs = analysis.cut_sets.cut_sets[i];
+    const CutSet cs = analysis.cut_sets.cut_sets[i];
     out += "    [";
     for (std::size_t j = 0; j < cs.size(); ++j) {
       if (j != 0) out += ", ";

@@ -87,7 +87,7 @@ void write_analysis_body(const TreeAnalysis& analysis, std::string& out) {
          std::to_string(analysis.cut_sets.cut_sets.size()) +
          "\" truncated=\"" +
          (analysis.cut_sets.truncated ? "true" : "false") + "\">\n";
-  for (const CutSet& cs : analysis.cut_sets.cut_sets) {
+  for (const CutSet cs : analysis.cut_sets.cut_sets) {
     out += "      <cut-set order=\"" + std::to_string(cs.size()) + "\">\n";
     for (const CutLiteral& literal : cs) {
       out += "        <literal ref=\"" +

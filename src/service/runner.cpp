@@ -458,7 +458,7 @@ std::string mef_report(const MefModel& mef,
               format_double(analysis.p_esary_proschan) + " |\n";
       text += "| MCUB | " + format_double(analysis.p_mcub) + " |\n\n";
     }
-    const std::vector<CutSet>& cut_sets = analysis.cut_sets.cut_sets;
+    const CutSetList& cut_sets = analysis.cut_sets.cut_sets;
     text += "Minimal cut sets: " + std::to_string(cut_sets.size()) +
             (analysis.cut_sets.truncated ? " (truncated)" : "") + "\n\n";
     const std::size_t shown = std::min(cut_sets.size(), caps.max_cut_sets);

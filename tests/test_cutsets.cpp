@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 
 #include "analysis/cutsets.h"
 #include "analysis/probability.h"
+#include "analysis/report.h"
 #include "casestudy/setta.h"
 #include "casestudy/synthetic.h"
 #include "fta/fault_tree.h"
@@ -409,7 +411,7 @@ std::vector<std::pair<std::string, bool>> literal_keys(const CutSet& cs) {
 /// lexicographically -- with every literal a leaf of the caller's `tree`.
 void expect_canonical(const CutSetAnalysis& analysis, const FaultTree& tree,
                       const std::string& label) {
-  const std::vector<CutSet>& sets = analysis.cut_sets;
+  const CutSetList& sets = analysis.cut_sets;
   for (std::size_t i = 0; i < sets.size(); ++i) {
     const auto keys = literal_keys(sets[i]);
     EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << label << " #" << i;
@@ -556,6 +558,260 @@ TEST(CutSets, AndOperandsAbsorbPairwise) {
   EXPECT_EQ(analysis.cut_sets.size(), 2u + 625u);
   EXPECT_LT(analysis.peak_sets, 2401u);
   expect_canonical(analysis, tree, "lanes");
+}
+
+TEST(CutSets, OrScreensEachOperandAgainstTheOthers) {
+  // The OR's operands are each minimal; across them a set repeats ({b, c}
+  // twice), small sets absorb larger ones ({a} absorbs {a, d}, {a, f} and
+  // {a, g}; {b, c} absorbs {b, c, h}), and the two-row operands hold the
+  // largest sets, so every operand is both screened and a screener.
+  FaultTree tree("t");
+  FtNode* a = basic(tree, "a");
+  FtNode* b = basic(tree, "b");
+  FtNode* c = basic(tree, "c");
+  FtNode* d = basic(tree, "d");
+  FtNode* e = basic(tree, "e");
+  FtNode* f = basic(tree, "f");
+  FtNode* g = basic(tree, "g");
+  FtNode* h = basic(tree, "h");
+  FtNode* bc = tree.add_gate(GateKind::kAnd, "", {b, c});
+  FtNode* cb = tree.add_gate(GateKind::kAnd, "", {c, b});
+  FtNode* ad = tree.add_gate(GateKind::kAnd, "", {a, d});
+  FtNode* fg_ha = tree.add_gate(
+      GateKind::kAnd, "",
+      {tree.add_gate(GateKind::kOr, "", {f, g}),
+       tree.add_gate(GateKind::kOr, "", {h, a})});
+  FtNode* bch = tree.add_gate(GateKind::kAnd, "", {b, c, h});
+  FtNode* top =
+      tree.add_gate(GateKind::kOr, "", {fg_ha, bch, ad, bc, e, cb, a});
+  tree.set_top(top);
+  const char* expected = "{a}\n{e}\n{b, c}\n{f, h}\n{g, h}\n";
+  EXPECT_EQ(minimal_cut_sets(tree).to_string(), expected);
+  EXPECT_EQ(zbdd_cut_sets(tree).to_string(), expected);
+
+  // An operand holding the empty set absorbs every other operand.
+  tree.set_top(tree.add_gate(
+      GateKind::kOr, "", {top, tree.add_house(Symbol("always"), "")}));
+  EXPECT_EQ(minimal_cut_sets(tree).to_string(), "{}\n");
+}
+
+// -- The flat listing ---------------------------------------------------------
+
+TEST(CutSetList, EmptyFamilyListsNothing) {
+  FaultTree tree("t");
+  const CutSetAnalysis analysis = minimal_cut_sets(tree);
+  EXPECT_TRUE(analysis.cut_sets.empty());
+  EXPECT_EQ(analysis.cut_sets.size(), 0u);
+  EXPECT_TRUE(analysis.cut_sets.begin() == analysis.cut_sets.end());
+  EXPECT_EQ(analysis.min_order(), 0u);
+  EXPECT_TRUE(analysis.of_order(0).empty());
+  EXPECT_TRUE(analysis.of_order(1).empty());
+  EXPECT_EQ(analysis.to_string(), "");
+  EXPECT_TRUE(analysis.cut_sets == CutSetList{});
+}
+
+TEST(CutSetList, HouseLeafListsTheEmptySet) {
+  FaultTree tree("t");
+  tree.set_top(tree.add_house(Symbol("always"), ""));
+  for (const CutSetEngine engine :
+       {CutSetEngine::kMicsup, CutSetEngine::kZbdd}) {
+    CutSetOptions options;
+    options.engine = engine;
+    const CutSetAnalysis analysis = compute_cut_sets(tree, options);
+    ASSERT_EQ(analysis.cut_sets.size(), 1u);
+    EXPECT_FALSE(analysis.cut_sets.empty());
+    EXPECT_TRUE(analysis.cut_sets.front().empty());
+    EXPECT_EQ(analysis.min_order(), 0u);
+    EXPECT_EQ(analysis.of_order(0).size(), 1u);
+    EXPECT_TRUE(analysis.of_order(1).empty());
+    EXPECT_EQ(analysis.to_string(), "{}\n");
+  }
+
+  // An empty set between two others is a zero-length view between equal
+  // offsets, and its neighbours keep their own literals.
+  FtNode* a = basic(tree, "a");
+  FtNode* b = basic(tree, "b");
+  CutSetList list;
+  list.push_literal({a, false});
+  list.end_set();
+  list.end_set();
+  list.push_literal({b, true});
+  list.end_set();
+  ASSERT_EQ(list.size(), 3u);
+  ASSERT_EQ(list[0].size(), 1u);
+  EXPECT_EQ(list[0][0], (CutLiteral{a, false}));
+  EXPECT_TRUE(list[1].empty());
+  EXPECT_EQ(list[1].data(), list[0].data() + 1);
+  ASSERT_EQ(list[2].size(), 1u);
+  EXPECT_EQ(list[2][0], (CutLiteral{b, true}));
+}
+
+TEST(CutSetList, NegatedLiteralsKeepTheirPolarity) {
+  FaultTree tree("t");
+  FtNode* a = basic(tree, "a");
+  FtNode* b = basic(tree, "b");
+  FtNode* c = basic(tree, "c");
+  FtNode* not_b = tree.add_gate(GateKind::kNot, "", {b});
+  tree.set_top(tree.add_gate(
+      GateKind::kOr, "", {tree.add_gate(GateKind::kAnd, "", {a, not_b}), c}));
+  for (const CutSetEngine engine :
+       {CutSetEngine::kMicsup, CutSetEngine::kZbdd}) {
+    CutSetOptions options;
+    options.engine = engine;
+    const CutSetAnalysis analysis = compute_cut_sets(tree, options);
+    EXPECT_EQ(analysis.to_string(), "{c}\n{a, NOT b}\n");
+    ASSERT_EQ(analysis.cut_sets.size(), 2u);
+    const CutSet pair = analysis.cut_sets[1];
+    ASSERT_EQ(pair.size(), 2u);
+    EXPECT_EQ(pair[0], (CutLiteral{a, false}));
+    EXPECT_EQ(pair[1], (CutLiteral{b, true}));
+  }
+}
+
+TEST(CutSetList, OrderRunsToStringAndEquality) {
+  FaultTree tree("t");
+  FtNode* m = basic(tree, "m");
+  FtNode* a = basic(tree, "a");
+  FtNode* z = basic(tree, "z");
+  FtNode* x = basic(tree, "x");
+  FtNode* y = basic(tree, "y");
+  FtNode* b = basic(tree, "b");
+  FtNode* c = basic(tree, "c");
+  FtNode* d = basic(tree, "d");
+  tree.set_top(tree.add_gate(
+      GateKind::kOr, "",
+      {tree.add_gate(GateKind::kAnd, "", {x, y}), m,
+       tree.add_gate(GateKind::kAnd, "", {b, c, d}),
+       tree.add_gate(GateKind::kAnd, "", {z, a})}));
+  const CutSetAnalysis analysis = minimal_cut_sets(tree);
+  EXPECT_EQ(analysis.to_string(), "{m}\n{a, z}\n{x, y}\n{b, c, d}\n");
+  EXPECT_EQ(analysis.min_order(), 1u);
+  EXPECT_TRUE(analysis.of_order(0).empty());
+  EXPECT_EQ(analysis.of_order(1).size(), 1u);
+  const auto pairs = analysis.of_order(2);
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0][0].event, a);
+  EXPECT_EQ(pairs[1][0].event, x);
+  std::size_t order_three = 0;
+  for (const CutSet cs : analysis.of_order(3)) {
+    EXPECT_EQ(cs.size(), 3u);
+    ++order_three;
+  }
+  EXPECT_EQ(order_three, 1u);
+  EXPECT_TRUE(analysis.of_order(4).empty());
+
+  // Equal listings compare equal whichever engine or path built them; a
+  // polarity or a set of difference does not.
+  EXPECT_TRUE(analysis.cut_sets == minimal_cut_sets(tree).cut_sets);
+  EXPECT_TRUE(analysis.cut_sets == zbdd_cut_sets(tree).cut_sets);
+  const auto rebuild = [&](const FtNode* negate) {
+    CutSetList list;
+    for (const CutSet cs : analysis.cut_sets) {
+      for (CutLiteral literal : cs) {
+        literal.negated = literal.event == negate;
+        list.push_literal(literal);
+      }
+      list.end_set();
+    }
+    return list;
+  };
+  CutSetList rebuilt = rebuild(nullptr);
+  EXPECT_TRUE(rebuilt == analysis.cut_sets);
+  EXPECT_FALSE(rebuild(d) == analysis.cut_sets);
+  rebuilt.push_literal(analysis.cut_sets.front().front());
+  rebuilt.end_set();
+  EXPECT_FALSE(rebuilt == analysis.cut_sets);
+}
+
+TEST(CutSetList, CopiesAndMovesReadTheirOwnArena) {
+  FaultTree tree("t");
+  FtNode* a = basic(tree, "a");
+  FtNode* b = basic(tree, "b");
+  FtNode* c = basic(tree, "c");
+  tree.set_top(tree.add_gate(
+      GateKind::kOr, "", {a, tree.add_gate(GateKind::kAnd, "", {b, c})}));
+  auto original = std::make_unique<CutSetAnalysis>(minimal_cut_sets(tree));
+  const std::string text = original->to_string();
+  ASSERT_EQ(text, "{a}\n{b, c}\n");
+
+  CutSetAnalysis copy = *original;
+  EXPECT_TRUE(copy.cut_sets == original->cut_sets);
+  EXPECT_NE(copy.cut_sets[1].data(), original->cut_sets[1].data());
+  CutSetAnalysis assigned = minimal_cut_sets(tree);
+  const CutSetAnalysis other = zbdd_cut_sets(tree);
+  assigned = other;
+  EXPECT_NE(assigned.cut_sets[0].data(), other.cut_sets[0].data());
+  const CutLiteral* arena = original->cut_sets[1].data();
+  CutSetAnalysis moved = std::move(*original);
+  EXPECT_EQ(moved.cut_sets[1].data(), arena);  // the arena moved with it
+  original.reset();
+
+  // The original is gone; every copy still lists from its own arena.
+  for (const CutSetAnalysis* analysis : {&copy, &assigned, &moved}) {
+    EXPECT_EQ(analysis->to_string(), text);
+    ASSERT_EQ(analysis->cut_sets.size(), 2u);
+    EXPECT_EQ(analysis->cut_sets[1][0], (CutLiteral{b, false}));
+    EXPECT_EQ(analysis->cut_sets[1][1], (CutLiteral{c, false}));
+  }
+}
+
+// The listing and the reliability report, pinned byte for byte: FNV-1a
+// digests of CutSetAnalysis::to_string() and of the full analyse render
+// (every importance row) on the replicated 5-lane x 7-stage model and on
+// the 22 tops `ftsynth analyse` derives for the brake-by-wire case study,
+// under both exact engines. A change to the set or literal order, or to
+// the order of any floating-point sum (the bounds, Fussell-Vesely), moves
+// a digest.
+TEST(ListingPin, ListingAndReliabilityBytesArePinned) {
+  struct Digest {
+    std::uint64_t value = 14695981039346656037ull;
+    void add(const std::string& text) {
+      for (const unsigned char c : text) value = (value ^ c) * 1099511628211ull;
+    }
+  };
+  synthetic::ReplicatedConfig config;
+  config.channels = 5;
+  config.stages = 7;
+  const Model replicated = synthetic::build_replicated(config);
+  const Model bbw = setta::build_bbw();
+  SynthesisOptions prune;
+  prune.unannotated = SynthesisOptions::UnannotatedPolicy::kPrune;
+  std::vector<Deviation> tops;
+  for (const Port* port : bbw.root().outputs()) {
+    for (FailureClass cls : bbw.registry().all()) {
+      const Deviation candidate{cls, port->name()};
+      if (Synthesiser(bbw, prune).synthesise(candidate).top() != nullptr)
+        tops.push_back(candidate);
+    }
+  }
+  ASSERT_EQ(tops.size(), 22u);
+  for (const CutSetEngine engine :
+       {CutSetEngine::kMicsup, CutSetEngine::kZbdd}) {
+    SCOPED_TRACE(to_string(engine));
+    AnalysisOptions options;
+    options.cut_sets.engine = engine;
+    options.max_importance_rows = 1000;
+    Digest listing;
+    Digest report;
+    const FaultTree lanes = Synthesiser(replicated).synthesise("Omission-sink");
+    TreeAnalysis analysis = analyse_tree(lanes, options);
+    listing.add(analysis.cut_sets.to_string());
+    report.add(render(lanes, analysis, options));
+    EXPECT_EQ(listing.value, 16326437288365522903ull);
+    EXPECT_EQ(report.value, 16460221580336576423ull);
+
+    options.probability.mission_time_hours = 1000.0;
+    listing = {};
+    report = {};
+    for (const Deviation& top : tops) {
+      const FaultTree tree = Synthesiser(bbw).synthesise(top);
+      analysis = analyse_tree(tree, options);
+      listing.add(analysis.cut_sets.to_string());
+      report.add(render(tree, analysis, options));
+    }
+    EXPECT_EQ(listing.value, 1003892776150964457ull);
+    EXPECT_EQ(report.value, 8807651630476002862ull);
+  }
 }
 
 TEST(MinimiseLiteralSets, KernelDedupsAbsorbsAndDropsContradictions) {

@@ -21,8 +21,8 @@ std::vector<std::string> spofs(const Model& model, const std::string& top) {
   FaultTree tree = synthesiser.synthesise(top);
   CutSetAnalysis analysis = minimal_cut_sets(tree);
   std::vector<std::string> out;
-  for (const CutSet* cs : analysis.of_order(1))
-    out.push_back(std::string((*cs)[0].event->name().view()));
+  for (const CutSet cs : analysis.of_order(1))
+    out.push_back(std::string(cs[0].event->name().view()));
   return out;
 }
 
