@@ -445,10 +445,6 @@ class Context {
     return it->second * 2 + (negated ? 1 : 0);
   }
 
-  const FtNode* event_of(int literal) const {
-    return events_[static_cast<std::size_t>(literal / 2)];
-  }
-
   /// The original tree's leaf for interned event `index`; null when the
   /// normalised copy invented the event.
   const FtNode* original_leaf(std::size_t index) const {
@@ -1035,8 +1031,8 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   auto diagram_handle = std::make_shared<CutSetDiagram>();
   Zbdd& zbdd = diagram_handle->zbdd;
   // Literal id == ZBDD variable: two per event, the plain polarity first,
-  // events in depth-first occurrence order (the shared static heuristic --
-  // the SEED order; the sift policy may move it afterwards).
+  // events in depth-first occurrence order (the shared static heuristic),
+  // so the variable order is the DFS order and never moves.
   for (std::size_t i = 0; i < 2 * order.size(); ++i) zbdd.new_var();
   Budget budget = options.budget;  // run-local copy sharing the latch
   zbdd.set_budget(&budget);
@@ -1044,18 +1040,15 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
   // cut sets rarely needs more nodes than literals-per-set times sets),
   // with a floor so small limits cannot starve genuine diagrams.
   zbdd.set_node_limit(options.max_sets * 8 + (1u << 16));
-  const bool dynamic_order = options.order != OrderPolicy::kStatic;
-  if (dynamic_order) zbdd.set_auto_reorder(true);
 
   Family sets = context.family();
-  // Declared outside the try so the post-run report covers interrupted
-  // runs too: the diagram stays valid when an operation throws.
-  Zbdd::Ref contra = Zbdd::kEmpty;
+  // Declared outside the try so an interrupted run still hands over the
+  // diagram: it stays valid when an operation throws.
   Zbdd::Ref root = Zbdd::kEmpty;
   bool conversion_complete = false;
-  std::unordered_map<const FtNode*, Zbdd::Ref> memo;
-  SiftStats sift_total;
   try {
+    Zbdd::Ref contra = Zbdd::kEmpty;
+    std::unordered_map<const FtNode*, Zbdd::Ref> memo;
     // Sets holding both polarities of an event are contradictory; the
     // pair family {{x, NOT x}, ...} subtracts them via `without`.
     flat.for_each_reachable([&](const FtNode& node) {
@@ -1103,39 +1096,14 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
 
     // Bottom-up conversion with per-node memoisation: shared subtrees of
     // the DAG convert once, and every memoised family is already minimal.
-    //
-    // The walk is an explicit postorder stack rather than recursion so
-    // that EVERY live intermediate family is enumerable: dynamic
-    // reordering garbage-collects at its safe points, and a partial
-    // accumulator hiding in a recursive activation record would be swept.
+    // The walk is an explicit postorder stack rather than recursion, so a
+    // deep tree does not deepen the call stack.
     struct Frame {
       const FtNode* node;
       std::size_t next = 0;  ///< index of the next child to combine
       Zbdd::Ref acc = Zbdd::kEmpty;
     };
     std::vector<Frame> frames;
-    // Every ref the engine still holds -- the GC root set for reordering.
-    auto live_roots = [&]() {
-      std::vector<Zbdd::Ref> roots;
-      roots.reserve(memo.size() + frames.size() + 2);
-      roots.push_back(contra);
-      roots.push_back(root);
-      for (const auto& [node, ref] : memo) roots.push_back(ref);
-      for (const Frame& frame : frames) roots.push_back(frame.acc);
-      return roots;
-    };
-    // Honours a pressure-flagged reorder between operations. make() never
-    // reorders itself: an operation mid-flight holds node copies on the C++
-    // stack that an in-place swap would silently bypass.
-    SiftOptions sift_options;
-    sift_options.budget = &budget;
-    auto reorder_point = [&]() {
-      if (!zbdd.reorder_pending()) return;
-      if (std::optional<SiftStats> stats =
-              zbdd.maybe_reorder(live_roots(), sift_options))
-        sift_total.merge(*stats);
-    };
-
     auto convert = [&](const FtNode* top) -> Zbdd::Ref {
       if (std::optional<Zbdd::Ref> simple = resolve_simple(top))
         return *simple;
@@ -1158,7 +1126,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
           ++frame.next;
           frame.acc = is_or ? zbdd.set_union(frame.acc, *ready)
                             : zbdd.product(frame.acc, *ready);
-          reorder_point();  // acc is rooted via the frame: safe point
           continue;
         }
         // All children combined: finalise this gate.
@@ -1169,7 +1136,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
         result = zbdd.minimal(result);
         memo.emplace(node, result);
         frames.pop_back();
-        reorder_point();
       }
       return memo.at(top);
     };
@@ -1178,12 +1144,6 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     conversion_complete = true;
     // For the symbolic engine the working set IS the diagram.
     context.track_peak(zbdd.size());
-
-    // Final explicit pass: pressure may never have fired (small diagrams)
-    // or may have left gains on the table; the sift policy always ends on
-    // a locally minimal order. The budget still applies -- an interrupted
-    // pass parks at the best order seen and degrades, never corrupts.
-    if (dynamic_order) sift_total.merge(zbdd.sift(live_roots(), sift_options));
 
     // Extract the minimal family. The limits apply per path: long sets
     // are skipped (max_order), the enumeration stops at max_sets.
@@ -1228,11 +1188,10 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     } else {
       // Truncated family: the listing is a bounded sample. Sample it
       // CANONICALLY -- smallest sets first, by name within one order, as
-      // every engine's clamp() keeps them -- instead of in diagram order:
-      // diagram order follows the variable order, which dynamic
-      // reordering moves, and stdout must not depend on it. Per-node
-      // order bounds prune each sweep to the subgraphs that can hold a
-      // set of the wanted size; the enumeration ceiling bounds the
+      // every engine's clamp() keeps them -- instead of in diagram order,
+      // so a truncated listing follows the same rule on every engine.
+      // Per-node order bounds prune each sweep to the subgraphs that can
+      // hold a set of the wanted size; the enumeration ceiling bounds the
       // boundary order's cost (a sample past the ceiling keeps the
       // enumeration prefix -- the documented residual, docs/FORMATS.md).
       truncated_paths = true;
@@ -1303,39 +1262,14 @@ CutSetAnalysis zbdd_cut_sets(const FaultTree& tree,
     context.mark_truncated();
   }
 
-  // Reordering report (--verbose): live sizes after a final sweep, the
-  // stats the sifting accumulated, and the order the run ended on. Built
-  // for static runs too so the policies are directly comparable.
-  zbdd.collect_garbage([&] {
-    std::vector<Zbdd::Ref> roots{contra, root};
-    for (const auto& [node, ref] : memo) roots.push_back(ref);
-    return roots;
-  }());
-  ReorderReport report;
-  report.policy = to_string(options.order);
-  report.passes = sift_total.passes;
-  report.swaps = sift_total.swaps;
-  report.nodes_after = zbdd.table_size();
-  report.nodes_before = sift_total.swaps > 0 ? sift_total.size_before
-                                             : report.nodes_after;
-  report.root_nodes = zbdd.node_count(root);
-  for (int level = 0; level < zbdd.var_count(); ++level) {
-    if (zbdd.level_width(level) == 0) continue;
-    const int literal = zbdd.var_at_level(level);
-    std::string name = context.event_of(literal)->name().str();
-    report.final_order.push_back((literal & 1) != 0 ? "NOT " + name
-                                                    : std::move(name));
-  }
-
   CutSetAnalysis analysis = context.finish(context.clamp(std::move(sets)));
-  analysis.reorder = std::move(report);
 
   if (options.keep_diagram) {
-    // The manager outlives this frame inside the handle: detach the
-    // run-local budget copy (it dies here) and drop everything but the
-    // family itself.
+    // The manager outlives this frame inside the handle, read only through
+    // const references: detach the run-local budget copy (it dies here)
+    // and free the tables that only building needs.
     zbdd.set_budget(nullptr);
-    zbdd.collect_garbage({root});
+    zbdd.release_tables();
     diagram_handle->root = root;
     diagram_handle->exact = conversion_complete;
     diagram_handle->events.reserve(order.size());

@@ -58,7 +58,7 @@
 // micsup and zbdd are two separate exact algorithms (set combination with
 // absorption against Rauzy's minsol on a diagram), so the tests check
 // each against the other on large trees; on small ones both are checked
-// against a brute-force enumeration (tests/test_reorder_fuzz.cpp).
+// against a brute-force enumeration (tests/test_differential_fuzz.cpp).
 
 #pragma once
 
@@ -73,7 +73,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/ordering.h"
 #include "bdd/zbdd.h"
 #include "core/budget.h"
 #include "fta/fault_tree.h"
@@ -122,14 +121,6 @@ struct CutSetOptions {
   ThreadPool* pool = nullptr;
   /// Ignored; perfbench/probe.cpp names it; ROADMAP item 2 deletes it.
   ConeCache* cone_cache = nullptr;
-  /// Variable-order policy for the decision-diagram engines (CLI --order).
-  /// kStatic keeps the DFS occurrence order; kSift reorders dynamically
-  /// on unique-table pressure plus one final explicit pass (Rudell
-  /// sifting, Zbdd::sift). Cut sets are canonicalised after
-  /// extraction, so every policy produces byte-identical analysis output --
-  /// the policy only changes diagram size and time. The set-based engines
-  /// ignore it.
-  OrderPolicy order = OrderPolicy::kStatic;
   /// ZBDD engine only: retain the minimal-family diagram on the returned
   /// analysis (CutSetAnalysis::diagram) for diagram-native probability and
   /// importance. Also caps path extraction: once the diagram proves the
@@ -269,21 +260,6 @@ class CutSetList {
   std::vector<std::size_t> ends_;     ///< one past set i's last literal
 };
 
-/// What dynamic reordering did during a ZBDD-engine run (--verbose stats).
-/// Populated for every zbdd run, including static-order ones (passes = 0,
-/// sizes equal), so the policies are directly comparable.
-struct ReorderReport {
-  std::string policy;         ///< CLI spelling of the policy that ran
-  int passes = 0;             ///< sifting passes completed
-  std::size_t swaps = 0;      ///< adjacent-level swaps performed
-  std::size_t nodes_before = 0;  ///< live diagram nodes before sifting
-  std::size_t nodes_after = 0;   ///< live diagram nodes at the final order
-  std::size_t root_nodes = 0;    ///< nodes of the minimal-family diagram
-  /// Final variable order, root level first, as display names ("NOT x" for
-  /// the negative-polarity variable of x). Only levels with live nodes.
-  std::vector<std::string> final_order;
-};
-
 /// The ZBDD engine's minimal-family diagram, retained past extraction when
 /// CutSetOptions::keep_diagram is set. Self-contained: the manager, the
 /// family root, and the event behind each variable pair.
@@ -322,8 +298,6 @@ struct CutSetAnalysis {
   bool truncated = false;        ///< some sets were dropped by the limits
   bool deadline_exceeded = false;  ///< the budget deadline cut the run short
   std::size_t peak_sets = 0;     ///< working-set high-water mark (bench metric)
-  /// Reordering stats (ZBDD engine only; empty for the set-based engines).
-  std::optional<ReorderReport> reorder;
   /// The retained diagram (ZBDD engine with keep_diagram only). Shared
   /// ownership: the analysis is copyable/movable as before.
   std::shared_ptr<const CutSetDiagram> diagram;

@@ -20,20 +20,4 @@ std::vector<const FtNode*> dfs_variable_order(const FaultTree& tree) {
   return order;
 }
 
-std::string to_string(OrderPolicy policy) {
-  switch (policy) {
-    case OrderPolicy::kStatic:
-      return "static";
-    case OrderPolicy::kSift:
-      return "sift";
-  }
-  return "static";
-}
-
-std::optional<OrderPolicy> parse_order_policy(std::string_view text) {
-  if (text == "static") return OrderPolicy::kStatic;
-  if (text == "sift") return OrderPolicy::kSift;
-  return std::nullopt;
-}
-
 }  // namespace ftsynth

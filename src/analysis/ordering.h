@@ -11,9 +11,6 @@
 
 #pragma once
 
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "fta/fault_tree.h"
@@ -25,20 +22,5 @@ namespace ftsynth {
 /// order). Empty when the tree has no top. House events carry no variable
 /// (they are constant true) and are excluded.
 std::vector<const FtNode*> dfs_variable_order(const FaultTree& tree);
-
-/// How the diagram engines treat the variable order after the static DFS
-/// heuristic seeds it. All policies produce identical analysis results --
-/// cut-set families are canonicalised downstream of the diagrams -- and
-/// differ only in diagram size and time.
-enum class OrderPolicy {
-  kStatic,  ///< DFS occurrence order, never revisited (the default)
-  kSift,    ///< Rudell sifting on unique-table pressure + one final pass
-};
-
-/// CLI spelling: "static", "sift".
-std::string to_string(OrderPolicy policy);
-
-/// Parses a CLI spelling; std::nullopt when unrecognised.
-std::optional<OrderPolicy> parse_order_policy(std::string_view text);
 
 }  // namespace ftsynth

@@ -18,8 +18,7 @@
 // heuristic of analysis/ordering.h) before any node is built, and every
 // ordering-sensitive operation -- apply, sat_count, the conditionals in
 // bdd_prob -- compares variables by their level under that order. The
-// order never changes afterwards: dynamic reordering is a cut-set concern
-// and lives with the ZBDD manager (bdd/zbdd.h).
+// order never changes afterwards.
 //
 // A manager is single-threaded: every tree is analysed on one thread
 // (DESIGN.md section 12), so a manager is never shared between workers.

@@ -61,8 +61,8 @@ Model build_random(const RandomModelConfig& config);
 
 /// Adversarial-ORDER models: one block whose cause expression forces the
 /// static DFS-occurrence variable order (analysis/ordering.h) into its
-/// worst case for the decision-diagram engines, while a good order (which
-/// sifting finds) keeps the diagram linear. The minimal cut sets of
+/// worst case for the decision-diagram engines, while a good order (the
+/// interleaved one below) keeps the diagram linear. The minimal cut sets of
 /// Omission-sink are the transversals of (a1+b1)(a2+b2)...(an+bn): 2^n sets
 /// of size n. The cause leads with the absorbed spine a1 AND ... AND an so
 /// depth-first occurrence GROUPS the order (all a's, then all b's --
@@ -74,7 +74,7 @@ Model build_adversarial_product(int pairs);
 /// minimal family is the product of per-stage pair families {x y, x z, y z}
 /// -- 3^stages sets -- and the absorbed spine forces the role-grouped order
 /// (all x's, all y's, all z's), which must remember every stage's choice at
-/// once; the per-stage interleaving sifting recovers is linear.
+/// once; the per-stage interleaving is linear.
 Model build_adversarial_voters(int stages);
 
 }  // namespace ftsynth::synthetic

@@ -185,16 +185,6 @@ std::variant<WireRequest, WireError> parse_wire_request(
   }
   if (!read_number(*json, "bound_epsilon", &request.bound_epsilon, &error))
     return fail(error);
-  std::string order;
-  if (!read_string(*json, "order", &order, &error)) return fail(error);
-  if (!order.empty()) {
-    if (std::optional<OrderPolicy> policy = parse_order_policy(order)) {
-      request.order = *policy;
-    } else {
-      return fail(WireError{WireErrorCode::kBadRequest,
-                       "unknown order policy '" + order + "'"});
-    }
-  }
 
   // The mandatory per-request budget: a wall-clock deadline, always.
   // max_depth/max_nodes refine it but cannot stand in for it -- only the

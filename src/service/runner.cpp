@@ -150,32 +150,12 @@ int no_tops(const LoadedModel& loaded, Exec& exec,
   return 2;
 }
 
-// --verbose printers. Everything goes to the log so `output` stays
-// byte-identical across order/jobs variants (the acceptance bar).
-
-void report_reorder_stats(Exec& exec, const std::string& top,
-                          const std::optional<ReorderReport>& reorder) {
-  if (!exec.request.verbose || !reorder) return;
-  exec.err << "variable order [" << top << "]: policy " << reorder->policy
-           << ", passes " << reorder->passes << ", swaps " << reorder->swaps
-           << ", nodes " << reorder->nodes_before << " -> "
-           << reorder->nodes_after << " (root " << reorder->root_nodes
-           << ")\n";
-  if (!reorder->final_order.empty()) {
-    exec.err << "  final order: ";
-    for (std::size_t i = 0; i < reorder->final_order.size(); ++i) {
-      if (i != 0) exec.err << ", ";
-      exec.err << reorder->final_order[i];
-    }
-    exec.err << "\n";
-  }
-}
-
-/// The per-top block of an analysed item: variable order, bound-engine
-/// frontier counters, and whether probabilities came off the diagram.
+/// --verbose: the per-top block of an analysed item, bound-engine frontier
+/// counters and whether probabilities came off the diagram. Everything
+/// goes to the log so `output` stays byte-identical across --jobs variants
+/// (the acceptance bar).
 void report_analysis_stats(Exec& exec, const std::string& top,
                            const TreeAnalysis& analysis) {
-  report_reorder_stats(exec, top, analysis.cut_sets.reorder);
   if (!exec.request.verbose) return;
   if (const std::optional<FrontierStats>& frontier = analysis.frontier_stats) {
     exec.err << "bound frontier [" << top << "]: rounds " << frontier->rounds
@@ -216,7 +196,6 @@ AnalysisOptions analysis_options(const Exec& exec) {
   analysis.render_tree = exec.request.render_tree;
   analysis.cut_sets.engine = exec.request.engine;
   analysis.cut_sets.bound_epsilon = exec.request.bound_epsilon;
-  analysis.cut_sets.order = exec.request.order;
   analysis.cut_sets.budget = exec.budget;
   return analysis;
 }
@@ -637,11 +616,9 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
   BatchOptions batch_options;
   batch_options.analyse = false;
   BatchResult batch = run_tops(loaded, exec, batch_options);
-  std::vector<const BatchItem*> items;
   std::vector<const FaultTree*> trees;
   for (BatchItem& item : batch.items) {
     if (!replay_item(item, exec)) continue;
-    items.push_back(&item);
     trees.push_back(&*item.tree);
   }
   if (trees.empty()) return no_tops(loaded, exec, kNoTops);
@@ -649,12 +626,6 @@ int cmd_fmea(LoadedModel& loaded, Exec& exec) {
       parallel_map(exec.pool, trees.size(), [&](std::size_t i) {
         return compute_cut_sets(*trees[i], cut_options);
       });
-  for (std::size_t i = 0; i < trees.size(); ++i) {
-    report_reorder_stats(exec,
-                         loaded.mdl ? trees[i]->top_description()
-                                    : items[i]->display_name(),
-                         cut_sets[i].reorder);
-  }
   std::vector<const CutSetAnalysis*> analyses;
   for (const CutSetAnalysis& analysis : cut_sets) analyses.push_back(&analysis);
   return emit(
@@ -828,8 +799,7 @@ std::optional<std::string> ServiceRunner::response_key(
       << '\x1f' << request.render_tree << request.strict
       << '\x1f' << request.max_errors << '\x1f' << request.max_depth << '\x1f'
       << request.max_nodes << '\x1f' << static_cast<int>(request.engine)
-      << '\x1f' << request.bound_epsilon << '\x1f'
-      << static_cast<int>(request.order);
+      << '\x1f' << request.bound_epsilon;
   return key.str();
 }
 

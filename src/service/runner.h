@@ -92,7 +92,6 @@ struct ServiceRequest {
   /// Part of the response-memo key -- different targets emit different
   /// families.
   double bound_epsilon = 1e-6;
-  OrderPolicy order = OrderPolicy::kStatic;
   bool verbose = false;
   /// Daemon: a budget armed at admission (so queue wait counts against
   /// the client's deadline) whose latch the connection can force_expire

@@ -310,6 +310,7 @@ TEST_F(BbwTest, ZbddConstructionIsPinnedOverDerivedTops) {
   options.keep_diagram = true;
   std::size_t created = 0;
   std::size_t kept = 0;
+  std::size_t peak_sets = 0;
   std::uint64_t digest = 14695981039346656037ull;
   auto mix = [&](std::uint64_t value) {
     digest = (digest ^ value) * 1099511628211ull;
@@ -317,6 +318,7 @@ TEST_F(BbwTest, ZbddConstructionIsPinnedOverDerivedTops) {
   for (const Deviation& top : tops) {
     FaultTree tree = Synthesiser(*full_).synthesise(top);
     const CutSetAnalysis analysis = compute_cut_sets(tree, options);
+    peak_sets += analysis.peak_sets;
     ASSERT_TRUE(analysis.diagram != nullptr);
     const Zbdd& zbdd = analysis.diagram->zbdd;
     created += zbdd.size() - 2;  // terminals excluded
@@ -331,6 +333,8 @@ TEST_F(BbwTest, ZbddConstructionIsPinnedOverDerivedTops) {
   }
   EXPECT_EQ(created, 25051u);
   EXPECT_EQ(kept, 988u);
+  // The engine's working-set mark is the manager's slot count per top.
+  EXPECT_EQ(peak_sets, 25095u);
   EXPECT_EQ(digest, 985997935269752543ull);
 }
 

@@ -3,7 +3,7 @@
 // exhaustion, limit/deadline diagnostics, and --jobs determinism.
 //
 // Suites are named Bound* so the TSan job's suite regex
-// (Concurrency|Parallel|Reorder|Service|Bound) covers bound-engine trees
+// (Concurrency|Parallel|Service|Bound|...) covers bound-engine trees
 // drained concurrently under batch-level --jobs.
 
 #include <gtest/gtest.h>

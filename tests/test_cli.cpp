@@ -371,15 +371,17 @@ TEST_F(CliTest, NegativeDeadlineIsUsageError) {
 }
 
 TEST_F(CliTest, UnknownOrderPolicyRejected) {
-  EXPECT_EQ(run({"analyse", model_path_, "--top", "Omission-brake_force_fl",
-                 "--order", "bogus"}),
-            2);
-  EXPECT_NE(err_.str().find("unknown --order 'bogus'"), std::string::npos);
-  // sift-converge was retired: it printed the same bytes as sift, slower.
-  EXPECT_EQ(run({"analyse", model_path_, "--top", "Omission-brake_force_fl",
-                 "--order", "sift-converge"}),
-            2);
-  EXPECT_NE(err_.str().find("(expected static or sift)"), std::string::npos);
+  // --order is retired: the zbdd engine keeps its DFS variable order, and
+  // sifting printed the same bytes, slower. Every policy name, the former
+  // default included, now meets an unknown option.
+  for (const std::string policy : {"sift", "static", "bogus"}) {
+    EXPECT_EQ(run({"analyse", model_path_, "--top", "Omission-brake_force_fl",
+                   "--engine", "zbdd", "--order", policy}),
+              2)
+        << policy;
+    EXPECT_NE(err_.str().find("unknown option '--order'"), std::string::npos)
+        << err_.str();
+  }
 }
 
 TEST_F(CliTest, RetiredProbModeFlagIsUsageError) {
@@ -408,38 +410,23 @@ TEST_F(CliTest, RetiredCacheFlagsAreUsageErrors) {
             std::string::npos);
 }
 
-TEST_F(CliTest, OrderPoliciesAreByteIdentical) {
-  const std::string top = "Omission-brake_force_fl";
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd"}),
-            0);
-  const std::string reference = out_.str();
-  ASSERT_FALSE(reference.empty());
-  for (const std::string policy : {"static", "sift"}) {
-    for (const std::string jobs : {"1", "4"}) {
-      ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                     "--order", policy, "--jobs", jobs}),
-                0)
-          << policy << " jobs=" << jobs;
-      EXPECT_EQ(out_.str(), reference) << policy << " jobs=" << jobs;
-    }
-  }
-}
-
 TEST_F(CliTest, VerbosePrintsReorderStatsToStderrOnly) {
+  // The name predates the retired --order, whose reordering stats this
+  // test used to check; the bound engine's frontier counters are the
+  // per-top --verbose statistics now.
   const std::string top = "Omission-brake_force_fl";
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                 "--order", "sift", "--verbose"}),
+  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "bound"}),
             0);
-  EXPECT_NE(err_.str().find("variable order ["), std::string::npos);
-  EXPECT_NE(err_.str().find("policy sift"), std::string::npos);
-  EXPECT_NE(err_.str().find("final order:"), std::string::npos);
-  EXPECT_EQ(out_.str().find("variable order"), std::string::npos);
+  const std::string quiet = out_.str();
+  EXPECT_EQ(err_.str().find("bound frontier ["), std::string::npos);
 
-  // Without --verbose the stats stay quiet.
-  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "zbdd",
-                 "--order", "sift"}),
+  ASSERT_EQ(run({"analyse", model_path_, "--top", top, "--engine", "bound",
+                 "--verbose"}),
             0);
-  EXPECT_EQ(err_.str().find("variable order"), std::string::npos);
+  EXPECT_NE(err_.str().find("bound frontier [" + top + "]: rounds "),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(out_.str(), quiet);
 }
 
 }  // namespace

@@ -434,9 +434,9 @@ FaultTree synthesise_replicated(int channels, int stages) {
 
 TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
   // The acceptance matrix: a batch of overlapping trees, every exact
-  // engine under every order policy it honours (micsup ignores --order),
-  // --jobs {1, 2, 8}. Trees run and reorder concurrently; every item must
-  // produce the serial item's bytes.
+  // engine, --jobs {1, 2, 8}. Trees convert concurrently; every item must
+  // produce the serial item's bytes. (The name predates the retired
+  // --order, whose sift leg this test used to run.)
   auto trees = [] {
     std::vector<FaultTree> out;
     for (const auto& [channels, stages] :
@@ -444,14 +444,10 @@ TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
       out.push_back(synthesise_replicated(channels, stages));
     return out;
   };
-  for (const auto& [engine, order] :
-       std::vector<std::pair<CutSetEngine, OrderPolicy>>{
-           {CutSetEngine::kMicsup, OrderPolicy::kStatic},
-           {CutSetEngine::kZbdd, OrderPolicy::kStatic},
-           {CutSetEngine::kZbdd, OrderPolicy::kSift}}) {
+  for (const CutSetEngine engine :
+       {CutSetEngine::kMicsup, CutSetEngine::kZbdd}) {
     BatchOptions options;
     options.analysis.cut_sets.engine = engine;
-    options.analysis.cut_sets.order = order;
     const BatchResult serial = analyse_trees(trees(), {}, options, nullptr);
     for (int jobs : {2, 8}) {
       ThreadPool pool(jobs);
@@ -461,8 +457,7 @@ TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
         const CutSetAnalysis& a = serial.items[i].analysis->cut_sets;
         const CutSetAnalysis& b = pooled.items[i].analysis->cut_sets;
         EXPECT_EQ(b.to_string(), a.to_string())
-            << "engine=" << static_cast<int>(engine)
-            << " order=" << to_string(order) << " jobs=" << jobs
+            << "engine=" << to_string(engine) << " jobs=" << jobs
             << " item=" << i;
         EXPECT_EQ(b.truncated, a.truncated);
       }
@@ -471,7 +466,7 @@ TEST(ConcurrencyZbddConvert, ByteIdentityMatrixAcrossJobsEnginesOrders) {
 }
 
 TEST(ConcurrencyZbddConvert, ForceExpireMidConversionDegradesCleanly) {
-  // A cancellation from another thread racing the sifted conversion:
+  // A cancellation from another thread racing the conversion:
   // whenever the latch fires, the run must come back flagged (or
   // complete, if the race was lost) -- never crash or corrupt the manager.
   FaultTree tree = synthesise_replicated(3, 18);
@@ -485,7 +480,6 @@ TEST(ConcurrencyZbddConvert, ForceExpireMidConversionDegradesCleanly) {
   for (int delay_us : {0, 200, 1000, 5000}) {
     CutSetOptions options;
     options.engine = CutSetEngine::kZbdd;
-    options.order = OrderPolicy::kSift;
     options.budget.set_deadline_ms(3'600'000);
     std::thread killer([&options, delay_us] {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_us));

@@ -60,7 +60,7 @@ void expect_close(double actual, double expected, const char* what) {
       << what;
 }
 
-/// Random AND/OR/NOT DAG, same shape discipline as test_reorder_fuzz.cpp:
+/// Random AND/OR/NOT DAG, same shape discipline as test_differential_fuzz.cpp:
 /// small enough that no engine truncates, NOT only over leaves (the
 /// supported non-coherent fragment), shared subtrees arising naturally.
 FaultTree random_tree(std::mt19937& rng, int tag) {
@@ -155,31 +155,30 @@ TEST(ProbModeWireTest, ParsesEveryModeAndDefaultsToAuto) {
     EXPECT_EQ(request.command, plain.command) << mode;
     EXPECT_EQ(request.model_path, plain.model_path) << mode;
     EXPECT_EQ(request.engine, plain.engine) << mode;
-    EXPECT_EQ(request.order, plain.order) << mode;
     EXPECT_EQ(request.deadline_ms, plain.deadline_ms) << mode;
   }
   EXPECT_EQ(plain.engine, CutSetEngine::kZbdd);
 }
 
 TEST(ProbModeWireTest, RejectsUnknownMode) {
-  // prob_mode is no longer a field, so no value of it is rejected; an
-  // unknown mode of a field that remains (order, engine) still is.
-  const service::ServiceRequest ignored = parse_ok(
-      R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
-      R"("prob_mode":"exact"})");
-  EXPECT_EQ(ignored.command, "analyse");
-  for (const char* line :
-       {R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
-        R"("order":"sift-converge"})",
-        R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
-        R"("engine":"exact"})"}) {
-    const auto parsed = service::parse_wire_request(line);
-    const auto* error = std::get_if<service::WireError>(&parsed);
-    ASSERT_NE(error, nullptr) << line;
-    EXPECT_EQ(error->code, service::WireErrorCode::kBadRequest) << line;
-    EXPECT_NE(error->message.find("unknown"), std::string::npos)
-        << error->message;
+  // prob_mode and order are no longer fields, so no value of either is
+  // rejected; an unknown value of a field that remains (engine) still is.
+  for (const char* field : {R"("prob_mode":"exact")",
+                            R"("order":"sift-converge")"}) {
+    const service::ServiceRequest ignored = parse_ok(
+        R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)" +
+        std::string(field) + "}");
+    EXPECT_EQ(ignored.command, "analyse") << field;
   }
+  const char* line =
+      R"({"command":"analyse","model":"m.mdl","deadline_ms":1000,)"
+      R"("engine":"exact"})";
+  const auto parsed = service::parse_wire_request(line);
+  const auto* error = std::get_if<service::WireError>(&parsed);
+  ASSERT_NE(error, nullptr) << line;
+  EXPECT_EQ(error->code, service::WireErrorCode::kBadRequest) << line;
+  EXPECT_NE(error->message.find("unknown engine"), std::string::npos)
+      << error->message;
 }
 
 /// analyse_tree with the ZBDD diagram withheld (keep_diagram=false): the

@@ -195,7 +195,6 @@ TEST(ServiceProtocol, RejectsWrongFieldTypesInsteadOfCoercing) {
       R"({"command":"analyse","model":"m","deadline_ms":"soon"})",
       R"({"command":"analyse","model":"m","strict":1,"deadline_ms":1000})",
       R"({"command":"analyse","model":"m","engine":"magic","deadline_ms":1000})",
-      R"({"command":"analyse","model":"m","order":"bogus","deadline_ms":1000})",
       R"({"command":"analyse","model":"m","max_errors":-1,"deadline_ms":1000})",
       R"({"command":"analyse","model":"m","bound_epsilon":"tiny","deadline_ms":1000})",
   };
@@ -224,7 +223,7 @@ TEST(ServiceProtocol, ParsesEveryRequestField) {
     "tops": ["Omission-a", "Commission-b"], "time_hours": 1000,
     "tree": true, "strict": true, "max_errors": 7, "max_depth": 99,
     "max_nodes": 1234, "verbose": true,
-    "engine": "zbdd", "order": "sift", "deadline_ms": 2500
+    "engine": "zbdd", "deadline_ms": 2500
   })");
   const WireRequest* wire = std::get_if<WireRequest>(&parsed);
   ASSERT_NE(wire, nullptr);
@@ -241,18 +240,7 @@ TEST(ServiceProtocol, ParsesEveryRequestField) {
   EXPECT_EQ(request.max_nodes, 1234u);
   EXPECT_TRUE(request.verbose);
   EXPECT_EQ(request.engine, CutSetEngine::kZbdd);
-  EXPECT_EQ(request.order, OrderPolicy::kSift);
   EXPECT_EQ(request.deadline_ms, 2500);
-
-  // The retired sift-converge policy is a bad request, not a silent sift.
-  const auto retired = service::parse_wire_request(
-      R"({"command":"analyse","model":"m.mdl","order":"sift-converge",)"
-      R"("deadline_ms":1000})");
-  const WireError* error = std::get_if<WireError>(&retired);
-  ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->code, WireErrorCode::kBadRequest);
-  EXPECT_NE(error->message.find("unknown order policy 'sift-converge'"),
-            std::string::npos);
 }
 
 TEST(ServiceProtocol, ParsesBoundEngineAndEpsilon) {
@@ -352,31 +340,53 @@ TEST_F(ServiceRunnerTest, WarmRunsAreByteIdenticalToTheSerialCliForEveryCommand)
   }
 }
 
+// The name predates the retired --order, whose sift leg this test used to
+// run; it is kept so the test keeps its history.
 TEST_F(ServiceRunnerTest, WarmAnalyseMatchesSerialAcrossEnginesAndOrders) {
   ServiceRunner::Options options;
   options.warm = true;
   options.jobs = 4;
   ServiceRunner runner(options);
   for (const char* engine : {"micsup", "zbdd"}) {
-    for (const char* order : {"static", "sift"}) {
-      const CliRun reference =
-          run_cli({"analyse", model_path_, "--engine", engine, "--order",
-                   order, "--jobs", "1"});
-      ASSERT_EQ(reference.code, 0) << engine;
-      ASSERT_NE(reference.out.find("minimal cut sets:"), std::string::npos);
+    const CliRun reference =
+        run_cli({"analyse", model_path_, "--engine", engine, "--jobs", "1"});
+    ASSERT_EQ(reference.code, 0) << engine;
+    ASSERT_NE(reference.out.find("minimal cut sets:"), std::string::npos);
 
-      ServiceRequest request = make_request("analyse", model_path_);
-      request.engine = engine == std::string("zbdd") ? CutSetEngine::kZbdd
-                                                     : CutSetEngine::kMicsup;
-      request.order = order == std::string("sift") ? OrderPolicy::kSift
-                                                   : OrderPolicy::kStatic;
-      for (int round = 0; round < 2; ++round) {
-        const ServiceResult result = runner.execute(request);
-        EXPECT_EQ(result.output, reference.out)
-            << engine << "/" << order << " round " << round;
-        EXPECT_EQ(result.exit_code, 0) << engine << "/" << order;
-      }
+    ServiceRequest request = make_request("analyse", model_path_);
+    request.engine = engine == std::string("zbdd") ? CutSetEngine::kZbdd
+                                                   : CutSetEngine::kMicsup;
+    for (int round = 0; round < 2; ++round) {
+      const ServiceResult result = runner.execute(request);
+      EXPECT_EQ(result.output, reference.out) << engine << " round " << round;
+      EXPECT_EQ(result.exit_code, 0) << engine;
     }
+  }
+}
+
+TEST_F(ServiceRunnerTest, RequestsDifferingOnlyInOrderShareOneMemoEntry) {
+  // The retired "order" field is ignored on the wire and has left the
+  // response-memo key: requests that differ only in it are one entry.
+  ServiceRunner::Options options;
+  options.warm = true;
+  options.jobs = 1;
+  ServiceRunner runner(options);
+  const std::string head = R"({"command":"analyse","model":")" + model_path_ +
+                           R"(","engine":"zbdd","deadline_ms":60000)";
+  std::string reference;
+  for (const char* order : {"", R"(,"order":"sift")", R"(,"order":"static")",
+                            R"(,"order":"bogus")"}) {
+    const auto parsed =
+        service::parse_wire_request(head + std::string(order) + "}");
+    const WireRequest* wire = std::get_if<WireRequest>(&parsed);
+    ASSERT_NE(wire, nullptr) << order;
+    const ServiceResult result = runner.execute(wire->request);
+    EXPECT_EQ(result.exit_code, 0) << order;
+    if (reference.empty()) reference = result.output;
+    EXPECT_EQ(result.output, reference) << order;
+    EXPECT_NE(runner.stats_text().find("results memoised: 1"),
+              std::string::npos)
+        << order << ": " << runner.stats_text();
   }
 }
 
@@ -644,6 +654,21 @@ TEST_F(ServiceDaemonTest, RetiredProbModeFieldIsIgnored) {
     Json request = plain;
     request.set("prob_mode", Json::string(mode));
     EXPECT_EQ(roundtrip(request.dump()).dump(), reference) << mode;
+  }
+}
+
+TEST_F(ServiceDaemonTest, RetiredOrderFieldIsIgnored) {
+  // The retired "order" field is ignored like any unknown field, whatever
+  // its value: the response carries exactly the bytes of a request
+  // without it.
+  start(base_options());
+  const Json plain = analyse_request(model_path_, "zbdd");
+  const std::string reference = roundtrip(plain.dump()).dump();
+  EXPECT_NE(reference.find("minimal cut sets:"), std::string::npos);
+  for (const char* order : {"sift", "static", "bogus"}) {
+    Json request = plain;
+    request.set("order", Json::string(order));
+    EXPECT_EQ(roundtrip(request.dump()).dump(), reference) << order;
   }
 }
 

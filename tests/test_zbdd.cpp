@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string_view>
 #include <vector>
 
+#include "analysis/cutsets.h"
 #include "bdd/zbdd.h"
+#include "casestudy/synthetic.h"
+#include "fta/synthesis.h"
 
 namespace ftsynth {
 namespace {
@@ -174,6 +179,85 @@ TEST(Zbdd, RauzyMinsolOnSharedStructure) {
   Zbdd::Ref right = zbdd.set_union(zbdd.single(b), zbdd.single(x));
   Zbdd::Ref minimal = zbdd.minimal(zbdd.product(left, right));
   EXPECT_EQ(enumerate(zbdd, minimal), (Family{{x}, {a, b}}));
+}
+
+// -- The engine on the committed adversarial fixtures ----------------------------
+
+/// What `--engine zbdd` builds for Omission-sink of `model`: the working
+/// set high-water mark (the manager's slot count), the nodes the kept root
+/// reaches, and an FNV-1a digest of the node array in Ref order. A Ref is
+/// its node's allocation serial, so a change to the order the conversion
+/// allocates in moves the digest even where the counts hold.
+struct ZbddConstruction {
+  std::size_t peak_sets = 0;
+  std::size_t root_nodes = 0;
+  std::size_t cut_sets = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+};
+
+ZbddConstruction zbdd_construction(const Model& model) {
+  Synthesiser synthesiser(model);
+  FaultTree tree = synthesiser.synthesise("Omission-sink");
+  CutSetOptions options;
+  options.engine = CutSetEngine::kZbdd;
+  options.keep_diagram = true;
+  const CutSetAnalysis analysis = compute_cut_sets(tree, options);
+  ZbddConstruction out;
+  if (analysis.diagram == nullptr) {
+    ADD_FAILURE() << "the zbdd engine kept no diagram";
+    return out;
+  }
+  const Zbdd& zbdd = analysis.diagram->zbdd;
+  out.peak_sets = analysis.peak_sets;
+  out.root_nodes = zbdd.node_count(analysis.diagram->root);
+  out.cut_sets = analysis.cut_sets.size();
+  auto mix = [&](std::uint64_t value) {
+    out.digest = (out.digest ^ value) * 1099511628211ull;
+  };
+  for (Zbdd::Ref ref = 2; ref < zbdd.size(); ++ref) {
+    const Zbdd::Node& n = zbdd.node(ref);
+    mix(static_cast<std::uint64_t>(n.var));
+    mix(n.low);
+    mix(n.high);
+  }
+  mix(analysis.diagram->root);
+  EXPECT_EQ(out.peak_sets, zbdd.size());
+  return out;
+}
+
+TEST(ZbddEngine, AdversarialProductConstructionIsPinned) {
+  // The grouped DFS order keeps the transversal family exponential: 2^10
+  // sets whose diagram needs well over 2^10 nodes.
+  const ZbddConstruction built =
+      zbdd_construction(synthetic::build_adversarial_product(10));
+  EXPECT_EQ(built.cut_sets, 1u << 10);
+  EXPECT_EQ(built.peak_sets, 3116u);
+  EXPECT_EQ(built.root_nodes, 2046u);
+  EXPECT_EQ(built.digest, 16247188210589181272ull);
+}
+
+TEST(ZbddEngine, AdversarialVotersConstructionIsPinned) {
+  const ZbddConstruction built =
+      zbdd_construction(synthetic::build_adversarial_voters(5));
+  EXPECT_EQ(built.cut_sets, 243u);  // 3^5 voter pair choices
+  EXPECT_EQ(built.peak_sets, 478u);
+  EXPECT_EQ(built.root_nodes, 222u);
+  EXPECT_EQ(built.digest, 1145246354111835203ull);
+}
+
+TEST(ZbddEngine, AgreesWithTheSetEngineOnEveryFixture) {
+  auto check = [](const Model& model, std::string_view top) {
+    Synthesiser synthesiser(model);
+    FaultTree tree = synthesiser.synthesise(top);
+    CutSetOptions options;
+    const CutSetAnalysis micsup = compute_cut_sets(tree, options);
+    options.engine = CutSetEngine::kZbdd;
+    EXPECT_EQ(compute_cut_sets(tree, options).to_string(), micsup.to_string())
+        << model.name();
+  };
+  check(synthetic::build_adversarial_product(6), "Omission-sink");
+  check(synthetic::build_adversarial_voters(3), "Omission-sink");
+  check(synthetic::build_diamond(6), "Omission-sink");
 }
 
 }  // namespace

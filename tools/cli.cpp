@@ -76,13 +76,8 @@ options:
                      (default 1e-6). Negative E disables early stopping:
                      run to exhaustion or budget expiry. With --max-nodes N
                      the bound engine caps total frontier expansions at N.
-  --order POL        variable-order policy for the zbdd engine: static
-                     (default; the fixed DFS-occurrence heuristic) or sift
-                     (Rudell sifting on unique-table pressure). Both emit
-                     identical output; sift keeps the diagram small on
-                     adversarially shaped models.
-  --verbose          print run statistics (final variable order, reorder
-                     effort, bound-engine frontier counters) to stderr
+  --verbose          print run statistics (bound-engine frontier counters,
+                     zbdd diagram-native probability) to stderr
 
 daemon options:
   --socket PATH          serve/call: AF_UNIX socket path
@@ -233,16 +228,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
         err << "error: --bound-epsilon needs a number, got '" << *v << "'\n";
         return std::nullopt;
       }
-    } else if (arg == "--order") {
-      auto v = value();
-      if (!v) return std::nullopt;
-      if (std::optional<OrderPolicy> policy = parse_order_policy(*v)) {
-        options.request.order = *policy;
-      } else {
-        err << "error: unknown --order '" << *v
-            << "' (expected static or sift)\n";
-        return std::nullopt;
-      }
     } else if (arg == "--verbose") {
       options.request.verbose = true;
     } else if (arg == "--socket") {
@@ -350,8 +335,6 @@ service::Json build_wire_request(const Options& options) {
     json.set("engine", Json::string(to_string(request.engine)));
   if (request.bound_epsilon != 1e-6)
     json.set("bound_epsilon", Json::number(request.bound_epsilon));
-  if (request.order != OrderPolicy::kStatic)
-    json.set("order", Json::string(to_string(request.order)));
   const long deadline_ms =
       request.deadline_ms > 0 ? request.deadline_ms : 60000;
   json.set("deadline_ms", Json::number(static_cast<double>(deadline_ms)));
